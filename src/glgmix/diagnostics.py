@@ -3,9 +3,7 @@ envelopes, and AIC comparison tables."""
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,15 +60,6 @@ class EnvelopeResult:
     n_replicates: int
 
 
-def _worker_count(n_tasks):
-    raw = os.environ.get("GLGMIX_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 1
-    return max(1, min(workers, n_tasks))
-
-
 def _pick_residual(report, which):
     if which == "deviance":
         return report.dev_resid
@@ -112,8 +101,6 @@ def simulated_envelope(
     quantiles at the requested ``level`` (1.0 gives the min/max hull).
     Replicates that fail to converge or yield undefined residuals are
     dropped with a warning; more than 20% dropped is an error.
-
-    Set ``GLGMIX_THREADS`` to run replicates in parallel.
     """
     if n_replicates < _MIN_REPLICATES:
         raise DomainError(
@@ -137,19 +124,7 @@ def simulated_envelope(
         # replicate refits may hit negative components; only the observed
         # data's warning (raised above) should reach the user
         warnings.simplefilter("ignore", NegativeDevianceWarning)
-        workers = _worker_count(n_replicates)
-        if workers == 1:
-            results = [
-                _one_replicate(dataset, params, residual, s) for s in seeds
-            ]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(
-                        lambda s: _one_replicate(dataset, params, residual, s),
-                        seeds,
-                    )
-                )
+        results = [_one_replicate(dataset, params, residual, s) for s in seeds]
 
     kept = [r for r in results if r is not None]
     n_dropped = n_replicates - len(kept)

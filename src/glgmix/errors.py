@@ -22,8 +22,9 @@ class ModeSearchError(GlgmixError, RuntimeError):
 
     Attributes
     ----------
-    last_iterate : float or ndarray
-        Position of the search when it gave up.
+    last_iterate : ndarray
+        Position of each failing cluster's search when it gave up, in the
+        order the message names the clusters.
     """
 
     def __init__(self, message, last_iterate):

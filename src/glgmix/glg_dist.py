@@ -19,7 +19,6 @@ moments below.  See Lawless (2002, ch. 5) for background.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import digamma, gammaincinv, gammaln, ndtri, polygamma
 
 from .errors import DomainError, MomentExistenceError
@@ -141,30 +140,6 @@ def exp_moment(params, k):
     q = lam ** -2.0
     log_m = (k * sigma / lam) * np.log(lam ** 2) + gammaln(q * (1.0 + k * lam * sigma)) - gammaln(q)
     return float(np.exp(log_m))
-
-
-def exp_moment_numint(params, k):
-    """E(e^{k b}) by direct adaptive quadrature of the defining integral.
-
-    Slow reference path kept as an independent cross-check of
-    :func:`exp_moment`; same existence guard.
-    """
-    if k not in (1, 2):
-        raise DomainError(f"k must be 1 or 2, got {k!r}")
-    if params.mu != 0.0:
-        raise DomainError("exp_moment is defined for mu = 0")
-    if not params.is_normal:
-        _check_exp_moment_exists(params, k)
-
-    def integrand(y):
-        return np.exp(k * y + log_pdf(y, params))
-
-    # Split at the mode region to help the adaptive rule on skewed shapes.
-    value = 0.0
-    for lo, hi in ((-np.inf, 0.0), (0.0, np.inf)):
-        part, _ = quad(integrand, lo, hi, limit=200)
-        value += part
-    return value
 
 
 def sample(params, seed, n):

@@ -176,12 +176,7 @@ def _sweep(dataset, params, want_k_phi=True):
 
 
 def score(dataset, params):
-    """Analytic score (and information, from the same cluster sweep)."""
-    return _sweep(dataset, params)
-
-
-def fisher_info(dataset, params):
-    """Expected (Fisher) information; shares its sweep with :func:`score`."""
+    """Analytic score and expected (Fisher) information, from one cluster sweep."""
     return _sweep(dataset, params)
 
 
@@ -189,7 +184,7 @@ def observed_info_beta(dataset, params):
     """Observed information for beta: minus the Jacobian of U_beta.
 
     Equals sum_i a_i X_i' W_i X_i; its expectation (a_i -> 1) is the
-    ``k_beta`` block of :func:`fisher_info`.
+    ``k_beta`` block of :func:`score`.
     """
     phi = params.phi
     p = dataset.p
@@ -499,6 +494,10 @@ def _weight_sqrt(mu, phi):
 def residuals(dataset, fitted):
     """Deviance-component and Pearson residuals with pooled leverages.
 
+    The deviance residual is ``sign(y - mu) * sqrt(dev_comp / (1 - h))``;
+    ``dev_comp`` already carries the deviance's factor 2, so the squared
+    raw residuals add up to :func:`deviance`.
+
     Leverage of observation (i, j) is the j-th diagonal entry of
     H_i = W_i^(1/2) X_i M^(-1) X_i' W_i^(1/2) with M the pooled cross
     product sum_k X_k' W_k X_k, so leverages add up to p over the whole
@@ -546,7 +545,7 @@ def residuals(dataset, fitted):
     with np.errstate(invalid="ignore"):
         dev_resid = np.where(
             dev_comp >= 0,
-            np.sign(y_all - fitted_vals) * np.sqrt(2.0 * np.where(dev_comp >= 0, dev_comp, 0.0))
+            np.sign(y_all - fitted_vals) * np.sqrt(np.where(dev_comp >= 0, dev_comp, 0.0))
             / np.sqrt(1.0 - leverage),
             np.nan,
         )

@@ -23,9 +23,9 @@ from .glg_dist import GlgParams
 from .mnb_model import _check_design_rank, _poisson_irls
 from .quadrature import (
     DEFAULT_ORDER,
-    adaptive_expectation,
     gauss_hermite,
     log_integrate_adaptive_batch,
+    posterior_mean_batch,
 )
 from .results import FitResult, TraceRecord
 
@@ -104,17 +104,15 @@ def _make_batch_integrand(packed, params):
     return g
 
 
-def _batch_log_marginals(packed, params, rule, init=None):
-    if init is None:
-        init = np.zeros(packed.y.shape[0])
+def _batch_log_marginals(packed, params, rule):
     g = _make_batch_integrand(packed, params)
-    return log_integrate_adaptive_batch(g, rule, init)
+    return log_integrate_adaptive_batch(g, rule, np.zeros(packed.y.shape[0]))
 
 
-def _raise_for_failures(dataset, failed):
+def _raise_for_failures(dataset, failed, b_hat):
     bad = [c.id for c, f in zip(dataset.clusters, failed) if f]
     raise ModeSearchError(
-        f"quadrature mode search failed for cluster(s) {bad}", last_iterate=None
+        f"quadrature mode search failed for cluster(s) {bad}", last_iterate=b_hat[failed]
     )
 
 
@@ -124,32 +122,19 @@ def cluster_log_marginal(c, params, rule=None):
     from .data_io import Dataset
 
     packed = _Packed(Dataset(clusters=(c,), column_names=("x",) * c.p))
-    values, failed = _batch_log_marginals(packed, params, rule)
+    values, failed, b_hat = _batch_log_marginals(packed, params, rule)
     if failed[0]:
-        _raise_for_failures(packed.dataset, failed)
+        _raise_for_failures(packed.dataset, failed, b_hat)
     return float(values[0])
 
 
 def log_likelihood(dataset, params, rule=None):
     """Sum of cluster log marginals, in dataset order."""
     rule = rule or gauss_hermite(DEFAULT_ORDER)
-    values, failed = _batch_log_marginals(_Packed(dataset), params, rule)
+    values, failed, b_hat = _batch_log_marginals(_Packed(dataset), params, rule)
     if failed.any():
-        _raise_for_failures(dataset, failed)
+        _raise_for_failures(dataset, failed, b_hat)
     return float(values.sum())
-
-
-def _cluster_integrand(c, params):
-    prior = GlgParams(mu=0.0, sigma=params.sigma, lam=params.lam)
-    eta0 = c.X @ params.beta + c.offset
-    y = c.y.astype(float)
-    const = float(gammaln(y + 1.0).sum())
-
-    def g(b):
-        eta = eta0 + b
-        return float((y * eta - np.exp(eta)).sum() - const + glg_dist.log_pdf(b, prior))
-
-    return g
 
 
 def predict_random_effects(dataset, params, rule=None):
@@ -158,17 +143,11 @@ def predict_random_effects(dataset, params, rule=None):
     Numerator and denominator integrals share one adaptive recentring.
     """
     rule = rule or gauss_hermite(DEFAULT_ORDER)
-    out = []
-    for c in dataset.clusters:
-        g = _cluster_integrand(c, params)
-        try:
-            _, mean_b = adaptive_expectation(g, rule, init=0.0)
-        except ModeSearchError as exc:
-            raise ModeSearchError(
-                f"cluster {c.id!r}: {exc}", last_iterate=exc.last_iterate
-            ) from exc
-        out.append((c.id, mean_b))
-    return out
+    g = _make_batch_integrand(_Packed(dataset), params)
+    means, failed, b_hat = posterior_mean_batch(g, rule, np.zeros(dataset.n_clusters))
+    if failed.any():
+        _raise_for_failures(dataset, failed, b_hat)
+    return [(c.id, float(m)) for c, m in zip(dataset.clusters, means)]
 
 
 def marginal_moments(c, params):
@@ -244,13 +223,11 @@ class _Objective:
         except (DomainError, OverflowError):
             return _BIG
         g = _make_batch_integrand(self.packed, params)
-        values, failed, modes = log_integrate_adaptive_batch(
-            g, self.rule, self.modes.copy(), return_modes=True
-        )
+        values, failed, modes = log_integrate_adaptive_batch(g, self.rule, self.modes.copy())
         if failed.any() or not np.all(np.isfinite(values)):
             # retry from scratch before giving up on this point
             values, failed, modes = log_integrate_adaptive_batch(
-                g, self.rule, np.zeros(self.modes.size), return_modes=True
+                g, self.rule, np.zeros(self.modes.size)
             )
             if failed.any() or not np.all(np.isfinite(values)):
                 return _BIG

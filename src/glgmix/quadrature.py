@@ -1,11 +1,14 @@
 """Gauss-Hermite rules and adaptive (mode-recentred) log-domain integration.
 
-The integrals of interest are marginal-likelihood contributions
-``log I = log int exp(g(b)) db`` with ``g`` smooth and concave-ish.  A
-fixed Gauss-Hermite rule applied to such an integrand is accurate only if
-the integrand mass sits near 0 with unit width, so the adaptive routine
-first locates the mode of ``g``, rescales by the curvature there, and only
-then applies the rule.
+The integrals of interest are ``I_i = int exp(g_i(b)) db``, one per
+cluster, with each ``g_i`` smooth and concave-ish: the marginal
+likelihood ``log I_i`` and the posterior mean ``int b exp(g_i(b)) db /
+I_i`` of a random intercept.  A fixed Gauss-Hermite rule applied to such
+an integrand is accurate only if the integrand mass sits near 0 with
+unit width, so one batched engine first locates the mode of every
+``g_i``, rescales by the curvature there, and only then lays out the
+rule.  :func:`log_integrate_adaptive_batch` and
+:func:`posterior_mean_batch` reduce the same recentred nodes.
 """
 
 from dataclasses import dataclass
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp, roots_hermite
 
-from .errors import DomainError, ModeSearchError
+from .errors import DomainError
 
 MAX_ORDER = 200
 DEFAULT_ORDER = 40
@@ -51,133 +54,14 @@ def gauss_hermite(order):
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
 
 
-def _fd_step(b):
-    return 1e-4 * max(1.0, abs(b))
-
-
-def _find_mode(log_integrand, init):
-    """Safeguarded 1-D Newton ascent on ``log_integrand``.
-
-    Derivatives come from central differences; steps are capped and halved
-    until the objective does not decrease.  Returns (mode, curvature) with
-    curvature = g''(mode) estimated at the solution.
-    """
-    b = float(init)
-    g_b = float(log_integrand(b))
-    if not np.isfinite(g_b):
-        raise ModeSearchError(f"log integrand not finite at init {init}", b)
-
-    for _ in range(_MODE_MAX_ITER):
-        h = _fd_step(b)
-        g_plus = float(log_integrand(b + h))
-        g_minus = float(log_integrand(b - h))
-        # a probe can overshoot the integrand's effective support even
-        # though g(b) is finite; tighten the stencil instead of letting
-        # inf - inf poison the step
-        for _shrink in range(3):
-            if np.isfinite(g_plus) and np.isfinite(g_minus):
-                break
-            h *= 0.1
-            g_plus = float(log_integrand(b + h))
-            g_minus = float(log_integrand(b - h))
-        else:
-            raise ModeSearchError(
-                "support edge within finite-difference reach of the iterate", b
-            )
-        grad = (g_plus - g_minus) / (2.0 * h)
-        curv = (g_plus - 2.0 * g_b + g_minus) / (h * h)
-
-        if curv < 0:
-            step = -grad / curv
-        else:
-            # Not locally concave: march uphill a bounded distance.
-            step = np.sign(grad) * _MODE_STEP_CAP
-        step = float(np.clip(step, -_MODE_STEP_CAP, _MODE_STEP_CAP))
-
-        if abs(step) < _MODE_STEP_TOL * max(1.0, abs(b)):
-            return b, curv
-
-        # Backtrack until the move is non-decreasing.
-        g_new = float(log_integrand(b + step))
-        n_halve = 0
-        while (not np.isfinite(g_new) or g_new < g_b) and n_halve < 60:
-            if (
-                np.isfinite(g_new)
-                and curv < 0
-                and abs(step) < _MODE_STEP_TOL * max(1.0, abs(b))
-            ):
-                # the objective changes by less than float resolution
-                return b, curv
-            step *= 0.5
-            g_new = float(log_integrand(b + step))
-            n_halve += 1
-        if n_halve == 60:
-            raise ModeSearchError("mode search stalled: no uphill step found", b)
-        b += step
-        g_b = g_new
-
-        if abs(grad) < 1e-10 * max(1.0, abs(curv)):
-            h = _fd_step(b)
-            curv = (float(log_integrand(b + h)) - 2.0 * g_b + float(log_integrand(b - h))) / (h * h)
-            return b, curv
-
-    raise ModeSearchError(f"mode search did not converge in {_MODE_MAX_ITER} iterations", b)
-
-
-def log_integrate_adaptive(log_integrand, rule, init=0.0):
-    """log of ``int exp(g(b)) db`` by mode-recentred Gauss-Hermite.
-
-    The mode ``b_hat`` of ``g`` is found by safeguarded Newton from
-    ``init``; the integration variable is rescaled by
-    ``h_hat = (-g''(b_hat))^(-1/2)`` so that the transformed integrand is
-    close to the Gauss-Hermite weight.  The node sum is accumulated in
-    log-sum-exp form.
-
-    Raises
-    ------
-    ModeSearchError
-        When the mode search fails; carries the last iterate.
-    """
-    b_hat, curv = _find_mode(log_integrand, init)
-    if not np.isfinite(curv) or curv >= 0:
-        raise ModeSearchError(f"no negative curvature at mode {b_hat}", b_hat)
-    h_hat = (-curv) ** -0.5
-
-    points = b_hat + np.sqrt(2.0) * h_hat * rule.nodes
-    g_vals = np.asarray([log_integrand(p) for p in points], dtype=float)
-    terms = np.log(rule.weights) + g_vals + rule.nodes ** 2
-    return float(logsumexp(terms) + 0.5 * np.log(2.0) + np.log(h_hat))
-
-
-def adaptive_expectation(log_integrand, rule, init=0.0):
-    """Mean of b under the density proportional to exp(g(b)).
-
-    Shares a single mode recentring between the normalizing integral and
-    the first-moment integral (their ratio), which keeps the two node sets
-    identical and the ratio stable.  Returns (log integral, mean).
-    """
-    b_hat, curv = _find_mode(log_integrand, init)
-    if not np.isfinite(curv) or curv >= 0:
-        raise ModeSearchError(f"no negative curvature at mode {b_hat}", b_hat)
-    h_hat = (-curv) ** -0.5
-
-    points = b_hat + np.sqrt(2.0) * h_hat * rule.nodes
-    g_vals = np.asarray([log_integrand(p) for p in points], dtype=float)
-    terms = np.log(rule.weights) + g_vals + rule.nodes ** 2
-    shift = terms.max()
-    scaled = np.exp(terms - shift)
-    norm = scaled.sum()
-    log_norm = float(shift + np.log(norm) + 0.5 * np.log(2.0) + np.log(h_hat))
-    return log_norm, float((points * scaled).sum() / norm)
-
-
 def _find_mode_batch(log_integrand, init):
-    """Vectorized analogue of :func:`_find_mode` over a batch of integrands.
+    """Safeguarded Newton ascent on a batch of integrands at once.
 
     ``log_integrand`` maps an array of positions (one per integrand, shape
-    (n,) or (n, k)) to values of the same shape.  Runs the same iteration
-    as the scalar routine on every component, freezing components as they
-    converge.  Returns (modes, curvatures, failed_mask).
+    (n,) or (n, k)) to values of the same shape.  Derivatives come from
+    central differences; steps are capped and halved until the objective
+    does not decrease.  Components freeze as they converge.  Returns
+    (modes, curvatures, failed_mask), the curvature being g''(mode).
     """
     b = np.array(init, dtype=float)
     g_b = np.asarray(log_integrand(b), dtype=float)
@@ -260,15 +144,13 @@ def _find_mode_batch(log_integrand, init):
     return b, curv_out, failed
 
 
-def log_integrate_adaptive_batch(log_integrand, rule, init, return_modes=False):
-    """Batch version of :func:`log_integrate_adaptive`.
+def _recentred_nodes(log_integrand, rule, init):
+    """The rule laid out around each component's mode.
 
-    ``log_integrand`` must accept positions of shape (n,) or (n, order)
-    and return values of the same shape (component i evaluated at its own
-    positions).  Returns (values, failed_mask); failed components hold NaN
-    rather than raising, so callers can attach their own context.  With
-    ``return_modes`` the located modes come back as a third element, e.g.
-    to warm-start the next call.
+    Returns (modes, scales, points, terms, failed): ``points`` (n, order)
+    are ``mode + sqrt(2) * scale * node`` with ``scale = (-g''(mode))^(-1/2)``,
+    and ``terms`` the log node contributions ``log w + g(point) + node^2``.
+    Failed components are laid out at their last iterate with unit scale.
     """
     b_hat, curv, failed = _find_mode_batch(log_integrand, np.asarray(init, dtype=float))
     h_hat = np.where(failed, 1.0, (-np.where(failed, -1.0, curv)) ** -0.5)
@@ -276,8 +158,34 @@ def log_integrate_adaptive_batch(log_integrand, rule, init, return_modes=False):
     points = b_hat[:, None] + np.sqrt(2.0) * h_hat[:, None] * rule.nodes[None, :]
     g_vals = np.asarray(log_integrand(points), dtype=float)
     terms = np.log(rule.weights)[None, :] + g_vals + (rule.nodes ** 2)[None, :]
+    return b_hat, h_hat, points, terms, failed
+
+
+def log_integrate_adaptive_batch(log_integrand, rule, init):
+    """log of ``int exp(g_i(b)) db`` for every component i.
+
+    ``log_integrand`` must accept positions of shape (n,) or (n, order)
+    and return values of the same shape (component i evaluated at its own
+    positions).  Returns (values, failed_mask, modes); failed components
+    hold NaN rather than raising, so callers can attach their own context,
+    and their mode is the last iterate of the search.  The modes can
+    warm-start the next call.
+    """
+    b_hat, h_hat, _, terms, failed = _recentred_nodes(log_integrand, rule, init)
     values = logsumexp(terms, axis=1) + 0.5 * np.log(2.0) + np.log(h_hat)
-    values = np.where(failed, np.nan, values)
-    if return_modes:
-        return values, failed, b_hat
-    return values, failed
+    return np.where(failed, np.nan, values), failed, b_hat
+
+
+def posterior_mean_batch(log_integrand, rule, init):
+    """Mean of b under each density proportional to ``exp(g_i(b))``.
+
+    The first-moment and normalizing integrals share one recentring, which
+    keeps their node sets identical and the ratio stable.  Same contract
+    as :func:`log_integrate_adaptive_batch`: returns (means, failed_mask,
+    modes) with NaN means for failed components.
+    """
+    b_hat, _, points, terms, failed = _recentred_nodes(log_integrand, rule, init)
+    with np.errstate(invalid="ignore"):
+        scaled = np.exp(terms - terms.max(axis=1, keepdims=True))
+        means = (points * scaled).sum(axis=1) / scaled.sum(axis=1)
+    return np.where(failed, np.nan, means), failed, b_hat

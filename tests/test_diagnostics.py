@@ -79,9 +79,8 @@ class TestSimulatedEnvelope:
         assert np.all(env.median <= env.upper + 1e-12)
         assert np.all(np.diff(env.observed_sorted) >= 0)
 
-    def test_full_level_is_min_max_hull(self, monkeypatch):
+    def test_full_level_is_min_max_hull(self):
         ds, pars = fitted_mnb(seed=3)
-        monkeypatch.setenv("GLGMIX_THREADS", "1")
         env = simulated_envelope(
             ds, pars, residual="pearson", n_replicates=19, level=1.0, seed=5
         )
@@ -111,16 +110,6 @@ class TestSimulatedEnvelope:
             (env.observed_sorted >= env.lower) & (env.observed_sorted <= env.upper)
         )
         assert inside > 0.8
-
-    def test_thread_parity(self, monkeypatch):
-        ds, pars = fitted_mnb(seed=7)
-        monkeypatch.setenv("GLGMIX_THREADS", "1")
-        serial = simulated_envelope(ds, pars, residual="pearson", n_replicates=20, seed=3)
-        monkeypatch.setenv("GLGMIX_THREADS", "4")
-        threaded = simulated_envelope(ds, pars, residual="pearson", n_replicates=20, seed=3)
-        np.testing.assert_array_equal(serial.lower, threaded.lower)
-        np.testing.assert_array_equal(serial.median, threaded.median)
-        np.testing.assert_array_equal(serial.upper, threaded.upper)
 
     def test_undefined_deviance_residuals_rejected(self):
         # a huge count next to zeros guarantees negative components

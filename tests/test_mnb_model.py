@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ class TestScoreAndInformation:
         p = MnbParams(beta=np.array([0.0, math.log(2.0)]), phi=1.3)  # mu = (1, 2)
         ds = make_dataset([[2, 1], [1, 2]], [X, X])
         obs = mnb_model.observed_info_beta(ds, p)
-        exp = mnb_model.fisher_info(ds, p).k_beta
+        exp = mnb_model.score(ds, p).k_beta
         np.testing.assert_allclose(obs, exp, rtol=1e-12)
 
     def test_k_phi_matches_expectation_route(self):
@@ -162,7 +163,7 @@ class TestScoreAndInformation:
         mu_plus, phi = 1.0, 1.0
         ds = make_dataset([[0]], [np.ones((1, 1))])
         p = MnbParams(beta=np.array([0.0]), phi=phi)
-        k_phi = mnb_model.fisher_info(ds, p).k_phi
+        k_phi = mnb_model.score(ds, p).k_phi
 
         ks = np.arange(0, 800)
         pmf = nbinom.pmf(ks, phi, phi / (phi + mu_plus))
@@ -177,8 +178,8 @@ class TestScoreAndInformation:
         X = np.column_stack([np.ones(3), rng.normal(size=3)])
         a = make_dataset([[0, 0, 0]], [X])
         b = make_dataset([[4, 1, 7]], [X])
-        assert mnb_model.fisher_info(a, p).k_phi == pytest.approx(
-            mnb_model.fisher_info(b, p).k_phi, rel=1e-12
+        assert mnb_model.score(a, p).k_phi == pytest.approx(
+            mnb_model.score(b, p).k_phi, rel=1e-12
         )
 
     def test_score_zero_mean_under_model(self):
@@ -387,6 +388,24 @@ class TestResiduals:
         # positive component, y above fit: positive root with the sign of y - mu
         assert rep.dev_resid[0] > 0
         assert math.isnan(rep.dev_resid[1])
+
+    def test_dev_resid_squares_back_to_component(self):
+        # dev_comp already carries the deviance's factor 2, so a defined
+        # standardized residual satisfies r^2 (1 - h) = dev_comp
+        X = np.column_stack([np.ones(3), [-1.0, 0.0, 1.0]])
+        d = SimDesign(n_clusters=200, cluster_sizes=3, x_builder=X, seed=11)
+        ds = simulate_mnb(d, MnbParams(beta=np.array([0.8, -0.4]), phi=1.5))
+        res = mnb_model.fit(ds)
+        fitted = MnbParams(beta=res.estimates[:-1], phi=res.estimates[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NegativeDevianceWarning)
+            rep = mnb_model.residuals(ds, fitted)
+        ok = rep.dev_comp >= 0
+        assert ok.sum() > 100
+        np.testing.assert_allclose(
+            rep.dev_resid[ok] ** 2 * (1.0 - rep.leverage[ok]), rep.dev_comp[ok], rtol=1e-12
+        )
+        assert rep.dev_comp.sum() == pytest.approx(mnb_model.deviance(ds, fitted), rel=1e-12)
 
     def test_report_alignment(self):
         ds, fitted = self.fitted_small()

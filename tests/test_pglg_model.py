@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import digamma, gammaln
 
-from glgmix import mnb_model, pglg_model
+from glgmix import glg_dist, mnb_model, pglg_model
 from glgmix.data_io import ClusterData, Dataset
-from glgmix.errors import CollinearDesignError, DomainError
+from glgmix.errors import CollinearDesignError, DomainError, ModeSearchError
+from glgmix.glg_dist import GlgParams
 from glgmix.mnb_model import MnbParams
 from glgmix.pglg_model import PglgFitOptions, PglgParams
 from glgmix.quadrature import gauss_hermite
@@ -165,6 +166,39 @@ class TestPredictRandomEffects:
         ds = wrap([one_cluster([y], cid=f"c{y}") for y in (0, 1, 4, 9)])
         vals = [v for _, v in pglg_model.predict_random_effects(ds, p)]
         assert vals == sorted(vals)
+
+    def test_skewed_law_matches_fixed_grid(self):
+        # right-skewed effects (lam = -1.2) at the default order, against a
+        # trapezoid rule on a fixed fine grid
+        X = np.column_stack([np.ones(3), [-1.0, 0.0, 1.0]])
+        truth = PglgParams(beta=np.array([1.0, -0.3]), sigma=0.5, lam=-1.2)
+        ds = simulate_pglg(SimDesign(n_clusters=60, cluster_sizes=3, x_builder=X, seed=8), truth)
+        got = np.array([v for _, v in pglg_model.predict_random_effects(ds, truth)])
+
+        b = np.linspace(-12.0, 10.0, 200_001)
+        prior = glg_dist.log_pdf(b, GlgParams(0.0, truth.sigma, truth.lam))
+        mu_plus = float(np.exp(X @ truth.beta).sum())
+        want = []
+        for c in ds.clusters:
+            with np.errstate(over="ignore"):
+                logf = c.y.sum() * b - mu_plus * np.exp(b) + prior
+            w = np.exp(logf - logf.max())
+            w[[0, -1]] *= 0.5  # trapezoid end weights; the uniform step cancels
+            want.append((w * b).sum() / w.sum())
+        assert np.max(np.abs(got - np.array(want))) < 1e-6
+
+    def test_failure_names_cluster_and_iterate(self):
+        # a mode 2000 units away is out of reach of the capped Newton steps
+        ds = wrap([
+            one_cluster([2, 1], cid="near"),
+            one_cluster([5], offset=[-2000.0], cid="far"),
+        ])
+        p = PglgParams(beta=np.array([0.0]), sigma=1e4, lam=0.0)
+        with pytest.raises(ModeSearchError, match="far") as info:
+            pglg_model.predict_random_effects(ds, p)
+        assert "near" not in str(info.value)
+        assert info.value.last_iterate is not None
+        assert info.value.last_iterate.shape == (1,)
 
 
 class TestMarginalMoments:

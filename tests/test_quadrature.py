@@ -4,17 +4,31 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from glgmix.errors import DomainError, ModeSearchError
+from glgmix import mnb_model
+from glgmix.data_io import ClusterData
+from glgmix.errors import DomainError
 from glgmix.glg_dist import GlgParams, log_pdf
+from glgmix.mnb_model import MnbParams
 from glgmix.quadrature import (
-    QuadratureRule,
-    adaptive_expectation,
     gauss_hermite,
-    log_integrate_adaptive,
     log_integrate_adaptive_batch,
+    posterior_mean_batch,
 )
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def integrate(g, rule, init=0.0):
+    """log int exp(g) for one elementwise integrand, through the batch API."""
+    values, failed, _ = log_integrate_adaptive_batch(g, rule, np.array([init]))
+    assert not failed[0]
+    return float(values[0])
+
+
+def posterior_mean(g, rule, init=0.0):
+    means, failed, _ = posterior_mean_batch(g, rule, np.array([init]))
+    assert not failed[0]
+    return float(means[0])
 
 
 class TestRuleConstruction:
@@ -64,16 +78,16 @@ class TestRuleConstruction:
 class TestAdaptiveIntegration:
     def test_gaussian_kernel(self):
         rule = gauss_hermite(3)
-        got = log_integrate_adaptive(lambda b: -0.5 * b * b, rule)
+        got = integrate(lambda b: -0.5 * b * b, rule)
         assert got == pytest.approx(0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_glg_normalization(self):
         # the extreme-value shape has a heavy left tail; convergence in the
         # order is slow but steady
         p = GlgParams(0.0, 1.0, 1.0)
-        got40 = log_integrate_adaptive(lambda b: float(log_pdf(b, p)), gauss_hermite(40))
+        got40 = integrate(lambda b: log_pdf(b, p), gauss_hermite(40))
         assert got40 == pytest.approx(0.0, abs=1e-5)
-        got150 = log_integrate_adaptive(lambda b: float(log_pdf(b, p)), gauss_hermite(150))
+        got150 = integrate(lambda b: log_pdf(b, p), gauss_hermite(150))
         assert got150 == pytest.approx(0.0, abs=1e-8)
         assert abs(got150) < abs(got40)
 
@@ -83,16 +97,14 @@ class TestAdaptiveIntegration:
         p = GlgParams(0.0, 1.0, 1.0)
 
         def g(b):
-            return 3.0 * b - math.exp(b) - gammaln(4.0) + float(log_pdf(b, p))
+            return 3.0 * b - np.exp(b) - gammaln(4.0) + log_pdf(b, p)
 
-        got = log_integrate_adaptive(g, gauss_hermite(40))
+        got = integrate(g, gauss_hermite(40))
         assert got == pytest.approx(math.log(1.0 / 16.0), abs=1e-8)
 
     def test_narrow_shifted_gaussian(self):
         # recentring must find a mode far from init and rescale
-        got = log_integrate_adaptive(
-            lambda b: -0.5 * ((b - 9.0) / 0.05) ** 2, gauss_hermite(10), init=0.0
-        )
+        got = integrate(lambda b: -0.5 * ((b - 9.0) / 0.05) ** 2, gauss_hermite(10), init=0.0)
         assert got == pytest.approx(math.log(math.sqrt(2 * math.pi) * 0.05), abs=1e-10)
 
     def test_translation_invariance(self):
@@ -101,14 +113,12 @@ class TestAdaptiveIntegration:
         def make(shift):
             return lambda b: -0.25 * (b - shift) ** 4 - 0.5 * (b - shift) ** 2
 
-        base = log_integrate_adaptive(make(0.0), rule)
+        base = integrate(make(0.0), rule)
         for c in (-4.0, 3.7, 5.0):
-            assert log_integrate_adaptive(make(c), rule, init=c - 0.5) == pytest.approx(
-                base, abs=1e-10
-            )
+            assert integrate(make(c), rule, init=c - 0.5) == pytest.approx(base, abs=1e-10)
         # the finite-difference step scales with |b|, so a far shift
         # perturbs the recentring scale slightly
-        far = log_integrate_adaptive(make(40.0), rule, init=39.5)
+        far = integrate(make(40.0), rule, init=39.5)
         assert far == pytest.approx(base, abs=1e-8)
 
     def test_order_20_vs_40_converged(self):
@@ -118,69 +128,78 @@ class TestAdaptiveIntegration:
             for y in (0, 1, 2, 6, 12):
                 for eta0 in (-1.0, 0.0, 1.5):
                     def g(b, y=y, eta0=eta0, p=p):
-                        return y * (eta0 + b) - math.exp(eta0 + b) + float(log_pdf(b, p))
+                        return y * (eta0 + b) - np.exp(eta0 + b) + log_pdf(b, p)
 
-                    a = log_integrate_adaptive(g, gauss_hermite(20))
-                    b = log_integrate_adaptive(g, gauss_hermite(40))
+                    a = integrate(g, gauss_hermite(20))
+                    b = integrate(g, gauss_hermite(40))
                     assert abs(a - b) < 1e-6
 
     def test_mode_search_failure_carries_iterate(self):
-        # strictly increasing integrand has no interior mode
-        with pytest.raises(ModeSearchError) as info:
-            log_integrate_adaptive(lambda b: b, gauss_hermite(10))
-        assert info.value.last_iterate is not None
+        # strictly increasing integrand has no interior mode: the component
+        # is failed, its value NaN, and its mode slot holds the last iterate
+        values, failed, modes = log_integrate_adaptive_batch(
+            lambda b: b, gauss_hermite(10), np.zeros(1)
+        )
+        assert failed[0]
+        assert np.isnan(values[0])
+        assert np.isfinite(modes[0]) and modes[0] > 0
 
 
 class TestAdaptiveExpectation:
     def test_gaussian_mean(self):
         rule = gauss_hermite(20)
-        log_norm, m = adaptive_expectation(
-            lambda b: -0.5 * ((b - 2.5) / 1.3) ** 2, rule, init=0.0
-        )
-        assert m == pytest.approx(2.5, abs=1e-9)
+
+        def g(b):
+            return -0.5 * ((b - 2.5) / 1.3) ** 2
+
+        assert posterior_mean(g, rule, init=0.0) == pytest.approx(2.5, abs=1e-9)
+        log_norm = integrate(g, rule, init=0.0)
         assert log_norm == pytest.approx(math.log(math.sqrt(2 * math.pi) * 1.3), abs=1e-9)
 
     def test_skewed_density_mean(self):
         # GLG(0,1,1) has mean -EulerGamma; the bare heavy-tailed prior
         # needs a high order (Poisson-tamed posteriors converge much faster)
         p = GlgParams(0.0, 1.0, 1.0)
-        _, m = adaptive_expectation(lambda b: float(log_pdf(b, p)), gauss_hermite(150))
+        m = posterior_mean(lambda b: log_pdf(b, p), gauss_hermite(150))
         assert m == pytest.approx(-0.5772156649015329, abs=1e-7)
 
 
 class TestBatchIntegration:
-    def test_matches_scalar(self):
-        rule = gauss_hermite(40)
-        p = GlgParams(0.0, 0.8, 0.7)
-        ys = [0.0, 2.0, 7.0]
+    def test_tied_matches_closed_form(self):
+        # sigma = lam is gamma mixing: each component's integral is the
+        # closed-form negative binomial log pmf with phi = lam^-2 (the zero
+        # count keeps the heavy left tail of the prior, hence the order)
+        rule = gauss_hermite(150)
+        lam = 0.7
+        p = GlgParams(0.0, lam, lam)
+        ys = np.array([0.0, 2.0, 7.0])
+        const = gammaln(ys + 1.0)
 
         def batch(b):
-            ys_arr = np.array(ys)
             if b.ndim == 1:
-                return ys_arr * b - np.exp(b) + log_pdf(b, p)
-            return ys_arr[:, None] * b - np.exp(b) + log_pdf(b, p)
+                return ys * b - np.exp(b) - const + log_pdf(b, p)
+            return ys[:, None] * b - np.exp(b) - const[:, None] + log_pdf(b, p)
 
-        values, failed = log_integrate_adaptive_batch(batch, rule, np.zeros(3))
+        values, failed, _ = log_integrate_adaptive_batch(batch, rule, np.zeros(3))
         assert not failed.any()
+        params = MnbParams(beta=np.zeros(1), phi=lam ** -2)
         for i, y in enumerate(ys):
-            scalar = log_integrate_adaptive(
-                lambda b: y * b - math.exp(b) + float(log_pdf(b, p)), rule
-            )
-            assert values[i] == pytest.approx(scalar, abs=1e-12)
+            c = ClusterData(id=i, y=np.array([int(y)]), X=np.ones((1, 1)), offset=np.zeros(1))
+            assert values[i] == pytest.approx(mnb_model.log_pmf(c, params), abs=1e-12)
 
     def test_failures_masked_not_raised(self):
         rule = gauss_hermite(10)
 
         def batch(b):
-            good = -0.5 * b ** 2
-            bad = np.asarray(b, dtype=float)  # no mode
-            if b.ndim == 1:
-                return np.stack([good[0] if good.ndim else good, bad[1]]) if False else np.array([(-0.5 * b[0] ** 2), b[1]])
+            # component 0 is a Gaussian kernel, component 1 has no mode
             return np.stack([-0.5 * b[0] ** 2, b[1]])
 
-        values, failed = log_integrate_adaptive_batch(batch, rule, np.zeros(2))
+        values, failed, _ = log_integrate_adaptive_batch(batch, rule, np.zeros(2))
         assert not failed[0] and failed[1]
         assert np.isfinite(values[0]) and np.isnan(values[1])
+        means, failed, _ = posterior_mean_batch(batch, rule, np.zeros(2))
+        assert not failed[0] and failed[1]
+        assert means[0] == pytest.approx(0.0, abs=1e-12) and np.isnan(means[1])
 
     def test_return_modes(self):
         rule = gauss_hermite(10)
@@ -191,11 +210,12 @@ class TestBatchIntegration:
                 return -0.5 * (b - centers) ** 2
             return -0.5 * (b - centers[:, None]) ** 2
 
-        values, failed, modes = log_integrate_adaptive_batch(
-            batch, rule, np.zeros(2), return_modes=True
-        )
+        values, failed, modes = log_integrate_adaptive_batch(batch, rule, np.zeros(2))
         assert not failed.any()
         assert modes == pytest.approx([-3.0, 4.0], abs=1e-6)
+        means, failed, mean_modes = posterior_mean_batch(batch, rule, np.zeros(2))
+        np.testing.assert_array_equal(mean_modes, modes)
+        assert means == pytest.approx([-3.0, 4.0], abs=1e-12)
 
 
 class TestSupportCliff:
@@ -207,32 +227,10 @@ class TestSupportCliff:
 
     CLIFF = 8.0
 
-    def _gauss_with_cliff(self, b):
-        if not math.isfinite(b):
-            raise DomainError("non-finite position")  # same contract as log_pdf
-        return -0.5 * b * b if b < self.CLIFF else -math.inf
-
-    def test_scalar_recovers_near_cliff(self):
-        # first probes at init + h land past the edge; two shrinks get back in
-        rule = gauss_hermite(40)
-        value = log_integrate_adaptive(
-            self._gauss_with_cliff, rule, init=self.CLIFF - 3e-5
-        )
-        assert value == pytest.approx(0.5 * math.log(2.0 * math.pi), abs=1e-10)
-
-    def test_scalar_fails_cleanly_at_edge(self):
-        # closer than any shrunk stencil can resolve: clean failure, not a
-        # DomainError from evaluating the integrand at NaN
-        rule = gauss_hermite(40)
-        with pytest.raises(ModeSearchError):
-            log_integrate_adaptive(
-                self._gauss_with_cliff, rule, init=self.CLIFF - 1e-9
-            )
-
     def _batch_with_cliff(self, b):
         b = np.asarray(b, dtype=float)
         if not np.all(np.isfinite(b)):
-            raise DomainError("non-finite position")
+            raise DomainError("non-finite position")  # same contract as log_pdf
         plain = -0.5 * (b + 1.0) ** 2
         with np.errstate(invalid="ignore"):
             clipped = np.where(b < self.CLIFF, -0.5 * b * b, -np.inf)
@@ -241,8 +239,9 @@ class TestSupportCliff:
         return np.stack([plain[0], clipped[1]])
 
     def test_batch_recovers_near_cliff(self):
+        # first probes at init + h land past the edge; two shrinks get back in
         rule = gauss_hermite(40)
-        values, failed = log_integrate_adaptive_batch(
+        values, failed, _ = log_integrate_adaptive_batch(
             self._batch_with_cliff, rule, np.array([0.0, self.CLIFF - 3e-5])
         )
         assert not failed.any()
@@ -251,11 +250,31 @@ class TestSupportCliff:
         )
 
     def test_batch_masks_component_stuck_at_edge(self):
-        # the stuck component is failed and NaN; the healthy one is untouched
+        # closer than any shrunk stencil can resolve: the stuck component is
+        # failed and NaN, not a DomainError from evaluating at NaN; the
+        # healthy one is untouched
         rule = gauss_hermite(40)
-        values, failed = log_integrate_adaptive_batch(
+        values, failed, _ = log_integrate_adaptive_batch(
             self._batch_with_cliff, rule, np.array([0.0, self.CLIFF - 1e-9])
         )
         assert not failed[0] and failed[1]
         assert values[0] == pytest.approx(0.5 * math.log(2.0 * math.pi), abs=1e-10)
         assert np.isnan(values[1])
+
+    def test_posterior_mean_recovers_near_cliff(self):
+        # the truncation at 8 moves the N(0, 1) and N(-1, 1) means by < 1e-14
+        rule = gauss_hermite(40)
+        means, failed, _ = posterior_mean_batch(
+            self._batch_with_cliff, rule, np.array([0.0, self.CLIFF - 3e-5])
+        )
+        assert not failed.any()
+        assert means == pytest.approx([-1.0, 0.0], abs=1e-10)
+
+    def test_posterior_mean_masks_component_stuck_at_edge(self):
+        rule = gauss_hermite(40)
+        means, failed, _ = posterior_mean_batch(
+            self._batch_with_cliff, rule, np.array([0.0, self.CLIFF - 1e-9])
+        )
+        assert not failed[0] and failed[1]
+        assert means[0] == pytest.approx(-1.0, abs=1e-10)
+        assert np.isnan(means[1])
