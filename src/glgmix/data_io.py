@@ -1,10 +1,14 @@
-"""Long-format CSV ingestion, per-cluster design assembly, and model specs.
+"""Long-format CSV ingestion, the flat dataset layout, and model specs.
 
 A dataset is a sequence of clusters, each holding a count vector, the
-matching design rows, and per-row log-exposure offsets.  The reader is
-deliberately small: covariates must already be numeric, interactions are
-elementwise products of two columns, and the only transform applied is the
-optional intercept column of ones.
+matching design rows, and per-row log-exposure offsets.  A
+:class:`Dataset` stores them once, flat over observations (``y``, ``X``,
+``offset``), with per-cluster ``ids``, ``sizes`` and ``starts``; model
+code reduces per-observation values to per-cluster totals with segment
+sums over ``starts``.  :class:`ClusterData` is one cluster's view.  The
+reader is deliberately small: covariates must already be numeric,
+interactions are elementwise products of two columns, and the only
+transform applied is the optional intercept column of ones.
 """
 
 from __future__ import annotations
@@ -152,6 +156,14 @@ class ClusterData:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    @classmethod
+    def _view(cls, cid, y, X, offset):
+        # wraps read-only slices of an already validated Dataset
+        c = object.__new__(cls)
+        for name, value in (("id", cid), ("y", y), ("X", X), ("offset", offset)):
+            object.__setattr__(c, name, value)
+        return c
+
     @property
     def m(self):
         """Number of observations in the cluster."""
@@ -163,40 +175,118 @@ class ClusterData:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """An immutable collection of clusters sharing one design layout."""
+    """An immutable collection of clusters sharing one design layout.
 
-    clusters: tuple
-    column_names: tuple
+    The data are stored once, flat over observations: counts ``y``
+    (n_obs,), design ``X`` (n_obs, p) and offsets ``offset`` (n_obs,).
+    Cluster i holds rows ``starts[i] : starts[i] + sizes[i]`` and is named
+    ``ids[i]``.  Every array is read-only.  ``clusters`` gives one
+    :class:`ClusterData` view per cluster, built on first use.
+    """
 
-    def __post_init__(self):
-        clusters = tuple(self.clusters)
-        names = tuple(str(n) for n in self.column_names)
+    __slots__ = ("ids", "sizes", "starts", "y", "X", "offset", "column_names", "_clusters")
+
+    def __init__(self, clusters, column_names):
+        clusters = tuple(clusters)
         if not clusters:
             raise DomainError("dataset needs at least one cluster")
-        ids = [c.id for c in clusters]
-        if len(set(ids)) != len(ids):
-            raise DomainError("cluster ids must be unique")
         p = clusters[0].p
         if any(c.p != p for c in clusters):
             raise DomainError("all clusters must share the same design width")
-        if len(names) != p:
-            raise DomainError(f"expected {p} column names, got {len(names)}")
-        object.__setattr__(self, "clusters", clusters)
-        object.__setattr__(self, "column_names", names)
+        self._init(
+            ids=[c.id for c in clusters],
+            sizes=[c.m for c in clusters],
+            y=np.concatenate([c.y for c in clusters]),
+            X=np.vstack([c.X for c in clusters]),
+            offset=np.concatenate([c.offset for c in clusters]),
+            column_names=column_names,
+        )
+
+    @classmethod
+    def _from_flat(cls, ids, sizes, y, X, offset, column_names):
+        """Build from flat arrays in cluster order, with the checks
+        :class:`ClusterData` runs on each cluster."""
+        dataset = object.__new__(cls)
+        dataset._init(ids, sizes, y, X, offset, column_names)
+        return dataset
+
+    def _init(self, ids, sizes, y, X, offset, column_names):
+        ids = tuple(ids)
+        if len(set(ids)) != len(ids):
+            raise DomainError("cluster ids must be unique")
+        sizes = np.asarray(sizes, dtype=np.int64)
+        starts = np.cumsum(sizes) - sizes
+        y = np.asarray(y, dtype=np.int64)
+        X = np.asarray(X, dtype=float)
+        offset = np.asarray(offset, dtype=float)
+
+        def first_bad(obs_mask):
+            # id of the cluster holding the first flagged observation
+            return ids[np.searchsorted(starts, np.argmax(obs_mask), side="right") - 1]
+
+        if np.any(sizes < 1):
+            raise DomainError(f"cluster {ids[np.argmax(sizes < 1)]!r}: y must be a nonempty vector")
+        if np.any(y < 0):
+            raise DomainError(f"cluster {first_bad(y < 0)!r}: counts must be nonnegative")
+        if X.shape[1] < 1:
+            raise DomainError(f"cluster {ids[0]!r}: X must be ({sizes[0]}, p) with p >= 1")
+        finite = np.isfinite(X).all(axis=1) & np.isfinite(offset)
+        if not finite.all():
+            raise DomainError(f"cluster {first_bad(~finite)!r}: X and offset must be finite")
+        names = tuple(str(n) for n in column_names)
+        if len(names) != X.shape[1]:
+            raise DomainError(f"expected {X.shape[1]} column names, got {len(names)}")
+        for name, value in (("ids", ids), ("sizes", sizes), ("starts", starts), ("y", y),
+                            ("X", X), ("offset", offset), ("column_names", names),
+                            ("_clusters", None)):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Dataset is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the checked constructor
+        return Dataset._from_flat, (self.ids, self.sizes, self.y, self.X, self.offset,
+                                    self.column_names)
+
+    @property
+    def clusters(self):
+        """Per-cluster :class:`ClusterData` views into the flat arrays."""
+        if self._clusters is None:
+            ends = self.starts + self.sizes
+            views = tuple(
+                ClusterData._view(cid, self.y[a:b], self.X[a:b], self.offset[a:b])
+                for cid, a, b in zip(self.ids, self.starts.tolist(), ends.tolist())
+            )
+            object.__setattr__(self, "_clusters", views)
+        return self._clusters
 
     @property
     def n_clusters(self):
-        return len(self.clusters)
+        return len(self.ids)
 
     @property
     def n_obs(self):
-        return sum(c.m for c in self.clusters)
+        return self.y.size
 
     @property
     def p(self):
         return len(self.column_names)
+
+    def cluster_sums(self, values):
+        """Sum per-observation ``values`` (along axis 0) within each cluster."""
+        return np.add.reduceat(values, self.starts, axis=0)
+
+    def per_obs(self, values):
+        """Repeat one value per cluster over that cluster's observations."""
+        return np.repeat(values, self.sizes, axis=0)
+
+    def obs_ids(self):
+        """Cluster id of every observation, as an object array."""
+        return self.per_obs(np.fromiter(self.ids, dtype=object, count=len(self.ids)))
 
 
 def _parse_count(text, row, column):
@@ -257,7 +347,8 @@ def read_csv(path, spec):
 
         numeric_cols = [c for c in spec.required_columns()
                         if c not in (spec.response, spec.cluster)]
-        groups = {}  # cluster id -> list of (y, design row, offset)
+        codes = {}  # cluster id -> position in first-appearance order
+        row_codes, ys, xs, offs = [], [], [], []
         n_fields = len(header)
         for line, row in enumerate(reader, start=2):
             if not row:
@@ -272,22 +363,24 @@ def read_csv(path, spec):
             xrow = [1.0] if spec.add_intercept else []
             xrow.extend(values[c] for c in spec.covariates)
             xrow.extend(values[a] * values[b] for a, b in spec.interactions)
-            off = values[spec.offset] if spec.offset is not None else 0.0
-            groups.setdefault(cid, []).append((y, xrow, off))
+            row_codes.append(codes.setdefault(cid, len(codes)))
+            ys.append(y)
+            xs.append(xrow)
+            offs.append(values[spec.offset] if spec.offset is not None else 0.0)
 
-    if not groups:
+    if not ys:
         raise EmptyFileError("file has a header but no data rows")
 
-    clusters = tuple(
-        ClusterData(
-            id=cid,
-            y=np.array([r[0] for r in rows], dtype=np.int64),
-            X=np.array([r[1] for r in rows], dtype=float),
-            offset=np.array([r[2] for r in rows], dtype=float),
-        )
-        for cid, rows in groups.items()
+    row_codes = np.array(row_codes)
+    order = np.argsort(row_codes, kind="stable")  # group rows, keeping file order
+    return Dataset._from_flat(
+        ids=codes,
+        sizes=np.bincount(row_codes),
+        y=np.array(ys, dtype=np.int64)[order],
+        X=np.array(xs, dtype=float)[order],
+        offset=np.array(offs, dtype=float)[order],
+        column_names=spec.design_names(),
     )
-    return Dataset(clusters=clusters, column_names=spec.design_names())
 
 
 # Reserved header names used by write_csv.
@@ -311,12 +404,10 @@ def write_csv(dataset, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([_WRITE_CLUSTER, _WRITE_RESPONSE, *dataset.column_names, _WRITE_OFFSET])
-        for c in dataset.clusters:
-            for j in range(c.m):
-                # repr() keeps the full float precision for exact round-trips
-                writer.writerow(
-                    [c.id, int(c.y[j]), *(repr(float(v)) for v in c.X[j]), repr(float(c.offset[j]))]
-                )
+        rows = zip(dataset.obs_ids(), dataset.y.tolist(), dataset.X.tolist(), dataset.offset.tolist())
+        for cid, y, xrow, off in rows:
+            # repr() keeps the full float precision for exact round-trips
+            writer.writerow([cid, y, *(repr(v) for v in xrow), repr(off)])
     return ModelSpec(
         response=_WRITE_RESPONSE,
         cluster=_WRITE_CLUSTER,
@@ -330,20 +421,16 @@ def ungroup(dataset):
     """Regroup so every observation is its own (singleton) cluster.
 
     Turns a clustered dataset into the independence layout used by the
-    univariate negative binomial fit.  New ids extend the old ones with a
-    running observation counter, so they stay unique.
+    univariate negative binomial fit.  The flat arrays are shared as they
+    are; new ids extend the old ones with a running observation counter
+    ``k`` as ``f"{id}#{k}"``, so they stay unique.
     """
-    clusters = []
-    k = 0
-    for c in dataset.clusters:
-        for j in range(c.m):
-            k += 1
-            clusters.append(
-                ClusterData(
-                    id=f"{c.id}#{k}",
-                    y=c.y[j : j + 1],
-                    X=c.X[j : j + 1],
-                    offset=c.offset[j : j + 1],
-                )
-            )
-    return Dataset(clusters=tuple(clusters), column_names=dataset.column_names)
+    ids = [f"{cid}#{k}" for k, cid in enumerate(dataset.obs_ids(), start=1)]
+    return Dataset._from_flat(
+        ids=ids,
+        sizes=np.ones(dataset.n_obs, dtype=np.int64),
+        y=dataset.y,
+        X=dataset.X,
+        offset=dataset.offset,
+        column_names=dataset.column_names,
+    )

@@ -6,6 +6,11 @@ form with means mu_ij = exp(x_ij' beta + offset_ij), Var(y_ij) = mu_ij +
 mu_ij^2/phi and Cov(y_ij, y_ij') = mu_ij mu_ij'/phi.  Score and Fisher
 information are analytic and block-diagonal in (beta, phi), so the fit
 alternates Fisher scoring on beta with Newton steps on phi.
+
+Every dataset-wide quantity is an array kernel on the flat
+:class:`~glgmix.data_io.Dataset`: the cluster totals it needs (y+, mu+,
+X'mu) are segment sums over the cluster starts, so the cost grows with
+the number of observations and no Python loop runs over clusters.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ _SUM_TERMS_MAX = 10_000
 # Tail-probability cutoff and term cap for the dispersion information series.
 _KPHI_TAIL = 1e-12
 _KPHI_MAX_TERMS = 10 ** 6
+_KPHI_BLOCK = 64  # terms per vectorised step; divides _KPHI_MAX_TERMS
 
 
 @dataclass(frozen=True)
@@ -88,17 +94,13 @@ class ResidualReport:
     pearson: np.ndarray
 
 
-def _cluster_mu(c, params):
-    return np.exp(c.X @ params.beta + c.offset)
-
-
 def log_pmf(c, params):
     """Log joint pmf of one cluster's count vector.
 
     All gamma ratios go through log-gamma so large counts or dispersion
     cannot overflow.
     """
-    mu = _cluster_mu(c, params)
+    mu = np.exp(c.X @ params.beta + c.offset)
     y = c.y.astype(float)
     phi = params.phi
     y_plus = float(y.sum())
@@ -113,70 +115,113 @@ def log_pmf(c, params):
     )
 
 
+def _means(dataset, beta):
+    """Observation means, their cluster totals mu+, and the counts with
+    their cluster totals y+, all as floats."""
+    mu = np.exp(dataset.X @ beta + dataset.offset)
+    y = dataset.y.astype(float)
+    return mu, dataset.cluster_sums(mu), y, dataset.cluster_sums(y)
+
+
 def log_likelihood(dataset, params):
-    """Sum of cluster log pmfs, in dataset order."""
-    return float(sum(log_pmf(c, params) for c in dataset.clusters))
+    """Sum of cluster log pmfs (:func:`log_pmf`), from per-cluster sums."""
+    mu, mu_plus, y, y_plus = _means(dataset, params.beta)
+    phi = params.phi
+    per_cluster = (
+        gammaln(phi + y_plus)
+        - gammaln(phi)
+        - dataset.cluster_sums(gammaln(y + 1.0))
+        + phi * math.log(phi)
+        + dataset.cluster_sums(y * np.log(mu))
+        - (phi + y_plus) * np.log(phi + mu_plus)
+    )
+    return float(per_cluster.sum())
 
 
-def _harmonic_span(y_plus, phi):
-    # sum_{j=0}^{y_plus - 1} 1/(j + phi); zero for y_plus = 0
-    if y_plus > _SUM_TERMS_MAX:
-        return float(digamma(phi + y_plus) - digamma(phi))
-    if y_plus == 0:
-        return 0.0
-    return float(np.sum(1.0 / (phi + np.arange(y_plus))))
+def _harmonic_spans(y_plus, phi):
+    # sum_{j=0}^{y+ - 1} 1/(j + phi) per cluster, zero for y+ = 0: one
+    # cumulative table up to the largest y+ <= _SUM_TERMS_MAX, digamma
+    # differences past it
+    counts = y_plus.astype(np.int64)
+    small = counts <= _SUM_TERMS_MAX
+    top = int(counts[small].max(initial=0))
+    table = np.concatenate(([0.0], np.cumsum(1.0 / (phi + np.arange(top)))))
+    spans = np.empty(counts.size)
+    spans[small] = table[counts[small]]
+    spans[~small] = digamma(phi + y_plus[~small]) - digamma(phi)
+    return spans
 
 
-def _u_phi_cluster(y_plus, mu_plus, phi):
+def _phi_scores(y_plus, mu_plus, phi):
+    """Per-cluster contributions to U_phi."""
     return (
-        _harmonic_span(y_plus, phi)
+        _harmonic_spans(y_plus, phi)
         - y_plus / (phi + mu_plus)
-        - math.log1p(mu_plus / phi)
+        - np.log1p(mu_plus / phi)
         + mu_plus / (phi + mu_plus)
     )
 
 
-def _k_phi_cluster(mu_plus, phi):
-    # sum_{j>=0} (j + phi)^-2 P(Y+ >= j + 1) - mu+/(phi (mu+ + phi)), with
-    # Y+ negative binomial of mean mu+ and dispersion phi.  The series is
-    # truncated when the tail probability drops below _KPHI_TAIL.
+def _k_phi(mu_plus, phi):
+    # sum over clusters of sum_{j>=0} (j + phi)^-2 P(Y+ >= j + 1)
+    # - mu+/(phi (mu+ + phi)), with Y+ negative binomial of mean mu+ and
+    # dispersion phi.  A cluster's series stops after its first term whose
+    # tail probability is below _KPHI_TAIL.  All clusters step through the
+    # terms together, _KPHI_BLOCK at a time: the recursions for P(Y+ = j)
+    # and the tail run as cumulative products and sums along the block, in
+    # the order a term-by-term loop would take, and finished clusters leave
+    # the working arrays.
     ratio = mu_plus / (phi + mu_plus)
-    p = math.exp(phi * math.log(phi / (phi + mu_plus)))  # P(Y+ = 0)
+    p = np.exp(phi * np.log(phi / (phi + mu_plus)))  # P(Y+ = 0)
     tail = 1.0 - p  # P(Y+ >= 1)
     total = 0.0
-    for j in range(_KPHI_MAX_TERMS):
-        total += tail / (j + phi) ** 2
-        if tail < _KPHI_TAIL:
+    for j0 in range(0, _KPHI_MAX_TERMS, _KPHI_BLOCK):
+        j = j0 + np.arange(_KPHI_BLOCK)
+        # column c holds the state at term j0 + c; column 0 is carried in
+        steps = np.empty((p.size, _KPHI_BLOCK + 1))
+        steps[:, 0] = p
+        steps[:, 1:] = (phi + j) / (j + 1.0) * ratio[:, None]
+        probs = np.cumprod(steps, axis=1)  # P(Y+ = j0 + c)
+        steps[:, 0] = tail
+        steps[:, 1:] = -probs[:, 1:]
+        tails = np.maximum(np.cumsum(steps, axis=1), 0.0)  # P(Y+ >= j0 + c + 1)
+        below = tails[:, :-1] < _KPHI_TAIL
+        taken = np.cumsum(below, axis=1) - below == 0  # up to the first term below
+        total += float(np.sum(np.where(taken, tails[:, :-1], 0.0) / (j + phi) ** 2))
+        going = ~below.any(axis=1)
+        if not going.any():
             break
-        p *= (phi + j) / (j + 1.0) * ratio  # P(Y+ = j + 1)
-        tail = max(tail - p, 0.0)
-    return total - mu_plus / (phi * (mu_plus + phi))
+        p, tail, ratio = probs[going, -1], tails[going, -1], ratio[going]
+    return total - float(np.sum(mu_plus / (phi * (mu_plus + phi))))
+
+
+def _info_beta(dataset, mu, mu_plus, phi, weights=None):
+    """sum_i w_i X_i' W_i X_i with W_i = D(mu_i) - mu_i mu_i'/(phi + mu+_i);
+    unit weights when ``weights`` is None."""
+    X = dataset.X
+    xm = dataset.cluster_sums(X * mu[:, None])  # (n_clusters, p): X_i' mu_i
+    shrink = 1.0 / (phi + mu_plus)
+    if weights is not None:
+        mu = mu * dataset.per_obs(weights)
+        shrink = shrink * weights
+    return (X.T * mu) @ X - (xm.T * shrink) @ xm
 
 
 def _sweep(dataset, params, want_k_phi=True):
-    """One pass over the clusters, accumulating score and information."""
+    """Score and information from per-cluster sums, all clusters at once."""
     phi = params.phi
-    p = dataset.p
-    u_beta = np.zeros(p)
-    u_phi = 0.0
-    k_beta = np.zeros((p, p))
-    k_phi = 0.0
-    for c in dataset.clusters:
-        mu = _cluster_mu(c, params)
-        y_plus = float(c.y.sum())
-        mu_plus = float(mu.sum())
-        a = (phi + y_plus) / (phi + mu_plus)
-        u_beta += c.X.T @ (c.y - a * mu)
-        u_phi += _u_phi_cluster(y_plus, mu_plus, phi)
-        xm = c.X.T @ mu
-        k_beta += (c.X.T * mu) @ c.X - np.outer(xm, xm) / (phi + mu_plus)
-        if want_k_phi:
-            k_phi += _k_phi_cluster(mu_plus, phi)
-    return ScoreInfo(u_beta=u_beta, u_phi=float(u_phi), k_beta=k_beta, k_phi=float(k_phi))
+    mu, mu_plus, y, y_plus = _means(dataset, params.beta)
+    a = (phi + y_plus) / (phi + mu_plus)
+    return ScoreInfo(
+        u_beta=dataset.X.T @ (y - dataset.per_obs(a) * mu),
+        u_phi=float(np.sum(_phi_scores(y_plus, mu_plus, phi))),
+        k_beta=_info_beta(dataset, mu, mu_plus, phi),
+        k_phi=_k_phi(mu_plus, phi) if want_k_phi else 0.0,
+    )
 
 
 def score(dataset, params):
-    """Analytic score and expected (Fisher) information, from one cluster sweep."""
+    """Analytic score and expected (Fisher) information, from one sweep."""
     return _sweep(dataset, params)
 
 
@@ -187,33 +232,21 @@ def observed_info_beta(dataset, params):
     ``k_beta`` block of :func:`score`.
     """
     phi = params.phi
-    p = dataset.p
-    info = np.zeros((p, p))
-    for c in dataset.clusters:
-        mu = _cluster_mu(c, params)
-        y_plus = float(c.y.sum())
-        mu_plus = float(mu.sum())
-        a = (phi + y_plus) / (phi + mu_plus)
-        xm = c.X.T @ mu
-        info += a * ((c.X.T * mu) @ c.X - np.outer(xm, xm) / (phi + mu_plus))
-    return info
+    mu, mu_plus, _, y_plus = _means(dataset, params.beta)
+    return _info_beta(dataset, mu, mu_plus, phi, weights=(phi + y_plus) / (phi + mu_plus))
 
 
 def phi_curvature(dataset, params):
     """d U_phi / d phi (the Newton denominator for the dispersion)."""
     phi = params.phi
-    total = 0.0
-    for c in dataset.clusters:
-        mu = _cluster_mu(c, params)
-        y_plus = float(c.y.sum())
-        mu_plus = float(mu.sum())
-        total += (
-            float(polygamma(1, phi + y_plus) - polygamma(1, phi))
-            + 1.0 / phi
-            - 1.0 / (phi + mu_plus)
-            - (mu_plus - y_plus) / (phi + mu_plus) ** 2
-        )
-    return float(total)
+    _, mu_plus, _, y_plus = _means(dataset, params.beta)
+    per_cluster = (
+        (polygamma(1, phi + y_plus) - polygamma(1, phi))
+        + 1.0 / phi
+        - 1.0 / (phi + mu_plus)
+        - (mu_plus - y_plus) / (phi + mu_plus) ** 2
+    )
+    return float(per_cluster.sum())
 
 
 def intraclass_corr(mu_j, mu_k, phi):
@@ -223,13 +256,9 @@ def intraclass_corr(mu_j, mu_k, phi):
     return float(math.sqrt(mu_j * mu_k / ((phi + mu_j) * (phi + mu_k))))
 
 
-def _stacked_design(dataset):
-    return np.vstack([c.X for c in dataset.clusters])
-
-
 def _check_design_rank(dataset):
     """Raise CollinearDesignError naming the dependent columns, if any."""
-    X = _stacked_design(dataset)
+    X = dataset.X
     _, r, piv = qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = max(X.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
@@ -249,9 +278,8 @@ def _poisson_irls(dataset, max_iter=100, tol=1e-10):
     Standard iteratively reweighted least squares on the stacked data.
     Used only to produce starting values, so failures fall back to zeros.
     """
-    X = _stacked_design(dataset)
-    y = np.concatenate([c.y for c in dataset.clusters]).astype(float)
-    offset = np.concatenate([c.offset for c in dataset.clusters])
+    X, offset = dataset.X, dataset.offset
+    y = dataset.y.astype(float)
     beta = np.zeros(X.shape[1])
     eta = X @ beta + offset
     for _ in range(max_iter):
@@ -276,8 +304,8 @@ def _moment_start_phi(dataset, beta):
     # phi_0 = mean(mu^2) / (residual variance - mean(mu)), floored at 0.1;
     # near-Poisson data pushes the denominator to the epsilon guard and the
     # start toward the independence limit.
-    mus = np.concatenate([_cluster_mu(c, MnbParams(beta=beta, phi=1.0)) for c in dataset.clusters])
-    y = np.concatenate([c.y for c in dataset.clusters]).astype(float)
+    mus = np.exp(dataset.X @ beta + dataset.offset)
+    y = dataset.y.astype(float)
     resid_var = float(np.mean((y - mus) ** 2))
     excess = max(1e-8, resid_var - float(np.mean(mus)))
     return max(0.1, float(np.mean(mus ** 2)) / excess)
@@ -349,10 +377,8 @@ def fit(dataset, init=None, options=None):
             break
 
         # Newton step on phi at the updated beta.
-        u_phi = sum(
-            _u_phi_cluster(float(c.y.sum()), float(_cluster_mu(c, params).sum()), params.phi)
-            for c in dataset.clusters
-        )
+        _, mu_plus, _, y_plus = _means(dataset, params.beta)
+        u_phi = float(np.sum(_phi_scores(y_plus, mu_plus, params.phi)))
         curv = phi_curvature(dataset, params)
         if curv < 0:
             dphi = -u_phi / curv
@@ -419,29 +445,32 @@ def _standard_errors(info):
     return np.sqrt(var)
 
 
+def _deviance_terms(dataset, phi, sums):
+    """Per-cluster log((phi + mu+)/(phi + y+)) and per-observation terms
+    y log(y (phi + mu+) / (mu (phi + y+))), zero where y = 0, from the
+    output of :func:`_means`."""
+    mu, mu_plus, y, y_plus = sums
+    pos = y > 0
+    num = dataset.per_obs(phi + mu_plus)[pos]
+    den = dataset.per_obs(phi + y_plus)[pos]
+    own = np.zeros(y.size)
+    own[pos] = y[pos] * np.log(y[pos] * num / (mu[pos] * den))
+    return np.log((phi + mu_plus) / (phi + y_plus)), own
+
+
 def deviance(dataset, fitted):
     """Twice the log-likelihood gap to the saturated model (mu-hat = y).
 
     The dispersion is held fixed at ``fitted.phi`` in both models, so a
     perfect mean fit gives exactly zero.
     """
-    total = 0.0
-    for c in dataset.clusters:
-        mu = _cluster_mu(c, fitted)
-        total += _cluster_deviance(c.y.astype(float), mu, fitted.phi)
-    return float(total)
+    log_ratio, own = _deviance_terms(dataset, fitted.phi, _means(dataset, fitted.beta))
+    return float(2.0 * (fitted.phi * log_ratio.sum() + own.sum()))
 
 
-def _cluster_deviance(y, mu, phi):
-    y_plus = float(y.sum())
-    mu_plus = float(mu.sum())
-    term = phi * math.log((phi + mu_plus) / (phi + y_plus))
-    pos = y > 0
-    if np.any(pos):
-        term += float(
-            y[pos] @ np.log(y[pos] * (phi + mu_plus) / (mu[pos] * (phi + y_plus)))
-        )
-    return 2.0 * term
+def _components(dataset, phi, sums):
+    log_ratio, own = _deviance_terms(dataset, phi, sums)
+    return 2.0 * (dataset.per_obs((phi / dataset.sizes) * log_ratio) + own)
 
 
 def deviance_components(dataset, fitted):
@@ -451,20 +480,7 @@ def deviance_components(dataset, fitted):
     m_i observations; that even split can make individual components
     negative, which is reported as-is with a warning.
     """
-    comps = []
-    for c in dataset.clusters:
-        mu = _cluster_mu(c, fitted)
-        y = c.y.astype(float)
-        phi = fitted.phi
-        y_plus = float(y.sum())
-        mu_plus = float(mu.sum())
-        shared = (phi / c.m) * math.log((phi + mu_plus) / (phi + y_plus))
-        for j in range(c.m):
-            own = 0.0
-            if y[j] > 0:
-                own = y[j] * math.log(y[j] * (phi + mu_plus) / (mu[j] * (phi + y_plus)))
-            comps.append(2.0 * (shared + own))
-    comps = np.asarray(comps)
+    comps = _components(dataset, fitted.phi, _means(dataset, fitted.beta))
     n_neg = int(np.sum(comps < 0))
     if n_neg:
         warnings.warn(
@@ -476,19 +492,31 @@ def deviance_components(dataset, fitted):
     return comps
 
 
-def _weight_sqrt(mu, phi):
-    # symmetric square root of W = D(mu) - mu mu'/(phi + mu+); W is PSD by
-    # construction, so eigenvalues below -1e-10 indicate real trouble
-    w = np.diag(mu) - np.outer(mu, mu) / (phi + mu.sum())
-    vals, vecs = np.linalg.eigh(w)
-    if np.any(vals < -1e-10):
+def _leverages(dataset, mu, mu_plus, phi, pooled_inv):
+    """Diagonals of W_i^(1/2) X_i M^(-1) X_i' W_i^(1/2), with the symmetric
+    square roots from one stacked ``eigh`` per cluster size."""
+    lev = np.empty(dataset.n_obs)
+    lowest = 0.0
+    for m in np.unique(dataset.sizes).tolist():
+        which = np.flatnonzero(dataset.sizes == m)
+        rows = dataset.starts[which][:, None] + np.arange(m)  # (n_m, m)
+        mus = mu[rows]
+        # W = D(mu) - mu mu'/(phi + mu+); PSD by construction, so
+        # eigenvalues below -1e-10 indicate real trouble
+        w = -mus[:, :, None] * mus[:, None, :] / (phi + mu_plus[which])[:, None, None]
+        w[:, np.arange(m), np.arange(m)] += mus
+        vals, vecs = np.linalg.eigh(w)
+        lowest = min(lowest, float(vals.min()))
+        half = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ vecs.transpose(0, 2, 1)
+        a = half @ dataset.X[rows]  # (n_m, m, p)
+        lev[rows] = np.einsum("nij,jk,nik->ni", a, pooled_inv, a)
+    if lowest < -1e-10:
         warnings.warn(
-            f"weight matrix eigenvalue {vals.min():.3e} below -1e-10; clipping",
+            f"weight matrix eigenvalue {lowest:.3e} below -1e-10; clipping",
             NonPsdWeightWarning,
             stacklevel=3,
         )
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T
+    return np.clip(lev, 0.0, 1.0)  # shave float dust off [0, 1]
 
 
 def residuals(dataset, fitted):
@@ -502,37 +530,20 @@ def residuals(dataset, fitted):
     H_i = W_i^(1/2) X_i M^(-1) X_i' W_i^(1/2) with M the pooled cross
     product sum_k X_k' W_k X_k, so leverages add up to p over the whole
     dataset.  (A per-cluster M would need every X_i to have full column
-    rank, which already fails for m_i < p.)
+    rank, which already fails for m_i < p.)  A weight matrix with an
+    eigenvalue below -1e-10 gives one NonPsdWeightWarning per call,
+    naming the smallest eigenvalue.
     """
     phi = fitted.phi
-    mus = [_cluster_mu(c, fitted) for c in dataset.clusters]
-    pooled = np.zeros((dataset.p, dataset.p))
-    for c, mu in zip(dataset.clusters, mus):
-        xm = c.X.T @ mu
-        pooled += (c.X.T * mu) @ c.X - np.outer(xm, xm) / (phi + mu.sum())
+    sums = _means(dataset, fitted.beta)
+    mu, mu_plus, y, _ = sums
     try:
-        pooled_inv = np.linalg.inv(pooled)
+        pooled_inv = np.linalg.inv(_info_beta(dataset, mu, mu_plus, phi))
     except np.linalg.LinAlgError:
         raise LeverageError("pooled weighted cross-product matrix is singular") from None
+    leverage = _leverages(dataset, mu, mu_plus, phi, pooled_inv)
+    dev_comp = _components(dataset, phi, sums)
 
-    with warnings.catch_warnings():
-        # one combined warning below, not one per call site
-        warnings.simplefilter("ignore", NegativeDevianceWarning)
-        dev_comp = deviance_components(dataset, fitted)
-
-    ids, obs_index, fit_vals, lev, pearson = [], [], [], [], []
-    for c, mu in zip(dataset.clusters, mus):
-        half = _weight_sqrt(mu, phi)
-        a = half @ c.X
-        h = np.einsum("ij,jk,ik->i", a, pooled_inv, a)
-        lev.append(np.clip(h, 0.0, 1.0))  # shave float dust off [0, 1]
-        fit_vals.append(mu)
-        pearson.append((c.y - mu) / np.sqrt(mu + mu ** 2 / phi))
-        ids.extend([c.id] * c.m)
-        obs_index.extend(range(1, c.m + 1))
-
-    leverage = np.concatenate(lev)
-    fitted_vals = np.concatenate(fit_vals)
     n_neg = int(np.sum(dev_comp < 0))
     if n_neg:
         warnings.warn(
@@ -541,20 +552,19 @@ def residuals(dataset, fitted):
             NegativeDevianceWarning,
             stacklevel=2,
         )
-    y_all = np.concatenate([c.y for c in dataset.clusters]).astype(float)
     with np.errstate(invalid="ignore"):
         dev_resid = np.where(
             dev_comp >= 0,
-            np.sign(y_all - fitted_vals) * np.sqrt(np.where(dev_comp >= 0, dev_comp, 0.0))
+            np.sign(y - mu) * np.sqrt(np.where(dev_comp >= 0, dev_comp, 0.0))
             / np.sqrt(1.0 - leverage),
             np.nan,
         )
     return ResidualReport(
-        cluster_ids=tuple(ids),
-        obs_index=np.asarray(obs_index),
-        fitted=fitted_vals,
+        cluster_ids=tuple(dataset.obs_ids()),
+        obs_index=np.arange(1, dataset.n_obs + 1) - dataset.per_obs(dataset.starts),
+        fitted=mu,
         leverage=leverage,
         dev_comp=dev_comp,
         dev_resid=dev_resid,
-        pearson=np.concatenate(pearson),
+        pearson=(y - mu) / np.sqrt(mu + mu ** 2 / phi),
     )

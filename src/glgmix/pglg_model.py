@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from . import glg_dist
@@ -52,22 +51,31 @@ class PglgParams:
         object.__setattr__(self, "lam", float(self.lam))
 
 
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use: only PGLG fits
+    need it, and the import is large."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
 class _Packed:
     """Clusters padded into rectangular arrays for batched quadrature."""
 
     def __init__(self, dataset):
         self.dataset = dataset
         n = dataset.n_clusters
-        m_max = max(c.m for c in dataset.clusters)
+        m_max = int(dataset.sizes.max())
+        rows = dataset.per_obs(np.arange(n))
+        cols = np.arange(dataset.n_obs) - dataset.per_obs(dataset.starts)
         self.y = np.zeros((n, m_max))
         self.mask = np.zeros((n, m_max))
         self.xo = np.zeros((n, m_max))  # offset part of the linear predictor
         self.X = np.zeros((n, m_max, dataset.p))
-        for i, c in enumerate(dataset.clusters):
-            self.y[i, : c.m] = c.y
-            self.mask[i, : c.m] = 1.0
-            self.xo[i, : c.m] = c.offset
-            self.X[i, : c.m, :] = c.X
+        self.y[rows, cols] = dataset.y
+        self.mask[rows, cols] = 1.0
+        self.xo[rows, cols] = dataset.offset
+        self.X[rows, cols, :] = dataset.X
         # log y! is parameter free; fold it in once
         self.lgamma_const = (gammaln(self.y + 1.0) * self.mask).sum(axis=1)
 
@@ -110,7 +118,7 @@ def _batch_log_marginals(packed, params, rule):
 
 
 def _raise_for_failures(dataset, failed, b_hat):
-    bad = [c.id for c, f in zip(dataset.clusters, failed) if f]
+    bad = [cid for cid, f in zip(dataset.ids, failed) if f]
     raise ModeSearchError(
         f"quadrature mode search failed for cluster(s) {bad}", last_iterate=b_hat[failed]
     )
@@ -147,7 +155,7 @@ def predict_random_effects(dataset, params, rule=None):
     means, failed, b_hat = posterior_mean_batch(g, rule, np.zeros(dataset.n_clusters))
     if failed.any():
         _raise_for_failures(dataset, failed, b_hat)
-    return [(c.id, float(m)) for c, m in zip(dataset.clusters, means)]
+    return [(cid, float(m)) for cid, m in zip(dataset.ids, means)]
 
 
 def marginal_moments(c, params):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import glg_dist
-from .data_io import INTERCEPT_NAME, ClusterData, Dataset
+from .data_io import INTERCEPT_NAME, Dataset
 from .errors import DomainError
 from .glg_dist import GlgParams
 
@@ -113,20 +113,23 @@ class SimDesign:
         return xs, offs, tuple(names)
 
 
-def _assemble(design, xs, offs, beta, log_frailty, rng):
+def _assemble(design, xs, offs, beta, log_frailty, rng, names):
     """Poisson draws around exp(X beta + offset + log frailty)."""
-    clusters = []
-    for i, (x, off) in enumerate(zip(xs, offs)):
-        eta = x @ beta + off + log_frailty[i]
-        if np.any(eta > _ETA_MAX):
-            raise DomainError(
-                f"linear predictor exceeds {_ETA_MAX}; rescale the design"
-            )
-        y = rng.poisson(np.exp(eta))
-        clusters.append(
-            ClusterData(id=f"c{i + 1:05d}", y=y, X=x, offset=off)
+    X = np.vstack(xs)
+    offset = np.concatenate(offs)
+    eta = X @ beta + offset + np.repeat(log_frailty, design.cluster_sizes)
+    if np.any(eta > _ETA_MAX):
+        raise DomainError(
+            f"linear predictor exceeds {_ETA_MAX}; rescale the design"
         )
-    return clusters
+    return Dataset._from_flat(
+        ids=[f"c{i + 1:05d}" for i in range(design.n_clusters)],
+        sizes=design.cluster_sizes,
+        y=rng.poisson(np.exp(eta)),
+        X=X,
+        offset=offset,
+        column_names=names,
+    )
 
 
 def simulate_pglg(design, params):
@@ -135,8 +138,7 @@ def simulate_pglg(design, params):
     xs, offs, names = design._materialize(rng)
     prior = GlgParams(mu=0.0, sigma=params.sigma, lam=params.lam)
     b = glg_dist.sample(prior, rng, design.n_clusters)
-    clusters = _assemble(design, xs, offs, params.beta, b, rng)
-    return Dataset(clusters=tuple(clusters), column_names=names)
+    return _assemble(design, xs, offs, params.beta, b, rng, names)
 
 
 def simulate_mnb(design, params):
@@ -147,24 +149,25 @@ def simulate_mnb(design, params):
     rng = np.random.default_rng(design.seed)
     xs, offs, names = design._materialize(rng)
     w = rng.gamma(params.phi, 1.0 / params.phi, size=design.n_clusters)
-    clusters = _assemble(design, xs, offs, params.beta, np.log(w), rng)
-    return Dataset(clusters=tuple(clusters), column_names=names)
+    return _assemble(design, xs, offs, params.beta, np.log(w), rng, names)
 
 
 def _redraw(dataset, beta, log_frailty, rng):
-    clusters = []
-    for c, lf in zip(dataset.clusters, log_frailty):
-        eta = c.X @ beta + c.offset + lf
-        with np.errstate(over="raise"):
-            try:
-                mu = np.exp(eta)
-            except FloatingPointError:
-                raise DomainError(
-                    f"cluster {c.id!r}: linear predictor overflows"
-                ) from None
-        y = rng.poisson(mu)
-        clusters.append(ClusterData(id=c.id, y=y, X=c.X, offset=c.offset))
-    return Dataset(clusters=tuple(clusters), column_names=dataset.column_names)
+    eta = dataset.X @ beta + dataset.offset + dataset.per_obs(log_frailty)
+    with np.errstate(over="ignore"):
+        mu = np.exp(eta)
+    overflow = np.isinf(mu)
+    if overflow.any():
+        bad = dataset.obs_ids()[np.argmax(overflow)]
+        raise DomainError(f"cluster {bad!r}: linear predictor overflows")
+    return Dataset._from_flat(
+        ids=dataset.ids,
+        sizes=dataset.sizes,
+        y=rng.poisson(mu),
+        X=dataset.X,
+        offset=dataset.offset,
+        column_names=dataset.column_names,
+    )
 
 
 def resample_mnb(dataset, params, rng):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -391,6 +394,15 @@ class TestGlgCurve:
 
 
 class TestTopLevel:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # only a PGLG fit needs scipy.optimize; it is imported on first use
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = "import sys, glgmix.cli; print('scipy.optimize' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "False"
+
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code = run(["fit", "--model", "mnb", "--data", str(tmp_path / "no.csv"),
                     "--response", "y", "--cluster", "g",

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -279,3 +281,94 @@ class TestUngroup:
         assert [c.y[0] for c in flat.clusters] == [1, 2, 5]
         # ids stay unique even when original ids collide after flattening
         assert len({c.id for c in flat.clusters}) == 3
+
+
+def two_cluster_dataset():
+    c1 = ClusterData(
+        id="a", y=np.array([1, 0, 2]), X=np.arange(6.0).reshape(3, 2), offset=np.array([0.1, 0.0, -0.2])
+    )
+    c2 = ClusterData(id="b", y=np.array([5]), X=np.ones((1, 2)), offset=np.array([0.3]))
+    return (c1, c2), Dataset(clusters=(c1, c2), column_names=("u", "v"))
+
+
+class TestFlatLayout:
+    def test_arrays_concatenate_clusters(self):
+        (c1, c2), ds = two_cluster_dataset()
+        assert ds.ids == ("a", "b")
+        assert ds.sizes.tolist() == [3, 1]
+        assert ds.starts.tolist() == [0, 3]
+        assert ds.y.tolist() == [1, 0, 2, 5]
+        np.testing.assert_array_equal(ds.X, np.vstack([c1.X, c2.X]))
+        np.testing.assert_array_equal(ds.offset, [0.1, 0.0, -0.2, 0.3])
+        assert ds.n_obs == ds.y.size == 4
+
+    def test_cluster_views_equal_constructor_clusters(self):
+        given, ds = two_cluster_dataset()
+        assert len(ds.clusters) == len(given)
+        for view, c in zip(ds.clusters, given):
+            assert view.id == c.id
+            for name in ("y", "X", "offset"):
+                np.testing.assert_array_equal(getattr(view, name), getattr(c, name))
+                assert getattr(view, name).dtype == getattr(c, name).dtype
+
+    def test_arrays_and_views_read_only(self):
+        _, ds = two_cluster_dataset()
+        for arr in (ds.y, ds.X, ds.offset, ds.sizes, ds.starts, ds.clusters[1].X):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 7
+        with pytest.raises(AttributeError):
+            ds.y = np.zeros(4)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("y", np.array([1, -1, 2, 5])),
+            ("X", np.array([[1.0, 2.0], [np.nan, 0.0], [1.0, 1.0], [0.0, 0.0]])),
+            ("offset", np.array([0.0, 0.0, 0.0, np.inf])),
+            ("ids", ("a", "a")),
+            ("column_names", ("u",)),
+        ],
+    )
+    def test_flat_construction_validates(self, field, value):
+        _, ds = two_cluster_dataset()
+        parts = {name: getattr(ds, name) for name in ("ids", "sizes", "y", "X", "offset", "column_names")}
+        parts[field] = value
+        with pytest.raises(DomainError):
+            Dataset._from_flat(**parts)
+
+    def test_flat_errors_name_the_cluster(self):
+        _, ds = two_cluster_dataset()
+        with pytest.raises(DomainError, match="cluster 'b': counts must be nonnegative"):
+            Dataset._from_flat(ds.ids, ds.sizes, [1, 0, 2, -5], ds.X, ds.offset, ds.column_names)
+
+    def test_constructor_checks_names(self):
+        given, _ = two_cluster_dataset()
+        with pytest.raises(DomainError):
+            Dataset(clusters=given, column_names=("u", "v", "w"))
+
+    def test_pickle_and_copy_round_trip(self):
+        _, ds = two_cluster_dataset()
+        for back in (pickle.loads(pickle.dumps(ds)), copy.deepcopy(ds)):
+            assert back.ids == ds.ids and back.column_names == ds.column_names
+            for name in ("y", "X", "offset", "sizes", "starts"):
+                np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))
+
+
+class TestUngroupLayout:
+    def test_ids_carry_running_counter(self):
+        _, ds = two_cluster_dataset()
+        assert ungroup(ds).ids == ("a#1", "a#2", "a#3", "b#4")
+
+    def test_shares_arrays(self):
+        _, ds = two_cluster_dataset()
+        flat = ungroup(ds)
+        assert flat.y is ds.y and flat.X is ds.X and flat.offset is ds.offset
+        assert flat.sizes.tolist() == [1, 1, 1, 1]
+        assert flat.starts.tolist() == [0, 1, 2, 3]
+
+    def test_idempotent_on_arrays(self):
+        _, ds = two_cluster_dataset()
+        once, twice = ungroup(ds), ungroup(ungroup(ds))
+        for name in ("y", "X", "offset", "sizes", "starts"):
+            np.testing.assert_array_equal(getattr(twice, name), getattr(once, name))
+        assert twice.ids[0] == "a#1#1"

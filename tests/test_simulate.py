@@ -172,6 +172,32 @@ class TestResample:
         for ca, cb in zip(a.clusters, b.clusters):
             assert np.array_equal(ca.y, cb.y)
 
+    def test_one_poisson_call_keeps_the_stream(self):
+        # the counts equal those of one rng.poisson call per cluster, in order
+        sizes = (1, 3, 2, 4)
+        d = SimDesign(n_clusters=4, cluster_sizes=sizes, x_builder=lambda rng, m: rng.normal(size=(m, 2)),
+                      offsets=0.2, seed=9)
+        truth = MnbParams(beta=np.array([0.3, -0.5]), phi=1.4)
+        rng = np.random.default_rng(d.seed)
+        xs, offs, _ = d._materialize(rng)
+        w = rng.gamma(truth.phi, 1.0 / truth.phi, size=d.n_clusters)
+        expect = [rng.poisson(np.exp(x @ truth.beta + o + math.log(wi))) for x, o, wi in zip(xs, offs, w)]
+        ds = simulate_mnb(d, truth)
+        np.testing.assert_array_equal(ds.y, np.concatenate(expect))
+
+        rng = np.random.default_rng(5)
+        w = rng.gamma(truth.phi, 1.0 / truth.phi, size=ds.n_clusters)
+        expect = [rng.poisson(np.exp(c.X @ truth.beta + c.offset + math.log(wi)))
+                  for c, wi in zip(ds.clusters, w)]
+        np.testing.assert_array_equal(resample_mnb(ds, truth, rng=5).y, np.concatenate(expect))
+
+    def test_overflow_names_cluster(self):
+        d = SimDesign(n_clusters=3, cluster_sizes=(1, 2, 1), x_builder=lambda rng, m: np.ones((m, 1)) * 3.0,
+                      seed=1)
+        ds = simulate_pglg(d, PglgParams(beta=np.array([0.1]), sigma=0.5, lam=0.0))
+        with pytest.raises(DomainError, match="c00001"):
+            resample_mnb(ds, MnbParams(beta=np.array([300.0]), phi=1.0), rng=0)
+
     def test_resample_accepts_generator(self):
         d = SimDesign(n_clusters=5, cluster_sizes=2, seed=4)
         truth = MnbParams(beta=np.array([0.2]), phi=1.0)
