@@ -78,6 +78,34 @@ def log_pdf(y, params):
     return out if out.ndim else float(out)
 
 
+def log_pdf_grad(y, params):
+    """Derivatives of :func:`log_pdf` at ``y`` in (log sigma, lam), as two arrays.
+
+    With z = (y - mu)/sigma, u = lam z and q = lam^-2: -1 + (z/lam) expm1(u)
+    and 1/lam - 2 lam^-3 (log q + 1 - digamma(q)) - z/lam^2 + (2 lam^-3 -
+    z lam^-2) e^u, or (-1 + z^2, -z^3/6) on the normal branch.  The lam^-3
+    terms of the second cancel, so below |lam| = 0.1 and |u| = 0.01 its
+    parts come from series (digamma's asymptotic one, and Taylor in u).
+    """
+    z = (np.asarray(y, dtype=float) - params.mu) / params.sigma
+    if params.is_normal:
+        return -1.0 + z * z, -(z ** 3) / 6.0
+    lam = params.lam
+    if abs(lam) < 0.1:
+        a = -lam / 6.0 + lam ** 5 / 60.0 - lam ** 9 / 126.0
+    else:
+        a = 1.0 / lam - 2.0 * lam ** -3.0 * (np.log(lam ** -2.0) - digamma(lam ** -2.0))
+    u = lam * z
+    # far in the heavy tail expm1 overflows; such points carry no weight
+    with np.errstate(over="ignore", invalid="ignore"):
+        em1 = np.expm1(u)
+        d_log_sigma = -1.0 + (z / lam) * em1
+        direct = (2.0 * em1 - u * (em1 + 2.0)) / lam ** 3
+    # -z^3 sum_{n>=3} (n - 2) u^(n-3) / n!
+    series = -(z ** 3) * (1 / 6 + u * (1 / 12 + u * (1 / 40 + u * (1 / 180 + u / 1008))))
+    return d_log_sigma, a + np.where(np.abs(u) < 0.01, series, direct)
+
+
 def pdf(y, params):
     """Density at ``y``."""
     return np.exp(log_pdf(y, params))

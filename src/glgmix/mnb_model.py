@@ -167,21 +167,22 @@ def _k_phi(mu_plus, phi):
     # - mu+/(phi (mu+ + phi)), with Y+ negative binomial of mean mu+ and
     # dispersion phi.  A cluster's series stops after its first term whose
     # tail probability is below _KPHI_TAIL.  All clusters step through the
-    # terms together, _KPHI_BLOCK at a time: the recursions for P(Y+ = j)
-    # and the tail run as cumulative products and sums along the block, in
-    # the order a term-by-term loop would take, and finished clusters leave
-    # the working arrays.
-    ratio = mu_plus / (phi + mu_plus)
-    p = np.exp(phi * np.log(phi / (phi + mu_plus)))  # P(Y+ = 0)
-    tail = 1.0 - p  # P(Y+ >= 1)
+    # terms together, _KPHI_BLOCK at a time: log P(Y+ = j) and the tail run
+    # as cumulative sums along the block, and finished clusters leave the
+    # working arrays.  Logs, because P(Y+ = 0) = (phi/(phi + mu+))^phi
+    # underflows when phi log1p(mu+/phi) is large.
+    log_ratio = np.log(mu_plus / (phi + mu_plus))
+    log_p = phi * np.log(phi / (phi + mu_plus))  # log P(Y+ = 0)
+    tail = 1.0 - np.exp(log_p)  # P(Y+ >= 1)
     total = 0.0
     for j0 in range(0, _KPHI_MAX_TERMS, _KPHI_BLOCK):
         j = j0 + np.arange(_KPHI_BLOCK)
         # column c holds the state at term j0 + c; column 0 is carried in
-        steps = np.empty((p.size, _KPHI_BLOCK + 1))
-        steps[:, 0] = p
-        steps[:, 1:] = (phi + j) / (j + 1.0) * ratio[:, None]
-        probs = np.cumprod(steps, axis=1)  # P(Y+ = j0 + c)
+        steps = np.empty((log_p.size, _KPHI_BLOCK + 1))
+        steps[:, 0] = log_p
+        steps[:, 1:] = np.log((phi + j) / (j + 1.0)) + log_ratio[:, None]
+        log_probs = np.cumsum(steps, axis=1)
+        probs = np.exp(log_probs)  # P(Y+ = j0 + c)
         steps[:, 0] = tail
         steps[:, 1:] = -probs[:, 1:]
         tails = np.maximum(np.cumsum(steps, axis=1), 0.0)  # P(Y+ >= j0 + c + 1)
@@ -191,7 +192,7 @@ def _k_phi(mu_plus, phi):
         going = ~below.any(axis=1)
         if not going.any():
             break
-        p, tail, ratio = probs[going, -1], tails[going, -1], ratio[going]
+        log_p, tail, log_ratio = log_probs[going, -1], tails[going, -1], log_ratio[going]
     return total - float(np.sum(mu_plus / (phi * (mu_plus + phi))))
 
 

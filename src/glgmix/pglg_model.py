@@ -1,11 +1,15 @@
 """Random-intercept Poisson regression with generalized log-gamma effects.
 
 Counts in cluster i are independent Poisson given a latent intercept b_i
-drawn from GLG(0, sigma, lam); the cluster's marginal likelihood is a
-one-dimensional integral handled by mode-recentred Gauss-Hermite
-quadrature.  Setting sigma = lam > 0 recovers the closed-form
-multivariate negative binomial with dispersion phi = lam^-2, which is the
-cross-check used throughout the tests.
+drawn from GLG(0, sigma, lam).  b_i enters only through y+_i b - mu+_i e^b,
+so the cluster's log marginal likelihood is c_i + log int exp(g_i(b)) db,
+g_i(b) = y+_i b - mu+_i e^b + log f(b) and c_i = sum_j (y_ij log mu_ij -
+log y_ij!): per-cluster sums and a one-dimensional integral, handled by
+mode-recentred Gauss-Hermite quadrature.  By Fisher's identity the score
+is a posterior mean of the derivative of g_i on the same nodes, and
+:func:`fit` climbs it with damped Newton steps.  Setting sigma = lam > 0
+recovers the closed-form multivariate negative binomial with dispersion
+phi = lam^-2, which is the cross-check used throughout the tests.
 """
 
 from __future__ import annotations
@@ -17,11 +21,14 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import glg_dist
+from .data_io import Dataset
 from .errors import DomainError, ModeSearchError
 from .glg_dist import GlgParams
 from .mnb_model import _check_design_rank, _poisson_irls
 from .quadrature import (
     DEFAULT_ORDER,
+    MAX_ORDER,
+    adaptive_nodes,
     gauss_hermite,
     log_integrate_adaptive_batch,
     posterior_mean_batch,
@@ -51,110 +58,67 @@ class PglgParams:
         object.__setattr__(self, "lam", float(self.lam))
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use: only PGLG fits
-    need it, and the import is large."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
-
-
-class _Packed:
-    """Clusters padded into rectangular arrays for batched quadrature."""
-
-    def __init__(self, dataset):
-        self.dataset = dataset
-        n = dataset.n_clusters
-        m_max = int(dataset.sizes.max())
-        rows = dataset.per_obs(np.arange(n))
-        cols = np.arange(dataset.n_obs) - dataset.per_obs(dataset.starts)
-        self.y = np.zeros((n, m_max))
-        self.mask = np.zeros((n, m_max))
-        self.xo = np.zeros((n, m_max))  # offset part of the linear predictor
-        self.X = np.zeros((n, m_max, dataset.p))
-        self.y[rows, cols] = dataset.y
-        self.mask[rows, cols] = 1.0
-        self.xo[rows, cols] = dataset.offset
-        self.X[rows, cols, :] = dataset.X
-        # log y! is parameter free; fold it in once
-        self.lgamma_const = (gammaln(self.y + 1.0) * self.mask).sum(axis=1)
-
-    def eta0(self, beta):
-        """Linear predictor without the random effect, shape (n, m_max)."""
-        return self.X @ beta + self.xo
+def _cluster_sums(dataset, beta):
+    """(c, y+, log mu+) per cluster, and the means mu per observation."""
+    eta0 = dataset.X @ beta + dataset.offset
+    with np.errstate(over="ignore", divide="ignore"):
+        mu = np.exp(eta0)
+        log_mu_plus = np.log(dataset.cluster_sums(mu))
+    c = dataset.cluster_sums(dataset.y * eta0 - gammaln(dataset.y + 1.0))
+    return c, dataset.cluster_sums(dataset.y), log_mu_plus, mu
 
 
-def _poisson_part(packed, eta0, b):
-    # sum_j y_ij (eta0_ij + b_i) - exp(eta0_ij + b_i) over real observations
-    if b.ndim == 1:
-        eta = eta0 + b[:, None]
-        y, mask = packed.y, packed.mask
-        axis = 1
-    else:
-        eta = eta0[:, None, :] + b[:, :, None]
-        y, mask = packed.y[:, None, :], packed.mask[:, None, :]
-        axis = 2
-    with np.errstate(over="ignore"):
-        terms = np.where(mask > 0, y * eta - np.exp(eta), 0.0)
-    return terms.sum(axis=axis)
-
-
-def _make_batch_integrand(packed, params):
-    eta0 = packed.eta0(params.beta)
+def _integrand(y_plus, log_mu_plus, params):
+    """g_i(b) = y+_i b - mu+_i e^b + log f(b), for b of shape (n,) or (n, k)."""
     prior = GlgParams(mu=0.0, sigma=params.sigma, lam=params.lam)
-    const = packed.lgamma_const
 
     def g(b):
-        pois = _poisson_part(packed, eta0, b)
-        c = const if b.ndim == 1 else const[:, None]
-        return pois - c + glg_dist.log_pdf(b, prior)
+        yp, lmp = (y_plus, log_mu_plus) if b.ndim == 1 else (y_plus[:, None], log_mu_plus[:, None])
+        # mu+ e^b as one exp, so that an underflowed mu+ gives 0, not 0 * inf
+        with np.errstate(over="ignore"):
+            return yp * b - np.exp(b + lmp) + glg_dist.log_pdf(b, prior)
 
     return g
 
 
-def _batch_log_marginals(packed, params, rule):
-    g = _make_batch_integrand(packed, params)
-    return log_integrate_adaptive_batch(g, rule, np.zeros(packed.y.shape[0]))
-
-
-def _raise_for_failures(dataset, failed, b_hat):
-    bad = [cid for cid, f in zip(dataset.ids, failed) if f]
-    raise ModeSearchError(
-        f"quadrature mode search failed for cluster(s) {bad}", last_iterate=b_hat[failed]
-    )
+def _reduce_clusters(reduce, dataset, params, rule):
+    """``reduce`` (a batch quadrature of :mod:`quadrature`) over every
+    cluster's integrand, with the clusters' constants c; raises one
+    ModeSearchError naming every cluster whose mode search failed."""
+    c, y_plus, log_mu_plus, _ = _cluster_sums(dataset, params.beta)
+    g = _integrand(y_plus, log_mu_plus, params)
+    out, failed, b_hat = reduce(g, rule, np.zeros(dataset.n_clusters))
+    if failed.any():
+        bad = [cid for cid, f in zip(dataset.ids, failed) if f]
+        raise ModeSearchError(
+            f"quadrature mode search failed for cluster(s) {bad}", last_iterate=b_hat[failed]
+        )
+    return out, c
 
 
 def cluster_log_marginal(c, params, rule=None):
     """Log marginal likelihood of one cluster (integral over its intercept)."""
-    rule = rule or gauss_hermite(DEFAULT_ORDER)
-    from .data_io import Dataset
-
-    packed = _Packed(Dataset(clusters=(c,), column_names=("x",) * c.p))
-    values, failed, b_hat = _batch_log_marginals(packed, params, rule)
-    if failed[0]:
-        _raise_for_failures(packed.dataset, failed, b_hat)
-    return float(values[0])
+    return log_likelihood(Dataset(clusters=(c,), column_names=("x",) * c.p), params, rule)
 
 
 def log_likelihood(dataset, params, rule=None):
     """Sum of cluster log marginals, in dataset order."""
     rule = rule or gauss_hermite(DEFAULT_ORDER)
-    values, failed, b_hat = _batch_log_marginals(_Packed(dataset), params, rule)
-    if failed.any():
-        _raise_for_failures(dataset, failed, b_hat)
-    return float(values.sum())
+    values, c = _reduce_clusters(log_integrate_adaptive_batch, dataset, params, rule)
+    return float((values + c).sum())
 
 
 def predict_random_effects(dataset, params, rule=None):
     """Posterior means E[b_i | y_i], one (cluster id, value) pair per cluster.
 
     Numerator and denominator integrals share one adaptive recentring.
+    The default rule is ``gauss_hermite(MAX_ORDER)``, not DEFAULT_ORDER:
+    weighting the nodes by b reaches farther into a skewed law's long
+    tail, so a mean needs more nodes than a log marginal, and one batch
+    is cheap.
     """
-    rule = rule or gauss_hermite(DEFAULT_ORDER)
-    g = _make_batch_integrand(_Packed(dataset), params)
-    means, failed, b_hat = posterior_mean_batch(g, rule, np.zeros(dataset.n_clusters))
-    if failed.any():
-        _raise_for_failures(dataset, failed, b_hat)
+    rule = rule or gauss_hermite(MAX_ORDER)
+    means, _ = _reduce_clusters(posterior_mean_batch, dataset, params, rule)
     return [(cid, float(m)) for cid, m in zip(dataset.ids, means)]
 
 
@@ -181,7 +145,7 @@ def marginal_moments(c, params):
 
 @dataclass(frozen=True)
 class PglgFitOptions:
-    """Controls for the quasi-Newton maximization.
+    """Controls for the damped Newton maximization.
 
     ``fix_lambda`` pins the shape (0.0 gives the Poisson-normal model);
     ``tie_sigma_lambda`` constrains sigma = lam > 0, the closed-form
@@ -190,31 +154,38 @@ class PglgFitOptions:
 
     order: int = DEFAULT_ORDER
     gtol: float = 1e-5
-    ftol: float = 1e-9
     max_iter: int = 200
     fix_lambda: float | None = None
     tie_sigma_lambda: bool = False
 
 
-_GRAD_STEP = 1e-6
 _HESS_STEP = 1e-4
-_BIG = 1e12  # objective surrogate where the likelihood is unavailable
+_MAX_STEP = 1.0  # largest move of any coordinate in one Newton step
+_MAX_HALVINGS = 40
+# Below this max |score| quadrature noise can outweigh the objective's
+# true rise, so a Newton step is taken without the ascent check.
+_UNCHECKED_SCORE = 1e-3
+_ORDER_TOL_PER_CLUSTER = 1e-6  # log-likelihood change allowed at twice the order
+
+
+def _posterior_mean(weights, values):
+    # nodes of weight 0 may sit where ``values`` overflows; they add nothing
+    with np.errstate(invalid="ignore"):
+        return np.where(weights > 0, weights * values, 0.0).sum(axis=1)
 
 
 class _Objective:
-    """Negative log-likelihood over the unconstrained vector
+    """Log-likelihood and its exact score over the unconstrained vector
     (beta, log sigma[, lam]), with warm-started quadrature modes."""
 
     def __init__(self, dataset, options):
-        self.packed = _Packed(dataset)
+        self.dataset = dataset
         self.options = options
         self.rule = gauss_hermite(options.order)
         self.modes = np.zeros(dataset.n_clusters)
-        self.f_memo = {}
-        self.g_memo = {}
 
     def to_params(self, theta):
-        p = self.packed.dataset.p
+        p = self.dataset.p
         beta = theta[:p]
         sigma = math.exp(theta[p])
         if self.options.tie_sigma_lambda:
@@ -226,47 +197,80 @@ class _Objective:
         return PglgParams(beta=beta, sigma=sigma, lam=lam)
 
     def __call__(self, theta):
+        """(loglik, score) at ``theta``, or None where either is unavailable."""
         try:
             params = self.to_params(theta)
         except (DomainError, OverflowError):
-            return _BIG
-        g = _make_batch_integrand(self.packed, params)
-        values, failed, modes = log_integrate_adaptive_batch(g, self.rule, self.modes.copy())
-        if failed.any() or not np.all(np.isfinite(values)):
-            # retry from scratch before giving up on this point
-            values, failed, modes = log_integrate_adaptive_batch(
-                g, self.rule, np.zeros(self.modes.size)
-            )
-            if failed.any() or not np.all(np.isfinite(values)):
-                return _BIG
-        # remember the recentrings to warm-start the next evaluation
+            return None
+        c, y_plus, log_mu_plus, mu = _cluster_sums(self.dataset, params.beta)
+        g = _integrand(y_plus, log_mu_plus, params)
+        prior = GlgParams(mu=0.0, sigma=params.sigma, lam=params.lam)
+        for init in (self.modes, np.zeros(self.modes.size)):  # warm, then cold
+            values, points, weights, failed, modes = adaptive_nodes(g, self.rule, init)
+            if not failed.any() and np.all(np.isfinite(values)):
+                break
+        else:
+            return None
+        with np.errstate(over="ignore"):
+            e_b = _posterior_mean(weights, np.exp(points))
+        d_log_sigma, d_lam = (
+            _posterior_mean(weights, d).sum() for d in glg_dist.log_pdf_grad(points, prior)
+        )
+        if self.options.tie_sigma_lambda:  # lam = sigma = e^(log sigma)
+            scale = [d_log_sigma + params.sigma * d_lam]
+        elif self.options.fix_lambda is not None:
+            scale = [d_log_sigma]
+        else:
+            scale = [d_log_sigma, d_lam]
+        u_beta = self.dataset.X.T @ (self.dataset.y - self.dataset.per_obs(e_b) * mu)
+        score = np.concatenate([u_beta, scale])
+        if not np.all(np.isfinite(score)):
+            return None
         self.modes = modes
-        value = -float(values.sum())
-        self.f_memo = {theta.tobytes(): value}
-        return value
+        return float((values + c).sum()), score
 
-    def gradient(self, theta):
-        grad = np.empty_like(theta)
-        for k in range(theta.size):
-            h = _GRAD_STEP * max(1.0, abs(theta[k]))
-            up, down = theta.copy(), theta.copy()
-            up[k] += h
-            down[k] -= h
-            grad[k] = (self(up) - self(down)) / (2.0 * h)
-        self.g_memo = {theta.tobytes(): float(np.max(np.abs(grad)))}
-        return grad
+
+def _score_jacobian(objective, theta):
+    """Symmetrised central difference of the exact score (the Hessian of
+    the log-likelihood), or None where a stencil point is unavailable."""
+    h = _HESS_STEP * np.maximum(1.0, np.abs(theta))
+    hess = np.empty((theta.size, theta.size))
+    for a, e in enumerate(np.diag(h)):
+        up, down = objective(theta + e), objective(theta - e)
+        if up is None or down is None:
+            return None
+        hess[:, a] = (up[1] - down[1]) / (2.0 * h[a])
+    return 0.5 * (hess + hess.T)
+
+
+def _newton_step(hess, score):
+    """Ascent step ``|H|^-1 score``, every eigenvalue of the Hessian taken
+    by absolute value, shrunk so that no coordinate moves more than
+    ``_MAX_STEP``."""
+    evals, evecs = np.linalg.eigh(hess)
+    step = evecs @ ((evecs.T @ score) / np.abs(evals))
+    return step / max(1.0, np.max(np.abs(step)) / _MAX_STEP)
+
+
+def _order_adequate(dataset, params, loglik, options):
+    """Whether the log-likelihood at twice the order (at most MAX_ORDER)
+    agrees within ``_ORDER_TOL_PER_CLUSTER`` per cluster."""
+    try:
+        finer = log_likelihood(dataset, params, gauss_hermite(min(2 * options.order, MAX_ORDER)))
+    except ModeSearchError:
+        return False
+    return abs(finer - loglik) <= _ORDER_TOL_PER_CLUSTER * dataset.n_clusters
 
 
 def fit(dataset, init=None, options=None):
     """Maximize the marginal likelihood over (beta, log sigma, lam).
 
-    BFGS with central-difference gradients; standard errors come from the
-    inverse numerical Hessian at the optimum, delta-method-adjusted for
-    the log-sigma transform.  Convergence requires both a small gradient
-    (``gtol``) and a small relative log-likelihood change (``ftol``).
-
-    Defaults start beta at the independence Poisson fit, sigma at 0.5,
-    and lam at 0.1.
+    Damped Newton on the exact score, with the Hessian from central
+    differences of the score.  Converged means max |score| < ``gtol`` and
+    a log-likelihood that moves by at most 1e-6 per cluster at twice the
+    quadrature order.  Standard errors invert the same Hessian at the
+    estimate.  Defaults start beta at the independence Poisson fit, sigma
+    at 0.5, and lam at 0.1.
     """
     options = options or PglgFitOptions()
     if options.fix_lambda is not None and options.tie_sigma_lambda:
@@ -275,51 +279,39 @@ def fit(dataset, init=None, options=None):
 
     p = dataset.p
     free_lambda = options.fix_lambda is None and not options.tie_sigma_lambda
-    if init is not None:
-        theta0 = np.concatenate([init.beta, [math.log(init.sigma)]])
-        if free_lambda:
-            theta0 = np.append(theta0, init.lam)
-    else:
-        beta0 = _poisson_irls(dataset)
-        theta0 = np.concatenate([beta0, [math.log(0.5)]])
-        if free_lambda:
-            theta0 = np.append(theta0, 0.1)
+    start = init if init is not None else PglgParams(_poisson_irls(dataset), 0.5, 0.1)
+    theta = np.append(start.beta, math.log(start.sigma))
+    if free_lambda:
+        theta = np.append(theta, start.lam)
 
     objective = _Objective(dataset, options)
-    trace = []
-    history = []
+    current = objective(theta)
+    if current is None:  # raises, naming the clusters, when a mode search is the cause
+        log_likelihood(dataset, objective.to_params(theta), objective.rule)
+        raise ModeSearchError("log-likelihood or score not finite at the start", last_iterate=None)
+    loglik, score = current
+    max_score = float(np.max(np.abs(score)))
+    trace = [TraceRecord(iteration=0, loglik=loglik, max_grad=max_score)]
+    while True:
+        hess = _score_jacobian(objective, theta)
+        if max_score < options.gtol or hess is None or len(trace) > options.max_iter:
+            break
+        step = _newton_step(hess, score)
+        for _ in range(_MAX_HALVINGS):
+            trial = objective(theta + step)
+            if trial is not None and (max_score < _UNCHECKED_SCORE or trial[0] >= loglik):
+                break
+            step = 0.5 * step
+        else:
+            break
+        theta = theta + step
+        loglik, score = trial
+        max_score = float(np.max(np.abs(score)))
+        trace.append(TraceRecord(iteration=len(trace), loglik=loglik, max_grad=max_score))
 
-    def callback(xk):
-        loglik = -objective.f_memo.get(xk.tobytes(), objective(xk))
-        max_grad = objective.g_memo.get(xk.tobytes(), np.nan)
-        trace.append(TraceRecord(iteration=len(trace), loglik=loglik, max_grad=max_grad))
-        history.append(loglik)
-
-    loglik0 = -objective(theta0)
-    grad0 = float(np.max(np.abs(objective.gradient(theta0))))
-    trace.insert(0, TraceRecord(iteration=0, loglik=loglik0, max_grad=grad0))
-    history.insert(0, loglik0)
-
-    res = minimize(
-        objective,
-        theta0,
-        jac=objective.gradient,
-        method="BFGS",
-        callback=callback,
-        options={"gtol": options.gtol, "maxiter": options.max_iter},
-    )
-    theta_hat = res.x
-    params_hat = objective.to_params(theta_hat)
-    loglik = -float(res.fun)
-
-    max_grad = float(np.max(np.abs(res.jac)))
-    if len(history) >= 2:
-        rel_change = abs(history[-1] - history[-2]) / max(1.0, abs(history[-1]))
-    else:
-        rel_change = 0.0
-    converged = bool(max_grad < options.gtol and rel_change < options.ftol)
-
-    std_errors = _pglg_standard_errors(objective, theta_hat, params_hat.sigma, free_lambda)
+    params_hat = objective.to_params(theta)
+    converged = max_score < options.gtol and _order_adequate(dataset, params_hat, loglik, options)
+    std_errors = _pglg_standard_errors(hess, params_hat.sigma, p)
 
     names = [*dataset.column_names, "sigma=lambda" if options.tie_sigma_lambda else "sigma"]
     z_defined = [True] * p + [False]
@@ -345,42 +337,23 @@ def fit(dataset, init=None, options=None):
         estimates=estimates,
         std_errors=std_errors,
         loglik=loglik,
-        n_iterations=int(res.nit),
-        converged=converged,
+        n_iterations=len(trace) - 1,
+        converged=bool(converged),
         trace=tuple(trace),
         z_defined=tuple(z_defined),
     )
 
 
-def _pglg_standard_errors(objective, theta, sigma, free_lambda):
-    """Inverse numerical Hessian with the log-sigma row mapped back to sigma."""
-    k = theta.size
-    h = _HESS_STEP * np.maximum(1.0, np.abs(theta))
-    hess = np.empty((k, k))
-    f0 = objective(theta)
-    if f0 >= _BIG:
+def _pglg_standard_errors(hess, sigma, p):
+    """Inverse of minus the Hessian with the log-sigma row ``p`` mapped
+    back to sigma by the delta method."""
+    if hess is None:
         return None
-    for a in range(k):
-        ea = np.zeros(k)
-        ea[a] = h[a]
-        hess[a, a] = (objective(theta + ea) - 2.0 * f0 + objective(theta - ea)) / h[a] ** 2
-        for b in range(a + 1, k):
-            eb = np.zeros(k)
-            eb[b] = h[b]
-            val = (
-                objective(theta + ea + eb)
-                - objective(theta + ea - eb)
-                - objective(theta - ea + eb)
-                + objective(theta - ea - eb)
-            ) / (4.0 * h[a] * h[b])
-            hess[a, b] = hess[b, a] = val
     try:
-        cov = np.linalg.inv(hess)
+        cov = np.linalg.inv(-hess)
     except np.linalg.LinAlgError:
         return None
-    # delta method: the scale row of theta is log sigma
-    p = k - 2 if free_lambda else k - 1
-    scale = np.ones(k)
+    scale = np.ones(hess.shape[0])
     scale[p] = sigma
     var = np.diag(cov) * scale ** 2
     if not np.all(np.isfinite(var)) or np.any(var <= 0):

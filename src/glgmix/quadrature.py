@@ -2,13 +2,13 @@
 
 The integrals of interest are ``I_i = int exp(g_i(b)) db``, one per
 cluster, with each ``g_i`` smooth and concave-ish: the marginal
-likelihood ``log I_i`` and the posterior mean ``int b exp(g_i(b)) db /
-I_i`` of a random intercept.  A fixed Gauss-Hermite rule applied to such
-an integrand is accurate only if the integrand mass sits near 0 with
-unit width, so one batched engine first locates the mode of every
-``g_i``, rescales by the curvature there, and only then lays out the
-rule.  :func:`log_integrate_adaptive_batch` and
-:func:`posterior_mean_batch` reduce the same recentred nodes.
+likelihood ``log I_i``, and posterior means ``int h(b) exp(g_i(b)) db /
+I_i`` (of a random intercept, or by Fisher's identity the score).  A
+fixed Gauss-Hermite rule applied to such an integrand is accurate only
+if the integrand mass sits near 0 with unit width, so one batched engine,
+:func:`adaptive_nodes`, first locates the mode of every ``g_i``,
+rescales by the curvature there, and only then lays out the rule; the
+other integrals reduce its nodes and normalised weights.
 """
 
 from dataclasses import dataclass
@@ -144,13 +144,17 @@ def _find_mode_batch(log_integrand, init):
     return b, curv_out, failed
 
 
-def _recentred_nodes(log_integrand, rule, init):
+def adaptive_nodes(log_integrand, rule, init):
     """The rule laid out around each component's mode.
 
-    Returns (modes, scales, points, terms, failed): ``points`` (n, order)
-    are ``mode + sqrt(2) * scale * node`` with ``scale = (-g''(mode))^(-1/2)``,
-    and ``terms`` the log node contributions ``log w + g(point) + node^2``.
-    Failed components are laid out at their last iterate with unit scale.
+    ``log_integrand`` maps positions of shape (n,) or (n, order) to values
+    of the same shape (component i at its own positions).  Returns (values,
+    points, weights, failed, modes): log ``int exp(g_i(b)) db``, NaN where
+    the mode search failed (callers attach their own context); the points
+    ``mode + sqrt(2) * (-g''(mode))^(-1/2) * node``; weights such that
+    ``(weights * h(points)).sum(axis=1)`` is the mean of h under the
+    density proportional to ``exp(g_i)``; the failed mask; and the modes
+    (a failed search's last iterate), which can warm-start the next call.
     """
     b_hat, curv, failed = _find_mode_batch(log_integrand, np.asarray(init, dtype=float))
     h_hat = np.where(failed, 1.0, (-np.where(failed, -1.0, curv)) ** -0.5)
@@ -158,34 +162,26 @@ def _recentred_nodes(log_integrand, rule, init):
     points = b_hat[:, None] + np.sqrt(2.0) * h_hat[:, None] * rule.nodes[None, :]
     g_vals = np.asarray(log_integrand(points), dtype=float)
     terms = np.log(rule.weights)[None, :] + g_vals + (rule.nodes ** 2)[None, :]
-    return b_hat, h_hat, points, terms, failed
+    log_sum = logsumexp(terms, axis=1)
+    with np.errstate(invalid="ignore"):
+        weights = np.exp(terms - log_sum[:, None])
+    values = log_sum + 0.5 * np.log(2.0) + np.log(h_hat)
+    return np.where(failed, np.nan, values), points, weights, failed, b_hat
 
 
 def log_integrate_adaptive_batch(log_integrand, rule, init):
-    """log of ``int exp(g_i(b)) db`` for every component i.
-
-    ``log_integrand`` must accept positions of shape (n,) or (n, order)
-    and return values of the same shape (component i evaluated at its own
-    positions).  Returns (values, failed_mask, modes); failed components
-    hold NaN rather than raising, so callers can attach their own context,
-    and their mode is the last iterate of the search.  The modes can
-    warm-start the next call.
-    """
-    b_hat, h_hat, _, terms, failed = _recentred_nodes(log_integrand, rule, init)
-    values = logsumexp(terms, axis=1) + 0.5 * np.log(2.0) + np.log(h_hat)
-    return np.where(failed, np.nan, values), failed, b_hat
+    """log of ``int exp(g_i(b)) db`` for every component i: (values,
+    failed_mask, modes) of :func:`adaptive_nodes`."""
+    values, _, _, failed, b_hat = adaptive_nodes(log_integrand, rule, init)
+    return values, failed, b_hat
 
 
 def posterior_mean_batch(log_integrand, rule, init):
     """Mean of b under each density proportional to ``exp(g_i(b))``.
 
-    The first-moment and normalizing integrals share one recentring, which
-    keeps their node sets identical and the ratio stable.  Same contract
-    as :func:`log_integrate_adaptive_batch`: returns (means, failed_mask,
-    modes) with NaN means for failed components.
+    The first-moment and normalizing integrals share one recentring.
+    Returns (means, failed_mask, modes) with NaN means for failed
+    components, as :func:`log_integrate_adaptive_batch` does.
     """
-    b_hat, _, points, terms, failed = _recentred_nodes(log_integrand, rule, init)
-    with np.errstate(invalid="ignore"):
-        scaled = np.exp(terms - terms.max(axis=1, keepdims=True))
-        means = (points * scaled).sum(axis=1) / scaled.sum(axis=1)
-    return np.where(failed, np.nan, means), failed, b_hat
+    _, points, weights, failed, b_hat = adaptive_nodes(log_integrand, rule, init)
+    return np.where(failed, np.nan, (weights * points).sum(axis=1)), failed, b_hat

@@ -395,9 +395,24 @@ class TestGlgCurve:
 
 class TestTopLevel:
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # only a PGLG fit needs scipy.optimize; it is imported on first use
+        # the library never needs scipy.optimize, and the import is large
         src = os.path.dirname(os.path.dirname(cli.__file__))
         code = "import sys, glgmix.cli; print('scipy.optimize' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "False"
+
+    def test_pglg_fit_leaves_scipy_optimize_unloaded(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = (
+            "import sys, numpy as np\n"
+            "from glgmix import PglgParams, SimDesign, simulate_pglg, pglg_model\n"
+            "ds = simulate_pglg(SimDesign(n_clusters=30, cluster_sizes=3, seed=1),\n"
+            "                   PglgParams(beta=np.array([0.5]), sigma=0.6, lam=-0.5))\n"
+            "pglg_model.fit(ds)\n"
+            "print('scipy.optimize' in sys.modules)"
+        )
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120)

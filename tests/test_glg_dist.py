@@ -10,6 +10,7 @@ from glgmix.glg_dist import (
     GlgParams,
     exp_moment,
     log_pdf,
+    log_pdf_grad,
     mean,
     pdf,
     sample,
@@ -104,6 +105,50 @@ class TestLogPdf:
         left = GlgParams(0.0, 1.0, 1.0)
         assert mean(right) > 0.0
         assert mean(left) < 0.0
+
+
+class TestLogPdfGrad:
+    """Derivatives in (log sigma, lam) against 40-digit differentiation."""
+
+    @staticmethod
+    def reference(y, mu, sigma, lam):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+
+        def logf(log_s, lam_):
+            z = (mpmath.mpf(y) - mu) / mpmath.exp(log_s)
+            q = 1 / lam_ ** 2
+            return (mpmath.log(abs(lam_)) + q * mpmath.log(q) - mpmath.loggamma(q) - log_s
+                    + z / lam_ - q * mpmath.exp(lam_ * z))
+
+        log_s, lam_ = mpmath.log(sigma), mpmath.mpf(lam)
+        return (float(mpmath.diff(lambda t: logf(t, lam_), log_s)),
+                float(mpmath.diff(lambda t: logf(log_s, t), lam_)))
+
+    @pytest.mark.parametrize("lam", [-2.1, -1.2, -0.05, 1e-3, 2e-6, 0.01, 0.6, 1.0])
+    def test_matches_high_precision(self, lam):
+        # small |lam| is where the closed form's lam^-3 terms cancel
+        p = GlgParams(mu=0.2, sigma=0.7, lam=lam)
+        ys = np.array([-2.5, -1.3, 0.2, 0.9, 2.0])
+        d_log_sigma, d_lam = log_pdf_grad(ys, p)
+        for y, a, b in zip(ys, d_log_sigma, d_lam):
+            want_a, want_b = self.reference(y, 0.2, 0.7, lam)
+            assert a == pytest.approx(want_a, rel=1e-12, abs=1e-12)
+            assert b == pytest.approx(want_b, rel=1e-9, abs=1e-11)
+
+    def test_normal_branch_is_the_limit(self):
+        ys = np.array([-1.5, 0.3, 2.2])
+        d_log_sigma, d_lam = log_pdf_grad(ys, GlgParams(mu=0.0, sigma=1.3, lam=0.0))
+        z = ys / 1.3
+        np.testing.assert_allclose(d_log_sigma, -1.0 + z ** 2, rtol=1e-14)
+        np.testing.assert_allclose(d_lam, -(z ** 3) / 6.0, rtol=1e-14)
+        near = log_pdf_grad(ys, GlgParams(mu=0.0, sigma=1.3, lam=2e-6))
+        np.testing.assert_allclose(near[1], d_lam, atol=1e-5)
+
+    def test_heavy_tail_overflow_is_silent(self):
+        with np.errstate(all="raise"):
+            d_log_sigma, _ = log_pdf_grad(np.array([2000.0]), GlgParams(0.0, 1.0, 1.0))
+        assert d_log_sigma[0] == np.inf
 
 
 class TestMoments:

@@ -190,6 +190,20 @@ class TestAgainstClusterLoops:
             )
         assert mnb_model.score(ds, params).k_phi == pytest.approx(expect, rel=1e-9)
 
+    def test_k_phi_when_p_zero_underflows(self):
+        # P(Y+ = 0) = (phi/(phi + mu+))^phi = exp(-1000 log 3) underflows;
+        # the series must still start from it, not from 0
+        mu_plus, phi = 2000.0, 1000.0
+        ds, params = spread_design([mu_plus], phi)
+        law = nbinom(phi, phi / (phi + mu_plus))
+        ks = np.arange(int(law.ppf(1.0 - 1e-16)) + 50)
+        expect = (
+            float(polygamma(1, phi)) - float(law.pmf(ks) @ polygamma(1, phi + ks))
+            - 1.0 / phi + 1.0 / (phi + mu_plus)
+        )
+        assert expect == pytest.approx(2.221974568e-7, rel=1e-9)
+        assert mnb_model.score(ds, params).k_phi == pytest.approx(expect, rel=1e-8)
+
 
 class TestResidualBatching:
     def mixed(self):

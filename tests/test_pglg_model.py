@@ -187,6 +187,26 @@ class TestPredictRandomEffects:
             want.append((w * b).sum() / w.sum())
         assert np.max(np.abs(got - np.array(want))) < 1e-6
 
+    def test_strongly_skewed_law_matches_fine_grid(self):
+        # lam = -2.1 puts a long right tail on the intercepts; the default
+        # (finest) rule must still match the grid far below the 1e-6 that
+        # order 40 misses by on such laws
+        X = np.column_stack([np.ones(3), [-1.0, 0.0, 1.0]])
+        truth = PglgParams(beta=np.array([1.0, -0.3]), sigma=0.35, lam=-2.1)
+        ds = simulate_pglg(SimDesign(n_clusters=60, cluster_sizes=3, x_builder=X, seed=4), truth)
+        got = np.array([v for _, v in pglg_model.predict_random_effects(ds, truth)])
+
+        b = np.linspace(-12.0, 10.0, 400_001)
+        prior = glg_dist.log_pdf(b, GlgParams(0.0, truth.sigma, truth.lam))
+        mu_plus = float(np.exp(X @ truth.beta).sum())
+        y_plus = ds.cluster_sums(ds.y.astype(float))
+        with np.errstate(over="ignore"):
+            logf = y_plus[:, None] * b - mu_plus * np.exp(b) + prior
+        w = np.exp(logf - logf.max(axis=1, keepdims=True))
+        w[:, [0, -1]] *= 0.5
+        want = (w * b).sum(axis=1) / w.sum(axis=1)
+        assert np.max(np.abs(got - want)) < 1e-8
+
     def test_failure_names_cluster_and_iterate(self):
         # a mode 2000 units away is out of reach of the capped Newton steps
         ds = wrap([
@@ -321,3 +341,88 @@ class TestFit:
         ds = Dataset(clusters=(c,), column_names=("(intercept)", "a", "b"))
         with pytest.raises(CollinearDesignError):
             pglg_model.fit(ds)
+
+
+class TestExactScore:
+    """The score of the fit is Fisher's identity on the quadrature nodes;
+    it must equal the derivative of the log-likelihood it climbs."""
+
+    @staticmethod
+    def five_point(f, theta, h=1e-3):
+        out = np.empty_like(theta)
+        for k in range(theta.size):
+            e = np.zeros_like(theta)
+            e[k] = h
+            d1, d2 = f(theta + e) - f(theta - e), f(theta + 2 * e) - f(theta - 2 * e)
+            out[k] = (8 * d1 - d2) / (12 * h)
+        return out
+
+    @pytest.mark.parametrize("lam", [-2.1, -1.2, 0.01, 0.6])
+    @pytest.mark.parametrize("kind", ["free", "normal", "tied"])
+    def test_matches_central_differences(self, lam, kind):
+        X = np.column_stack([np.ones(3), [-1.0, 0.0, 1.0]])
+        truth = PglgParams(beta=np.array([1.0, -0.3]), sigma=0.4, lam=lam)
+        ds = simulate_pglg(SimDesign(n_clusters=40, cluster_sizes=3, x_builder=X, seed=3), truth)
+        options = {
+            "free": PglgFitOptions(order=100),
+            "normal": PglgFitOptions(order=100, fix_lambda=0.0),
+            "tied": PglgFitOptions(order=100, tie_sigma_lambda=True),
+        }[kind]
+        # away from the optimum: the truth has sigma = 0.4, not 0.5
+        theta = np.array([0.9, -0.2, math.log(0.5)])
+        if kind == "free":
+            theta = np.append(theta, lam)
+        objective = pglg_model._Objective(ds, options)
+        _, score = objective(theta)
+        assert np.max(np.abs(score)) > 1.0
+        numeric = self.five_point(lambda t: objective(t)[0], theta)
+        np.testing.assert_allclose(score, numeric, rtol=0, atol=1e-6)
+
+    def test_unavailable_point_has_no_value(self):
+        ds = simulate_pglg(SimDesign(n_clusters=10, cluster_sizes=3, seed=1),
+                           PglgParams(beta=np.array([0.5]), sigma=0.5, lam=0.3))
+        objective = pglg_model._Objective(ds, PglgFitOptions())
+        assert objective(np.array([0.5, 800.0, 0.3])) is None  # sigma = e^800
+
+
+class TestFitConvergence:
+    X = np.column_stack([np.ones(3), [-1.0, 0.0, 1.0]])
+
+    def test_lambda_zero_calibration(self):
+        # normal intercepts: both fits converge and the likelihood-ratio
+        # statistic for lam = 0 is never negative
+        truth = PglgParams(beta=np.array([1.0, -0.3]), sigma=0.5, lam=0.0)
+        for seed in range(100, 110):
+            d = SimDesign(n_clusters=300, cluster_sizes=3, x_builder=self.X, seed=seed)
+            ds = simulate_pglg(d, truth)
+            free = pglg_model.fit(ds)
+            normal = pglg_model.fit(ds, options=PglgFitOptions(fix_lambda=0.0))
+            assert free.converged and normal.converged, seed
+            assert 2.0 * (free.loglik - normal.loglik) >= 0.0, seed
+            for res in (free, normal):
+                assert all(np.isfinite(t.max_grad) for t in res.trace)
+                assert res.trace[-1].max_grad < PglgFitOptions().gtol
+
+    def test_order_check_flags_a_coarse_rule(self):
+        # strongly right-skewed intercepts: at order 40 the score test
+        # passes but the likelihood moves at order 80, so the fit is not
+        # reported converged; order 160 is fine enough
+        truth = PglgParams(beta=np.array([1.0, -0.3]), sigma=0.35, lam=-2.0)
+        d = SimDesign(n_clusters=300, cluster_sizes=3, x_builder=self.X, seed=9)
+        ds = simulate_pglg(d, truth)
+        coarse = pglg_model.fit(ds, options=PglgFitOptions(order=40))
+        assert coarse.trace[-1].max_grad < PglgFitOptions().gtol
+        assert not coarse.converged
+        fine = pglg_model.fit(ds, options=PglgFitOptions(order=160))
+        assert fine.converged
+
+    def test_cluster_reversal_invariance(self):
+        truth = PglgParams(beta=np.array([1.0, -0.3]), sigma=0.5, lam=-1.2)
+        d = SimDesign(n_clusters=200, cluster_sizes=3, x_builder=self.X, seed=21)
+        ds = simulate_pglg(d, truth)
+        rev = wrap(ds.clusters[::-1], names=ds.column_names)
+        for options in (PglgFitOptions(), PglgFitOptions(fix_lambda=0.0)):
+            a = pglg_model.fit(ds, options=options)
+            b = pglg_model.fit(rev, options=options)
+            assert a.converged and b.converged
+            np.testing.assert_allclose(a.estimates, b.estimates, rtol=0, atol=1e-7)
