@@ -16,6 +16,7 @@ which is the representation used for sampling and for the closed-form
 moments below.  See Lawless (2002, ch. 5) for background.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +90,7 @@ def log_pdf_grad(y, params):
     """
     z = (np.asarray(y, dtype=float) - params.mu) / params.sigma
     if params.is_normal:
-        return -1.0 + z * z, -(z ** 3) / 6.0
+        return -1.0 + z * z, -(z * z * z) / 6.0
     lam = params.lam
     if abs(lam) < 0.1:
         a = -lam / 6.0 + lam ** 5 / 60.0 - lam ** 9 / 126.0
@@ -102,8 +103,67 @@ def log_pdf_grad(y, params):
         d_log_sigma = -1.0 + (z / lam) * em1
         direct = (2.0 * em1 - u * (em1 + 2.0)) / lam ** 3
     # -z^3 sum_{n>=3} (n - 2) u^(n-3) / n!
-    series = -(z ** 3) * (1 / 6 + u * (1 / 12 + u * (1 / 40 + u * (1 / 180 + u / 1008))))
+    series = -(z * z * z) * (1 / 6 + u * (1 / 12 + u * (1 / 40 + u * (1 / 180 + u / 1008))))
     return d_log_sigma, a + np.where(np.abs(u) < 0.01, series, direct)
+
+
+# Taylor coefficients in u of the small-|u| parts of log_pdf_hess:
+# (u e^u - expm1 u)/u^2 = sum_{n>=2} (n - 1) u^(n-2) / n! and
+# (6 expm1 u - 3u expm1 u - 6u - u expm1 u + u^2 e^u)/u^4
+#   = -sum_{n>=4} (n - 2)(n - 3) u^(n-4) / n!, through u^8.
+_SERIES_S_LAM = tuple((n - 1) / math.factorial(n) for n in range(10, 1, -1))
+_SERIES_LAM_LAM = tuple(-(n - 2) * (n - 3) / math.factorial(n) for n in range(12, 3, -1))
+_SERIES_U = 0.2  # below this |lam z| the direct forms cancel more than the series errs
+
+
+def _horner(u, coefs):
+    # sum_k coefs[-1 - k] u^k, highest power first
+    out = np.full_like(u, coefs[0])
+    for c in coefs[1:]:
+        out = out * u + c
+    return out
+
+
+def log_pdf_hess(y, params):
+    """Second derivatives of :func:`log_pdf` at ``y`` in (log sigma, lam),
+    as three arrays (ss, s-lam, lam-lam).
+
+    With z = (y - mu)/sigma, u = lam z and q = lam^-2:
+
+        ss        -(z/lam) expm1(u) - z^2 e^u
+        s-lam     (z/lam^2)(u e^u - expm1(u))
+        lam-lam   a'(lam) + [u(expm1 u - u e^u)
+                             - 3(2 expm1 u - u expm1 u - 2u)]/lam^4,
+
+    a'(lam) = -1/lam^2 + 6 lam^-4 (log q - digamma(q)) + 4 lam^-6 (lam^2 -
+    trigamma(q)), or (-2 z^2, z^3/2, -1/6 - z^4/12) on the normal branch.
+    The last two cancel for small arguments, so below |lam| = 0.1 a'
+    comes from digamma's asymptotic series and below |u| = 0.2 the
+    bracketed parts from their Taylor series.
+    """
+    z = (np.asarray(y, dtype=float) - params.mu) / params.sigma
+    z2 = z * z
+    if params.is_normal:
+        return -2.0 * z2, 0.5 * z2 * z, -1.0 / 6.0 - z2 * z2 / 12.0
+    lam = params.lam
+    if abs(lam) < 0.1:
+        a_prime = -1.0 / 6.0 + lam ** 4 / 12.0 - lam ** 8 / 14.0
+    else:
+        q = lam ** -2.0
+        a_prime = (-q + 6.0 * q * q * (np.log(q) - digamma(q))
+                   + 4.0 * q * q * q * (lam * lam - polygamma(1, q)))
+    u = lam * z
+    # far in the heavy tail e^u overflows; such points carry no weight
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_u = np.exp(u)
+        em1 = np.expm1(u)
+        h_ss = -(z / lam) * em1 - z2 * e_u
+        s_lam = (z / (lam * lam)) * (u * e_u - em1)
+        lam_lam = (u * (em1 - u * e_u) - 3.0 * (2.0 * em1 - u * em1 - 2.0 * u)) / lam ** 4
+    small = np.abs(u) < _SERIES_U
+    h_s_lam = np.where(small, z2 * z * _horner(u, _SERIES_S_LAM), s_lam)
+    h_lam_lam = np.where(small, z2 * z2 * _horner(u, _SERIES_LAM_LAM), lam_lam)
+    return h_ss, h_s_lam, a_prime + h_lam_lam
 
 
 def pdf(y, params):

@@ -281,7 +281,8 @@ def _poisson_irls(dataset, max_iter=100, tol=1e-10):
     """
     X, offset = dataset.X, dataset.offset
     y = dataset.y.astype(float)
-    beta = np.zeros(X.shape[1])
+    zeros = np.zeros(X.shape[1])
+    beta = zeros
     eta = X @ beta + offset
     for _ in range(max_iter):
         mu = np.exp(np.clip(eta, -30.0, 30.0))
@@ -290,15 +291,15 @@ def _poisson_irls(dataset, max_iter=100, tol=1e-10):
         try:
             beta_new = np.linalg.solve(xtw @ X, xtw @ z)
         except np.linalg.LinAlgError:
-            return beta
+            return zeros
         if not np.all(np.isfinite(beta_new)):
-            return beta
+            return zeros
         change = np.max(np.abs(beta_new - beta)) / max(1.0, np.max(np.abs(beta_new)))
         beta = beta_new
         eta = X @ beta + offset
         if change < tol:
-            break
-    return beta
+            return beta
+    return zeros
 
 
 def _moment_start_phi(dataset, beta):

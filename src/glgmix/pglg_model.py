@@ -5,11 +5,14 @@ drawn from GLG(0, sigma, lam).  b_i enters only through y+_i b - mu+_i e^b,
 so the cluster's log marginal likelihood is c_i + log int exp(g_i(b)) db,
 g_i(b) = y+_i b - mu+_i e^b + log f(b) and c_i = sum_j (y_ij log mu_ij -
 log y_ij!): per-cluster sums and a one-dimensional integral, handled by
-mode-recentred Gauss-Hermite quadrature.  By Fisher's identity the score
-is a posterior mean of the derivative of g_i on the same nodes, and
-:func:`fit` climbs it with damped Newton steps.  Setting sigma = lam > 0
-recovers the closed-form multivariate negative binomial with dispersion
-phi = lam^-2, which is the cross-check used throughout the tests.
+mode-recentred Gauss-Hermite quadrature.  On the same nodes, Fisher's
+identity gives the score as a posterior mean of the complete-data score,
+and Louis' identity gives the observed information from the posterior
+moments of the complete-data first and second derivatives; :func:`fit`
+climbs the score with damped Newton steps on that information.  Setting
+sigma = lam > 0 recovers the closed-form multivariate negative binomial
+with dispersion phi = lam^-2, which is the cross-check used throughout
+the tests.
 """
 
 from __future__ import annotations
@@ -159,11 +162,11 @@ class PglgFitOptions:
     tie_sigma_lambda: bool = False
 
 
-_HESS_STEP = 1e-4
 _MAX_STEP = 1.0  # largest move of any coordinate in one Newton step
 _MAX_HALVINGS = 40
 # Below this max |score| quadrature noise can outweigh the objective's
-# true rise, so a Newton step is taken without the ascent check.
+# true rise, so a Newton step from or to such a point is taken without
+# the ascent check.
 _UNCHECKED_SCORE = 1e-3
 _ORDER_TOL_PER_CLUSTER = 1e-6  # log-likelihood change allowed at twice the order
 
@@ -174,9 +177,16 @@ def _posterior_mean(weights, values):
         return np.where(weights > 0, weights * values, 0.0).sum(axis=1)
 
 
+def _centred(weights, values, means):
+    """``values`` minus their posterior means, 0 at nodes of weight 0."""
+    with np.errstate(invalid="ignore"):
+        return np.where(weights > 0, values - means[:, None], 0.0)
+
+
 class _Objective:
-    """Log-likelihood and its exact score over the unconstrained vector
-    (beta, log sigma[, lam]), with warm-started quadrature modes."""
+    """Log-likelihood, exact score and observed information over the
+    unconstrained vector (beta, log sigma[, lam]), with warm-started
+    quadrature modes."""
 
     def __init__(self, dataset, options):
         self.dataset = dataset
@@ -196,13 +206,34 @@ class _Objective:
             lam = theta[p + 1]
         return PglgParams(beta=beta, sigma=sigma, lam=lam)
 
+    def _scale_derivatives(self, points, prior):
+        """First and second derivatives of log f at the nodes in the scale
+        coordinates of theta: a list d and a nested list h."""
+        d_s, d_lam = glg_dist.log_pdf_grad(points, prior)
+        h_ss, h_s_lam, h_lam_lam = glg_dist.log_pdf_hess(points, prior)
+        if self.options.tie_sigma_lambda:  # lam = sigma = e^(log sigma)
+            sigma = prior.sigma
+            d = d_s + sigma * d_lam
+            h = h_ss + 2.0 * sigma * h_s_lam + sigma * sigma * h_lam_lam + sigma * d_lam
+            return [d], [[h]]
+        if self.options.fix_lambda is not None:
+            return [d_s], [[h_ss]]
+        return [d_s, d_lam], [[h_ss, h_s_lam], [h_s_lam, h_lam_lam]]
+
     def __call__(self, theta):
-        """(loglik, score) at ``theta``, or None where either is unavailable."""
+        """(loglik, score, hessian) at ``theta`` from one batch of nodes, or
+        None where any of them is unavailable.
+
+        The score is Fisher's identity and the Hessian Louis' identity,
+        sum_i (E_i[d^2 l_c] + Cov_i[d l_c]), both under each cluster's
+        posterior on the nodes; l_c is the complete-data log-likelihood.
+        """
         try:
             params = self.to_params(theta)
         except (DomainError, OverflowError):
             return None
-        c, y_plus, log_mu_plus, mu = _cluster_sums(self.dataset, params.beta)
+        ds = self.dataset
+        c, y_plus, log_mu_plus, mu = _cluster_sums(ds, params.beta)
         g = _integrand(y_plus, log_mu_plus, params)
         prior = GlgParams(mu=0.0, sigma=params.sigma, lam=params.lam)
         for init in (self.modes, np.zeros(self.modes.size)):  # warm, then cold
@@ -212,35 +243,36 @@ class _Objective:
         else:
             return None
         with np.errstate(over="ignore"):
-            e_b = _posterior_mean(weights, np.exp(points))
-        d_log_sigma, d_lam = (
-            _posterior_mean(weights, d).sum() for d in glg_dist.log_pdf_grad(points, prior)
-        )
-        if self.options.tie_sigma_lambda:  # lam = sigma = e^(log sigma)
-            scale = [d_log_sigma + params.sigma * d_lam]
-        elif self.options.fix_lambda is not None:
-            scale = [d_log_sigma]
-        else:
-            scale = [d_log_sigma, d_lam]
-        u_beta = self.dataset.X.T @ (self.dataset.y - self.dataset.per_obs(e_b) * mu)
-        score = np.concatenate([u_beta, scale])
+            exp_b = np.exp(points)
+        e_b = _posterior_mean(weights, exp_b)
+        d, h = self._scale_derivatives(points, prior)
+        d_means = [_posterior_mean(weights, dk) for dk in d]
+        u_beta = ds.X.T @ (ds.y - ds.per_obs(e_b) * mu)
+        score = np.concatenate([u_beta, [mean.sum() for mean in d_means]])
         if not np.all(np.isfinite(score)):
             return None
-        self.modes = modes
-        return float((values + c).sum()), score
 
-
-def _score_jacobian(objective, theta):
-    """Symmetrised central difference of the exact score (the Hessian of
-    the log-likelihood), or None where a stencil point is unavailable."""
-    h = _HESS_STEP * np.maximum(1.0, np.abs(theta))
-    hess = np.empty((theta.size, theta.size))
-    for a, e in enumerate(np.diag(h)):
-        up, down = objective(theta + e), objective(theta - e)
-        if up is None or down is None:
+        # cross moments of the centred complete-data scores
+        c_b = _centred(weights, exp_b, e_b)
+        c_d = [_centred(weights, dk, mean) for dk, mean in zip(d, d_means)]
+        m = ds.cluster_sums(mu[:, None] * ds.X)  # X_i' mu_i, one row per cluster
+        p, k = ds.p, len(d)
+        hess = np.empty((p + k, p + k))
+        beta_beta = (m.T * (weights * c_b * c_b).sum(axis=1)) @ m - (
+            ds.X.T * (ds.per_obs(e_b) * mu)
+        ) @ ds.X
+        hess[:p, :p] = 0.5 * (beta_beta + beta_beta.T)  # exactly symmetric
+        for a in range(k):
+            cross = -m.T @ (weights * c_b * c_d[a]).sum(axis=1)
+            hess[:p, p + a] = hess[p + a, :p] = cross
+            for b in range(a + 1):
+                hess[p + a, p + b] = hess[p + b, p + a] = (
+                    _posterior_mean(weights, h[a][b]) + (weights * c_d[a] * c_d[b]).sum(axis=1)
+                ).sum()
+        if not np.all(np.isfinite(hess)):
             return None
-        hess[:, a] = (up[1] - down[1]) / (2.0 * h[a])
-    return 0.5 * (hess + hess.T)
+        self.modes = modes
+        return float((values + c).sum()), score, hess
 
 
 def _newton_step(hess, score):
@@ -265,12 +297,14 @@ def _order_adequate(dataset, params, loglik, options):
 def fit(dataset, init=None, options=None):
     """Maximize the marginal likelihood over (beta, log sigma, lam).
 
-    Damped Newton on the exact score, with the Hessian from central
-    differences of the score.  Converged means max |score| < ``gtol`` and
-    a log-likelihood that moves by at most 1e-6 per cluster at twice the
-    quadrature order.  Standard errors invert the same Hessian at the
-    estimate.  Defaults start beta at the independence Poisson fit, sigma
-    at 0.5, and lam at 0.1.
+    Damped Newton on the exact score, with Louis' observed information
+    as the Hessian.  A step is halved until the log-likelihood does not
+    fall, unless max |score| is below 1e-3 before or after it; each step
+    costs one batch of quadrature nodes, plus one per halving.  Converged
+    means max |score| < ``gtol`` and a log-likelihood that moves by at
+    most 1e-6 per cluster at twice the quadrature order.  Standard errors
+    invert the same Hessian at the estimate.  Defaults start beta at the
+    independence Poisson fit, sigma at 0.5, and lam at 0.1.
     """
     options = options or PglgFitOptions()
     if options.fix_lambda is not None and options.tie_sigma_lambda:
@@ -288,24 +322,25 @@ def fit(dataset, init=None, options=None):
     current = objective(theta)
     if current is None:  # raises, naming the clusters, when a mode search is the cause
         log_likelihood(dataset, objective.to_params(theta), objective.rule)
-        raise ModeSearchError("log-likelihood or score not finite at the start", last_iterate=None)
-    loglik, score = current
+        raise ModeSearchError(
+            "log-likelihood, score or information not finite at the start", last_iterate=None
+        )
+    loglik, score, hess = current
     max_score = float(np.max(np.abs(score)))
     trace = [TraceRecord(iteration=0, loglik=loglik, max_grad=max_score)]
-    while True:
-        hess = _score_jacobian(objective, theta)
-        if max_score < options.gtol or hess is None or len(trace) > options.max_iter:
-            break
+    while max_score >= options.gtol and len(trace) <= options.max_iter:
         step = _newton_step(hess, score)
         for _ in range(_MAX_HALVINGS):
             trial = objective(theta + step)
-            if trial is not None and (max_score < _UNCHECKED_SCORE or trial[0] >= loglik):
+            if trial is not None and (
+                min(max_score, np.max(np.abs(trial[1]))) < _UNCHECKED_SCORE or trial[0] >= loglik
+            ):
                 break
             step = 0.5 * step
         else:
             break
         theta = theta + step
-        loglik, score = trial
+        loglik, score, hess = trial
         max_score = float(np.max(np.abs(score)))
         trace.append(TraceRecord(iteration=len(trace), loglik=loglik, max_grad=max_score))
 

@@ -11,6 +11,7 @@ from glgmix.glg_dist import (
     exp_moment,
     log_pdf,
     log_pdf_grad,
+    log_pdf_hess,
     mean,
     pdf,
     sample,
@@ -149,6 +150,53 @@ class TestLogPdfGrad:
         with np.errstate(all="raise"):
             d_log_sigma, _ = log_pdf_grad(np.array([2000.0]), GlgParams(0.0, 1.0, 1.0))
         assert d_log_sigma[0] == np.inf
+
+
+class TestLogPdfHess:
+    """Second derivatives in (log sigma, lam) against 40-digit differentiation."""
+
+    @staticmethod
+    def reference(y, mu, sigma, lam):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+
+        def logf(log_s, lam_):
+            z = (mpmath.mpf(y) - mu) / mpmath.exp(log_s)
+            q = 1 / lam_ ** 2
+            return (mpmath.log(abs(lam_)) + q * mpmath.log(q) - mpmath.loggamma(q) - log_s
+                    + z / lam_ - q * mpmath.exp(lam_ * z))
+
+        at = (mpmath.log(sigma), mpmath.mpf(lam))
+        return tuple(float(mpmath.diff(logf, at, n)) for n in ((2, 0), (1, 1), (0, 2)))
+
+    @pytest.mark.parametrize("lam", [-2.1, -1.2, -0.05, 1e-3, 2e-6, 0.01, 0.6, 1.0])
+    def test_matches_high_precision(self, lam):
+        # small |lam z| is where the closed forms cancel; y = -2.9, -2.5 at
+        # lam = -0.05 and y = 0.45, 0.42 at lam = 0.6 put |lam z| just above
+        # and below the series switch at 0.2
+        p = GlgParams(mu=0.2, sigma=0.7, lam=lam)
+        ys = np.array([-2.9, -2.5, -1.3, 0.2, 0.42, 0.45, 0.9, 2.0])
+        hess = log_pdf_hess(ys, p)
+        for i, y in enumerate(ys):
+            for got, want in zip((h[i] for h in hess), self.reference(y, 0.2, 0.7, lam)):
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-11)
+
+    def test_normal_branch_is_the_limit(self):
+        ys = np.array([-1.5, 0.3, 2.2])
+        h_ss, h_s_lam, h_lam_lam = log_pdf_hess(ys, GlgParams(mu=0.0, sigma=1.3, lam=0.0))
+        z = ys / 1.3
+        np.testing.assert_allclose(h_ss, -2.0 * z ** 2, rtol=1e-14)
+        np.testing.assert_allclose(h_s_lam, z ** 3 / 2.0, rtol=1e-14)
+        np.testing.assert_allclose(h_lam_lam, -1.0 / 6.0 - z ** 4 / 12.0, rtol=1e-14)
+        # the GLG values differ from the limit by O(lam z^3)
+        near = log_pdf_hess(ys, GlgParams(mu=0.0, sigma=1.3, lam=2e-6))
+        for a, b in zip(near, (h_ss, h_s_lam, h_lam_lam)):
+            np.testing.assert_allclose(a, b, atol=2e-6 * 2.0 * np.max(np.abs(z)) ** 3)
+
+    def test_heavy_tail_overflow_is_silent(self):
+        with np.errstate(all="raise"):
+            h_ss, _, _ = log_pdf_hess(np.array([2000.0]), GlgParams(0.0, 1.0, 1.0))
+        assert h_ss[0] == -np.inf
 
 
 class TestMoments:

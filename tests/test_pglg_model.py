@@ -373,10 +373,35 @@ class TestExactScore:
         if kind == "free":
             theta = np.append(theta, lam)
         objective = pglg_model._Objective(ds, options)
-        _, score = objective(theta)
+        _, score, _ = objective(theta)
         assert np.max(np.abs(score)) > 1.0
         numeric = self.five_point(lambda t: objective(t)[0], theta)
         np.testing.assert_allclose(score, numeric, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("lam", [-2.1, -1.2, 0.01, 0.6])
+    @pytest.mark.parametrize("kind", ["free", "normal", "tied"])
+    def test_louis_hessian_matches_score_differences(self, lam, kind):
+        # Louis' identity on the nodes is the Jacobian of the exact score
+        X = np.column_stack([np.ones(3), [-1.0, 0.0, 1.0]])
+        truth = PglgParams(beta=np.array([1.0, -0.3]), sigma=0.4, lam=lam)
+        ds = simulate_pglg(SimDesign(n_clusters=40, cluster_sizes=3, x_builder=X, seed=3), truth)
+        options = {
+            "free": PglgFitOptions(order=100),
+            "normal": PglgFitOptions(order=100, fix_lambda=0.0),
+            "tied": PglgFitOptions(order=100, tie_sigma_lambda=True),
+        }[kind]
+        theta = np.array([0.9, -0.2, math.log(0.5)])  # away from the optimum
+        if kind == "free":
+            theta = np.append(theta, lam)
+        objective = pglg_model._Objective(ds, options)
+        _, _, hess = objective(theta)
+        h = 1e-5
+        numeric = np.empty_like(hess)
+        for k, e in enumerate(np.eye(theta.size) * h):
+            numeric[:, k] = (objective(theta + e)[1] - objective(theta - e)[1]) / (2 * h)
+        numeric = 0.5 * (numeric + numeric.T)
+        np.testing.assert_array_equal(hess, hess.T)
+        np.testing.assert_allclose(hess, numeric, rtol=0, atol=1e-6 * np.max(np.abs(numeric)))
 
     def test_unavailable_point_has_no_value(self):
         ds = simulate_pglg(SimDesign(n_clusters=10, cluster_sizes=3, seed=1),
@@ -415,6 +440,25 @@ class TestFitConvergence:
         assert not coarse.converged
         fine = pglg_model.fit(ds, options=PglgFitOptions(order=160))
         assert fine.converged
+
+    def test_coarse_rule_still_reaches_the_score_root(self):
+        # at order 40 the score and the log-likelihood disagree by the
+        # quadrature error; the step that lands below the unchecked score
+        # lowers the log-likelihood a little and must still be taken
+        truth = PglgParams(beta=np.array([1.0, -0.3]), sigma=0.3, lam=-2.3)
+        d = SimDesign(n_clusters=300, cluster_sizes=3, x_builder=self.X, seed=21)
+        res = pglg_model.fit(simulate_pglg(d, truth), options=PglgFitOptions(order=40))
+        assert res.trace[-1].max_grad < PglgFitOptions().gtol
+
+    def test_start_survives_diverging_poisson_start(self):
+        # one cluster's huge total sends the independence Poisson fit off
+        # to beta = (99.97, -59.4); its start must fall back to zeros
+        truth = PglgParams(beta=np.array([1.0, -0.3]), sigma=0.3, lam=-2.5)
+        d = SimDesign(n_clusters=300, cluster_sizes=3, x_builder=self.X, seed=5)
+        ds = simulate_pglg(d, truth)
+        np.testing.assert_array_equal(mnb_model._poisson_irls(ds), [0.0, 0.0])
+        res = pglg_model.fit(ds)
+        np.testing.assert_allclose(res.estimates[:2], truth.beta, atol=0.1)
 
     def test_cluster_reversal_invariance(self):
         truth = PglgParams(beta=np.array([1.0, -0.3]), sigma=0.5, lam=-1.2)
