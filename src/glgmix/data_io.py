@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,10 +183,12 @@ class Dataset:
     (n_obs,), design ``X`` (n_obs, p) and offsets ``offset`` (n_obs,).
     Cluster i holds rows ``starts[i] : starts[i] + sizes[i]`` and is named
     ``ids[i]``.  Every array is read-only.  ``clusters`` gives one
-    :class:`ClusterData` view per cluster, built on first use.
+    :class:`ClusterData` view per cluster, and ``log_y_factorials`` the
+    per-cluster sums of log y!, each built on first use.
     """
 
-    __slots__ = ("ids", "sizes", "starts", "y", "X", "offset", "column_names", "_clusters")
+    __slots__ = ("ids", "sizes", "starts", "y", "X", "offset", "column_names", "_clusters",
+                 "_log_y_factorials")
 
     def __init__(self, clusters, column_names):
         clusters = tuple(clusters)
@@ -239,7 +242,7 @@ class Dataset:
             raise DomainError(f"expected {X.shape[1]} column names, got {len(names)}")
         for name, value in (("ids", ids), ("sizes", sizes), ("starts", starts), ("y", y),
                             ("X", X), ("offset", offset), ("column_names", names),
-                            ("_clusters", None)):
+                            ("_clusters", None), ("_log_y_factorials", None)):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -263,6 +266,18 @@ class Dataset:
             )
             object.__setattr__(self, "_clusters", views)
         return self._clusters
+
+    @property
+    def log_y_factorials(self):
+        """sum_j log y_ij! per cluster (read-only), the data-only constant
+        of every Poisson-based log-likelihood."""
+        if self._log_y_factorials is None:
+            counts, which = np.unique(self.y, return_inverse=True)
+            per_count = np.array([math.lgamma(k + 1.0) for k in counts.tolist()])
+            sums = self.cluster_sums(per_count[which])
+            sums.setflags(write=False)
+            object.__setattr__(self, "_log_y_factorials", sums)
+        return self._log_y_factorials
 
     @property
     def n_clusters(self):

@@ -1,13 +1,17 @@
 """Residual-based model checking: normal QQ positions, simulated
-envelopes, and AIC comparison tables."""
+envelopes, and AIC comparison tables.
+
+Normal quantiles come from :class:`statistics.NormalDist` (Wichura's
+AS241 algorithm), one plotting position at a time.
+"""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import (
     DomainError,
@@ -25,6 +29,14 @@ _MIN_REPLICATES = 19  # fewer cannot bracket a 95% band
 _MAX_DROP_FRACTION = 0.2
 
 
+_ndtri = NormalDist().inv_cdf  # standard normal quantile of one probability
+
+
+def _normal_positions(n):
+    """Standard normal quantiles at the plotting positions (k - 3/8) / (n + 1/4)."""
+    return np.array([_ndtri((k - 0.375) / (n + 0.25)) for k in range(1, n + 1)])
+
+
 def qq_points(values):
     """Pair each value with its normal plotting position.
 
@@ -37,10 +49,7 @@ def qq_points(values):
         raise DomainError(f"need at least 3 values, got {v.size}")
     if not np.all(np.isfinite(v)):
         raise DomainError("values must all be finite")
-    n = v.size
-    k = np.arange(1, n + 1)
-    theoretical = ndtri((k - 0.375) / (n + 0.25))
-    return np.column_stack([theoretical, np.sort(v)])
+    return np.column_stack([_normal_positions(v.size), np.sort(v)])
 
 
 @dataclass(frozen=True)
@@ -145,10 +154,8 @@ def simulated_envelope(
     alpha = (1.0 - level) / 2.0
     lower, median, upper = np.quantile(stack, [alpha, 0.5, 1.0 - alpha], axis=0)
 
-    k = np.arange(1, n_obs + 1)
-    theoretical = ndtri((k - 0.375) / (n_obs + 0.25))
     return EnvelopeResult(
-        theoretical=theoretical,
+        theoretical=_normal_positions(n_obs),
         observed_sorted=observed,
         lower=lower,
         median=median,

@@ -14,14 +14,19 @@ and the N(mu, sigma^2) density for lam = 0.  Equivalently, for lam != 0,
 
 which is the representation used for sampling and for the closed-form
 moments below.  See Lawless (2002, ch. 5) for background.
+
+The special functions of q = lam^-2 are scalar ``math`` code: log-gamma
+is ``math.lgamma``, digamma and trigamma come from
+:mod:`glgmix._special`.  Only :func:`support_interval` needs SciPy (for
+gamma quantiles), and imports it when called.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammaincinv, gammaln, ndtri, polygamma
 
+from ._special import digamma, trigamma
 from .errors import DomainError, MomentExistenceError
 
 # Below this |lam| the normal branch is used.  Gamma(lam^-2) overflows long
@@ -54,7 +59,7 @@ class GlgParams:
 def _log_c(lam):
     # log of the normalizing constant |lam| (lam^-2)^(lam^-2) / Gamma(lam^-2)
     q = lam ** -2.0
-    return np.log(abs(lam)) + q * np.log(q) - gammaln(q)
+    return math.log(abs(lam)) + q * math.log(q) - math.lgamma(q)
 
 
 def log_pdf(y, params):
@@ -95,7 +100,7 @@ def log_pdf_grad(y, params):
     if abs(lam) < 0.1:
         a = -lam / 6.0 + lam ** 5 / 60.0 - lam ** 9 / 126.0
     else:
-        a = 1.0 / lam - 2.0 * lam ** -3.0 * (np.log(lam ** -2.0) - digamma(lam ** -2.0))
+        a = 1.0 / lam - 2.0 * lam ** -3.0 * (math.log(lam ** -2.0) - digamma(lam ** -2.0))
     u = lam * z
     # far in the heavy tail expm1 overflows; such points carry no weight
     with np.errstate(over="ignore", invalid="ignore"):
@@ -150,8 +155,8 @@ def log_pdf_hess(y, params):
         a_prime = -1.0 / 6.0 + lam ** 4 / 12.0 - lam ** 8 / 14.0
     else:
         q = lam ** -2.0
-        a_prime = (-q + 6.0 * q * q * (np.log(q) - digamma(q))
-                   + 4.0 * q * q * q * (lam * lam - polygamma(1, q)))
+        a_prime = (-q + 6.0 * q * q * (math.log(q) - digamma(q))
+                   + 4.0 * q * q * q * (lam * lam - trigamma(q)))
     u = lam * z
     # far in the heavy tail e^u overflows; such points carry no weight
     with np.errstate(over="ignore", invalid="ignore"):
@@ -181,7 +186,7 @@ def mean(params):
     if params.is_normal:
         return params.mu
     q = params.lam ** -2.0
-    return params.mu + params.sigma * (digamma(q) - np.log(q)) / params.lam
+    return params.mu + params.sigma * (digamma(q) - math.log(q)) / params.lam
 
 
 def variance(params):
@@ -189,7 +194,7 @@ def variance(params):
     if params.is_normal:
         return params.sigma ** 2
     q = params.lam ** -2.0
-    return params.sigma ** 2 * polygamma(1, q) / params.lam ** 2
+    return params.sigma ** 2 * trigamma(q) / params.lam ** 2
 
 
 def _check_exp_moment_exists(params, k):
@@ -226,7 +231,8 @@ def exp_moment(params, k):
     _check_exp_moment_exists(params, k)
     lam, sigma = params.lam, params.sigma
     q = lam ** -2.0
-    log_m = (k * sigma / lam) * np.log(lam ** 2) + gammaln(q * (1.0 + k * lam * sigma)) - gammaln(q)
+    log_m = ((k * sigma / lam) * math.log(lam ** 2)
+             + math.lgamma(q * (1.0 + k * lam * sigma)) - math.lgamma(q))
     return float(np.exp(log_m))
 
 
@@ -252,6 +258,8 @@ def support_interval(params, tail=1e-7):
     inverts the normal CDF, otherwise the gamma representation maps
     gamma quantiles through b = mu + (sigma/lam) log(lam^2 w).
     """
+    from scipy.special import gammaincinv, ndtri  # only glg-curve needs SciPy
+
     if not 0.0 < tail < 0.5:
         raise DomainError(f"tail must be in (0, 0.5), got {tail}")
     if params.is_normal:

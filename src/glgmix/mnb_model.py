@@ -11,6 +11,12 @@ Every dataset-wide quantity is an array kernel on the flat
 :class:`~glgmix.data_io.Dataset`: the cluster totals it needs (y+, mu+,
 X'mu) are segment sums over the cluster starts, so the cost grows with
 the number of observations and no Python loop runs over clusters.
+
+The gamma-function ratios need no special-function library: the
+log-gamma, digamma and trigamma differences at phi + y+ and phi are
+finite sums over j < y+ read off one cumulative table per call
+(:func:`_lgamma_spans`, :func:`_digamma_spans`, :func:`_trigamma_spans`),
+and the data's own log y! sums are cached on the dataset.
 """
 
 from __future__ import annotations
@@ -20,9 +26,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.special import digamma, gammaln, polygamma
 
+from ._special import digamma, trigamma
 from .errors import (
     CollinearDesignError,
     DomainError,
@@ -32,8 +37,9 @@ from .errors import (
 )
 from .results import FitResult, TraceRecord
 
-# Explicit partial-fraction sums switch to digamma differences past this
-# many terms; the two forms agree to float precision at the boundary.
+# Explicit finite sums switch to differences of log-gamma, digamma or
+# trigamma past this many terms; the two forms agree to float precision
+# at the boundary.
 _SUM_TERMS_MAX = 10_000
 
 # Tail-probability cutoff and term cap for the dispersion information series.
@@ -106,9 +112,9 @@ def log_pmf(c, params):
     y_plus = float(y.sum())
     mu_plus = float(mu.sum())
     return float(
-        gammaln(phi + y_plus)
-        - gammaln(phi)
-        - gammaln(y + 1.0).sum()
+        math.lgamma(phi + y_plus)
+        - math.lgamma(phi)
+        - sum(math.lgamma(v + 1.0) for v in y.tolist())
         + phi * math.log(phi)
         + float(y @ np.log(mu))
         - (phi + y_plus) * math.log(phi + mu_plus)
@@ -128,9 +134,8 @@ def log_likelihood(dataset, params):
     mu, mu_plus, y, y_plus = _means(dataset, params.beta)
     phi = params.phi
     per_cluster = (
-        gammaln(phi + y_plus)
-        - gammaln(phi)
-        - dataset.cluster_sums(gammaln(y + 1.0))
+        _lgamma_spans(y_plus, phi)
+        - dataset.log_y_factorials
         + phi * math.log(phi)
         + dataset.cluster_sums(y * np.log(mu))
         - (phi + y_plus) * np.log(phi + mu_plus)
@@ -138,24 +143,43 @@ def log_likelihood(dataset, params):
     return float(per_cluster.sum())
 
 
-def _harmonic_spans(y_plus, phi):
-    # sum_{j=0}^{y+ - 1} 1/(j + phi) per cluster, zero for y+ = 0: one
-    # cumulative table up to the largest y+ <= _SUM_TERMS_MAX, digamma
-    # differences past it
+def _spans(y_plus, phi, term, past):
+    """sum_{j=0}^{y+ - 1} term(phi + j) per cluster, zero for y+ = 0.
+
+    One cumulative table runs up to the largest y+ <= _SUM_TERMS_MAX; a
+    cluster past it gets the closed form past(phi + y+) - past(phi), one
+    scalar call each.
+    """
     counts = y_plus.astype(np.int64)
     small = counts <= _SUM_TERMS_MAX
     top = int(counts[small].max(initial=0))
-    table = np.concatenate(([0.0], np.cumsum(1.0 / (phi + np.arange(top)))))
+    table = np.concatenate(([0.0], np.cumsum(term(phi + np.arange(top)))))
     spans = np.empty(counts.size)
     spans[small] = table[counts[small]]
-    spans[~small] = digamma(phi + y_plus[~small]) - digamma(phi)
+    if not small.all():  # rare; keeps scalar code off the common path
+        spans[~small] = [past(phi + n) - past(phi) for n in y_plus[~small].tolist()]
     return spans
+
+
+def _lgamma_spans(y_plus, phi):
+    # lgamma(phi + y+) - lgamma(phi) = sum_{j < y+} log(phi + j)
+    return _spans(y_plus, phi, np.log, math.lgamma)
+
+
+def _digamma_spans(y_plus, phi):
+    # digamma(phi + y+) - digamma(phi) = sum_{j < y+} 1/(phi + j)
+    return _spans(y_plus, phi, np.reciprocal, digamma)
+
+
+def _trigamma_spans(y_plus, phi):
+    # trigamma(phi + y+) - trigamma(phi) = -sum_{j < y+} 1/(phi + j)^2
+    return _spans(y_plus, phi, lambda x: -1.0 / (x * x), trigamma)
 
 
 def _phi_scores(y_plus, mu_plus, phi):
     """Per-cluster contributions to U_phi."""
     return (
-        _harmonic_spans(y_plus, phi)
+        _digamma_spans(y_plus, phi)
         - y_plus / (phi + mu_plus)
         - np.log1p(mu_plus / phi)
         + mu_plus / (phi + mu_plus)
@@ -242,7 +266,7 @@ def phi_curvature(dataset, params):
     phi = params.phi
     _, mu_plus, _, y_plus = _means(dataset, params.beta)
     per_cluster = (
-        (polygamma(1, phi + y_plus) - polygamma(1, phi))
+        _trigamma_spans(y_plus, phi)
         + 1.0 / phi
         - 1.0 / (phi + mu_plus)
         - (mu_plus - y_plus) / (phi + mu_plus) ** 2
@@ -258,14 +282,35 @@ def intraclass_corr(mu_j, mu_k, phi):
 
 
 def _check_design_rank(dataset):
-    """Raise CollinearDesignError naming the dependent columns, if any."""
+    """Raise CollinearDesignError naming the dependent columns, if any.
+
+    Column-pivoted Gram-Schmidt, each projection done twice: at every step
+    the remaining column with the largest residual norm joins the basis,
+    until that norm is at most max(n, p) * eps times the largest column
+    norm.  The columns left over are the dependent ones, as in a pivoted
+    QR decomposition.
+    """
     X = dataset.X
-    _, r, piv = qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = max(X.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
-    if rank < X.shape[1]:
-        bad = sorted(dataset.column_names[j] for j in piv[rank:])
+    resid = X.copy()
+    left = list(range(X.shape[1]))
+    tol = None
+    while left:
+        rest = resid[:, left]
+        norms = np.sqrt((rest * rest).sum(axis=0))
+        k = int(norms.argmax())
+        if tol is None:
+            tol = max(X.shape) * np.finfo(float).eps * norms[k]
+        if not norms[k] > tol:
+            break
+        q = resid[:, left.pop(k)] / norms[k]
+        if left:
+            rest = resid[:, left]
+            for _ in range(2):  # a second pass restores orthogonality lost to rounding
+                rest -= q[:, None] * (q @ rest)
+            resid[:, left] = rest
+    if left:
+        rank = X.shape[1] - len(left)
+        bad = sorted(dataset.column_names[j] for j in left)
         raise CollinearDesignError(
             f"design is rank deficient (rank {rank} < {X.shape[1]}); "
             f"columns involved: {bad}",

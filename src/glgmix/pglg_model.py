@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import glg_dist
 from .data_io import Dataset
@@ -67,7 +66,7 @@ def _cluster_sums(dataset, beta):
     with np.errstate(over="ignore", divide="ignore"):
         mu = np.exp(eta0)
         log_mu_plus = np.log(dataset.cluster_sums(mu))
-    c = dataset.cluster_sums(dataset.y * eta0 - gammaln(dataset.y + 1.0))
+    c = dataset.cluster_sums(dataset.y * eta0) - dataset.log_y_factorials
     return c, dataset.cluster_sums(dataset.y), log_mu_plus, mu
 
 
@@ -152,7 +151,9 @@ class PglgFitOptions:
 
     ``fix_lambda`` pins the shape (0.0 gives the Poisson-normal model);
     ``tie_sigma_lambda`` constrains sigma = lam > 0, the closed-form
-    multivariate negative binomial reparameterization.
+    multivariate negative binomial reparameterization.  ``order`` is at
+    most ``MAX_ORDER // 2``, so that the convergence check can compare
+    the fit with the rule of twice its order.
     """
 
     order: int = DEFAULT_ORDER
@@ -160,6 +161,13 @@ class PglgFitOptions:
     max_iter: int = 200
     fix_lambda: float | None = None
     tie_sigma_lambda: bool = False
+
+    def __post_init__(self):
+        if self.order > MAX_ORDER // 2:
+            raise DomainError(
+                f"order must be at most {MAX_ORDER // 2} (the order check uses twice "
+                f"the order, and rules stop at {MAX_ORDER}), got {self.order}"
+            )
 
 
 _MAX_STEP = 1.0  # largest move of any coordinate in one Newton step
@@ -285,10 +293,10 @@ def _newton_step(hess, score):
 
 
 def _order_adequate(dataset, params, loglik, options):
-    """Whether the log-likelihood at twice the order (at most MAX_ORDER)
-    agrees within ``_ORDER_TOL_PER_CLUSTER`` per cluster."""
+    """Whether the log-likelihood at twice the order agrees within
+    ``_ORDER_TOL_PER_CLUSTER`` per cluster."""
     try:
-        finer = log_likelihood(dataset, params, gauss_hermite(min(2 * options.order, MAX_ORDER)))
+        finer = log_likelihood(dataset, params, gauss_hermite(2 * options.order))
     except ModeSearchError:
         return False
     return abs(finer - loglik) <= _ORDER_TOL_PER_CLUSTER * dataset.n_clusters

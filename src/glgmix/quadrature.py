@@ -9,12 +9,16 @@ if the integrand mass sits near 0 with unit width, so one batched engine,
 :func:`adaptive_nodes`, first locates the mode of every ``g_i``,
 rescales by the curvature there, and only then lays out the rule; the
 other integrals reduce its nodes and normalised weights.
+
+Rules come from NumPy's ``hermgauss`` and are built once per order and
+process; the log-sum-exp of the nodes is the row-maximum shift below.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, roots_hermite
+from numpy.polynomial.hermite import hermgauss
 
 from .errors import DomainError
 
@@ -46,12 +50,24 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
 
+@functools.lru_cache(maxsize=MAX_ORDER)
 def gauss_hermite(order):
-    """Build the Gauss-Hermite rule of the given order (1..200)."""
+    """The Gauss-Hermite rule of the given order (1..200), built once per
+    order; rules are read-only, so callers share them."""
     if not 1 <= order <= MAX_ORDER:
         raise DomainError(f"order must be in [1, {MAX_ORDER}], got {order}")
-    nodes, weights = roots_hermite(order)
+    nodes, weights = hermgauss(order)
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
+
+
+def _logsumexp(terms):
+    """log of sum(exp(terms)) along axis 1, shifted by each row's maximum
+    (a non-finite maximum shifts by 0): a row of -inf gives -inf, a +inf
+    gives +inf, and a NaN gives NaN."""
+    top = terms.max(axis=1)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(terms - shift[:, None]).sum(axis=1)) + shift
 
 
 def _find_mode_batch(log_integrand, init):
@@ -162,7 +178,7 @@ def adaptive_nodes(log_integrand, rule, init):
     points = b_hat[:, None] + np.sqrt(2.0) * h_hat[:, None] * rule.nodes[None, :]
     g_vals = np.asarray(log_integrand(points), dtype=float)
     terms = np.log(rule.weights)[None, :] + g_vals + (rule.nodes ** 2)[None, :]
-    log_sum = logsumexp(terms, axis=1)
+    log_sum = _logsumexp(terms)
     with np.errstate(invalid="ignore"):
         weights = np.exp(terms - log_sum[:, None])
     values = log_sum + 0.5 * np.log(2.0) + np.log(h_hat)

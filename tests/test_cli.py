@@ -86,6 +86,13 @@ class TestSimulate:
 
 
 class TestFit:
+    def test_order_above_limit_is_input_error(self, mnb_csv, tmp_path, capsys):
+        code = run(["fit", "--model", "pglg", "--order", "150", "--data", mnb_csv,
+                    "--spec", mnb_csv + ".spec.json", "--out", str(tmp_path / "fit.json")])
+        assert code == 1
+        assert "order must be at most 100" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_mnb_report(self, mnb_csv, tmp_path):
         out = str(tmp_path / "fit.json")
         code = run(["fit", "--model", "mnb", "--data", mnb_csv,
@@ -394,6 +401,46 @@ class TestGlgCurve:
 
 
 class TestTopLevel:
+    def test_fit_diagnose_predict_leave_scipy_unloaded(self, tmp_path):
+        # SciPy is needed only by glg-curve; every other path runs on
+        # NumPy and the standard library, checked after each command
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = """
+import json, os, sys
+from glgmix import ModelSpec, PglgParams, cli, pglg_model, read_csv
+
+def check(step):
+    loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+    assert not loaded, (step, loaded[:3])
+
+work = sys.argv[1]
+data = os.path.join(work, "data.csv")
+design = {"n_clusters": 30, "cluster_sizes": 3, "x": [[1.0, -1.0], [1.0, 0.0], [1.0, 1.0]],
+          "column_names": ["(intercept)", "x"], "seed": 5}
+assert cli.main(["simulate", "--model", "mnb", "--params", '{"beta": [0.8, -0.4], "phi": 1.2}',
+                 "--design", json.dumps(design), "--out", data]) == 0
+check("import and simulate")
+for model in ("mnb", "nb", "pglg", "pglg-normal"):
+    out = os.path.join(work, model + ".json")
+    assert cli.main(["fit", "--model", model, "--data", data, "--spec", data + ".spec.json",
+                     "--out", out]) in (0, 2)
+    check("fit " + model)
+for envelope in ("0", "19"):
+    assert cli.main(["diagnose", "--fit", os.path.join(work, "mnb.json"), "--data", data,
+                     "--residual", "pearson", "--envelope", envelope,
+                     "--out", os.path.join(work, "r.csv")]) == 0
+    check("diagnose --envelope " + envelope)
+ds = read_csv(data, ModelSpec.from_json_file(data + ".spec.json"))
+pglg_model.predict_random_effects(ds, PglgParams(beta=[0.8, -0.4], sigma=0.9, lam=0.9))
+check("predict_random_effects")
+print("clean")
+"""
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "clean"
+
     def test_import_leaves_scipy_optimize_unloaded(self):
         # the library never needs scipy.optimize, and the import is large
         src = os.path.dirname(os.path.dirname(cli.__file__))

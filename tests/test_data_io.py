@@ -354,6 +354,37 @@ class TestFlatLayout:
                 np.testing.assert_array_equal(getattr(back, name), getattr(ds, name))
 
 
+class TestLogFactorialCache:
+    def test_equals_per_cluster_log_factorial_sums(self):
+        (c1, c2), ds = two_cluster_dataset()
+        want = [sum(math.lgamma(v + 1.0) for v in c.y.tolist()) for c in (c1, c2)]
+        np.testing.assert_allclose(ds.log_y_factorials, want, rtol=0, atol=1e-13)
+
+    def test_computed_once_and_read_only(self):
+        _, ds = two_cluster_dataset()
+        first = ds.log_y_factorials
+        assert ds.log_y_factorials is first
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        with pytest.raises(AttributeError):
+            ds._log_y_factorials = np.zeros(2)
+        with pytest.raises(AttributeError):
+            ds.log_y_factorials = np.zeros(2)
+
+    def test_survives_pickle_and_copy(self):
+        _, ds = two_cluster_dataset()
+        cached = ds.log_y_factorials.copy()
+        for back in (pickle.loads(pickle.dumps(ds)), copy.copy(ds), copy.deepcopy(ds)):
+            np.testing.assert_array_equal(back.log_y_factorials, cached)
+            with pytest.raises(AttributeError):
+                back.y = np.zeros(4)
+
+    def test_ungroup_has_per_observation_sums(self):
+        _, ds = two_cluster_dataset()
+        want = [math.lgamma(v + 1.0) for v in ds.y.tolist()]
+        np.testing.assert_allclose(ungroup(ds).log_y_factorials, want, rtol=0, atol=1e-13)
+
+
 class TestUngroupLayout:
     def test_ids_carry_running_counter(self):
         _, ds = two_cluster_dataset()

@@ -9,6 +9,7 @@ to a few ulps.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,49 @@ def spread_design(mu_plus, phi):
         for i, m in enumerate(mu_plus)
     ]
     return Dataset(clusters=clusters, column_names=("x",)), MnbParams(beta=[0.0], phi=phi)
+
+
+# y+ on both sides of the cumulative tables' end
+span_counts = st.one_of(
+    st.integers(0, 60),
+    st.integers(mnb_model._SUM_TERMS_MAX - 40, mnb_model._SUM_TERMS_MAX + 40),
+    st.integers(mnb_model._SUM_TERMS_MAX + 1, 3 * mnb_model._SUM_TERMS_MAX),
+)
+
+
+class TestSpanTables:
+    """The log-gamma, digamma and trigamma differences between phi + y+ and
+    phi against 30-digit mpmath (SciPy's own differences cancel at large
+    phi and small y+)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(1e-2, 1e4), st.lists(span_counts, min_size=1, max_size=4))
+    def test_against_mpmath(self, phi, counts):
+        y_plus = np.array(counts, dtype=float)
+        ours = {
+            "lgamma": mnb_model._lgamma_spans(y_plus, phi),
+            "digamma": mnb_model._digamma_spans(y_plus, phi),
+            "trigamma": mnb_model._trigamma_spans(y_plus, phi),
+        }
+        with mpmath.workdps(30):
+            f = mpmath.mpf(phi)
+            for i, n in enumerate(counts):
+                refs = {
+                    "lgamma": mpmath.loggamma(f + n) - mpmath.loggamma(f),
+                    "digamma": mpmath.digamma(f + n) - mpmath.digamma(f),
+                    "trigamma": mpmath.polygamma(1, f + n) - mpmath.polygamma(1, f),
+                }
+                for name, ref in refs.items():
+                    ref = float(ref)
+                    assert abs(ours[name][i] - ref) <= 1e-13 * max(1.0, abs(ref)), (name, n)
+
+    def test_closed_form_only_past_the_table(self):
+        def refuse(x):
+            raise AssertionError("closed form called for a tabulated count")
+
+        y_plus = np.array([0.0, 3.0, float(mnb_model._SUM_TERMS_MAX)])
+        spans = mnb_model._spans(y_plus, 1.5, np.log, refuse)
+        np.testing.assert_allclose(spans, [0.0, math.log(1.5 * 2.5 * 3.5), spans[2]])
 
 
 class TestAgainstClusterLoops:

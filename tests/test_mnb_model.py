@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import polygamma
 from scipy.stats import nbinom
 
@@ -294,6 +295,39 @@ class TestFit:
         msg = str(info.value)
         assert "a" in msg or "a_twice" in msg
         assert info.value.columns
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_collinear_columns_as_pivoted_qr_names_them(self, case):
+        # the dependent columns are those a column-pivoted QR leaves last;
+        # no two dependent columns enter with coefficients of equal size,
+        # whose residuals would tie and leave the pivot to rounding
+        rng = np.random.default_rng(case)
+        n = 12
+        a, b, c = rng.normal(size=(3, n))
+        designs = [
+            [np.ones(n), a, 2.0 * a],
+            [np.ones(n), 3.0 * a, a, b],
+            [a, b, a + 2.0 * b, c],
+            [np.ones(n), a, b, 2.0 + 0.5 * a - 3.0 * b],
+            [a, np.zeros(n), b],
+            [np.ones(n), a, b, c, 4.0 * b - c],
+        ]
+        X = np.column_stack(designs[case])
+        names = tuple(f"c{j}" for j in range(X.shape[1]))
+        ds = make_dataset([rng.poisson(2.0, n)], [X], names=names)
+        _, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(r))
+        rank = int(np.sum(diag > max(X.shape) * np.finfo(float).eps * diag[0]))
+        assert rank < X.shape[1]
+        with pytest.raises(CollinearDesignError) as info:
+            mnb_model._check_design_rank(ds)
+        assert list(info.value.columns) == sorted(names[j] for j in piv[rank:])
+        assert f"rank {rank} < {X.shape[1]}" in str(info.value)
+
+    def test_full_rank_design_passes(self):
+        rng = np.random.default_rng(4)
+        X = np.column_stack([np.ones(9), rng.normal(size=(9, 3))])
+        mnb_model._check_design_rank(make_dataset([rng.poisson(2.0, 9)], [X]))
 
 
 class TestDeviance:

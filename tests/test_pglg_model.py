@@ -55,6 +55,28 @@ class TestParams:
         assert p.lam == 0.0
 
 
+class TestOrderLimit:
+    def test_order_above_half_the_largest_rule_rejected(self):
+        PglgFitOptions(order=100)
+        with pytest.raises(DomainError, match="at most 100"):
+            PglgFitOptions(order=101)
+
+    @pytest.mark.parametrize("order", [1, 40, 73, 100])
+    def test_check_uses_exactly_twice_the_order(self, order, monkeypatch):
+        asked = []
+
+        def spy(n):
+            asked.append(n)
+            return gauss_hermite(n)
+
+        monkeypatch.setattr(pglg_model, "gauss_hermite", spy)
+        c = ClusterData(id="c0", y=np.array([1, 0, 2]), X=np.ones((3, 1)), offset=np.zeros(3))
+        ds = Dataset(clusters=(c,), column_names=("(intercept)",))
+        params = PglgParams(beta=np.array([0.1]), sigma=0.5, lam=0.3)
+        pglg_model._order_adequate(ds, params, 0.0, PglgFitOptions(order=order))
+        assert asked == [2 * order]
+
+
 class TestClusterLogMarginal:
     def test_tied_zero_count_hand_value(self):
         # sigma = lam = 1 is exponential mixing: P(Y=0) = 1/(1+mu) = 1/2.
@@ -431,14 +453,15 @@ class TestFitConvergence:
     def test_order_check_flags_a_coarse_rule(self):
         # strongly right-skewed intercepts: at order 40 the score test
         # passes but the likelihood moves at order 80, so the fit is not
-        # reported converged; order 160 is fine enough
+        # reported converged; order 100, checked against order 200, is
+        # fine enough
         truth = PglgParams(beta=np.array([1.0, -0.3]), sigma=0.35, lam=-2.0)
         d = SimDesign(n_clusters=300, cluster_sizes=3, x_builder=self.X, seed=9)
         ds = simulate_pglg(d, truth)
         coarse = pglg_model.fit(ds, options=PglgFitOptions(order=40))
         assert coarse.trace[-1].max_grad < PglgFitOptions().gtol
         assert not coarse.converged
-        fine = pglg_model.fit(ds, options=PglgFitOptions(order=160))
+        fine = pglg_model.fit(ds, options=PglgFitOptions(order=100))
         assert fine.converged
 
     def test_coarse_rule_still_reaches_the_score_root(self):

@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp, roots_hermite
 
 from glgmix import mnb_model
 from glgmix.data_io import ClusterData
@@ -10,6 +11,8 @@ from glgmix.errors import DomainError
 from glgmix.glg_dist import GlgParams, log_pdf
 from glgmix.mnb_model import MnbParams
 from glgmix.quadrature import (
+    MAX_ORDER,
+    _logsumexp,
     gauss_hermite,
     log_integrate_adaptive_batch,
     posterior_mean_batch,
@@ -73,6 +76,56 @@ class TestRuleConstruction:
         rule = gauss_hermite(5)
         with pytest.raises(ValueError):
             rule.nodes[0] = 0.0
+
+    def test_built_once_per_order(self):
+        assert gauss_hermite(37) is gauss_hermite(37)
+        assert gauss_hermite(37) is not gauss_hermite(38)
+
+    def test_matches_scipy_rules(self):
+        # SciPy's own log weights at the outermost nodes of orders 50-150
+        # are off by up to 3e-12 (see test_outer_log_weights_against_mpmath),
+        # so log weights are compared relative to their size
+        for order in range(1, MAX_ORDER + 1):
+            rule = gauss_hermite(order)
+            nodes, weights = roots_hermite(order)
+            np.testing.assert_allclose(rule.nodes, nodes, rtol=0, atol=1e-13)
+            log_w = np.log(weights)
+            assert np.all(np.abs(np.log(rule.weights) - log_w) <= 1e-13 * np.maximum(1.0, np.abs(log_w)))
+
+    @pytest.mark.parametrize("order, i", [(58, 0), (147, 3), (150, 0), (200, 0), (200, 5)])
+    def test_outer_log_weights_against_mpmath(self, order, i):
+        # w = 2^(n-1) n! sqrt(pi) / (n H_(n-1)(x))^2 at the root x of H_n
+        rule = gauss_hermite(order)
+        with mpmath.workdps(60):
+            x = mpmath.mpf(rule.nodes[i])
+            for _ in range(5):
+                x -= mpmath.hermite(order, x) / (2 * order * mpmath.hermite(order - 1, x))
+            log_w = ((order - 1) * mpmath.log(2) + mpmath.loggamma(order + 1)
+                     + 0.5 * mpmath.log(mpmath.pi)
+                     - 2 * mpmath.log(order * abs(mpmath.hermite(order - 1, x))))
+            assert abs(rule.nodes[i] - float(x)) <= 1e-13
+            assert abs(math.log(rule.weights[i]) - float(log_w)) <= 1e-12
+
+
+class TestLogSumExp:
+    def test_matches_scipy_on_finite_rows(self):
+        terms = np.random.default_rng(3).normal(scale=300.0, size=(7, 40))
+        np.testing.assert_allclose(_logsumexp(terms), logsumexp(terms, axis=1), rtol=1e-15)
+
+    def test_edge_rows(self):
+        inf, nan = np.inf, np.nan
+        terms = np.array([
+            [-inf, -inf, -inf],
+            [0.0, inf, -inf],
+            [0.0, nan, 1.0],
+            [-inf, 2.0, -inf],
+        ])
+        with np.errstate(all="raise"):
+            out = _logsumexp(terms)
+        assert out[0] == -inf
+        assert out[1] == inf
+        assert math.isnan(out[2])
+        assert out[3] == 2.0
 
 
 class TestAdaptiveIntegration:
