@@ -22,7 +22,7 @@ from .errors import (
     NonPsdWeightWarning,
 )
 from .glg_dist import GlgParams
-from .mnb_model import MnbFitOptions, MnbParams, ResidualReport
+from .mnb_model import MnbParams, ResidualReport
 from .pglg_model import PglgFitOptions, PglgParams
 from .quadrature import QuadratureRule, gauss_hermite
 from .results import FitResult, TraceRecord
@@ -43,7 +43,6 @@ __all__ = [
     "GlgParams",
     "GlgmixError",
     "LeverageError",
-    "MnbFitOptions",
     "MnbParams",
     "ModeSearchError",
     "ModelSpec",

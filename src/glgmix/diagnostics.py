@@ -20,8 +20,7 @@ from .errors import (
     GlgmixError,
     NegativeDevianceWarning,
 )
-from .mnb_model import MnbParams
-from .mnb_model import fit as mnb_fit
+from .mnb_model import _maximise as mnb_maximise
 from .mnb_model import residuals as mnb_residuals
 from .simulate import resample_mnb
 
@@ -82,10 +81,9 @@ def _one_replicate(dataset, params, which, seed_seq):
     rng = np.random.default_rng(seed_seq)
     sim = resample_mnb(dataset, params, rng)
     try:
-        refit = mnb_fit(sim, init=params)
-        if not refit.converged:
+        pars, _, converged, _ = mnb_maximise(sim, init=params)
+        if not converged:
             return None
-        pars = MnbParams(beta=refit.estimates[:-1], phi=refit.estimates[-1])
         report = mnb_residuals(sim, pars)
     except (GlgmixError, np.linalg.LinAlgError):
         return None

@@ -3,9 +3,10 @@
 A cluster's counts are independent Poisson draws around a shared gamma
 frailty with shape = rate = phi, so the joint pmf is available in closed
 form with means mu_ij = exp(x_ij' beta + offset_ij), Var(y_ij) = mu_ij +
-mu_ij^2/phi and Cov(y_ij, y_ij') = mu_ij mu_ij'/phi.  Score and Fisher
-information are analytic and block-diagonal in (beta, phi), so the fit
-alternates Fisher scoring on beta with Newton steps on phi.
+mu_ij^2/phi and Cov(y_ij, y_ij') = mu_ij mu_ij'/phi.  Score, observed
+and Fisher information are analytic; the fit is the damped Newton ascent
+that the PGLG fit also uses, jointly in (beta, log phi) on the exact
+observed information.
 
 Every dataset-wide quantity is an array kernel on the flat
 :class:`~glgmix.data_io.Dataset`: the cluster totals it needs (y+, mu+,
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._newton import maximise
 from ._special import digamma, trigamma
 from .errors import (
     CollinearDesignError,
@@ -35,7 +37,7 @@ from .errors import (
     NegativeDevianceWarning,
     NonPsdWeightWarning,
 )
-from .results import FitResult, TraceRecord
+from .results import FitResult
 
 # Explicit finite sums switch to differences of log-gamma, digamma or
 # trigamma past this many terms; the two forms agree to float precision
@@ -46,6 +48,11 @@ _SUM_TERMS_MAX = 10_000
 _KPHI_TAIL = 1e-12
 _KPHI_MAX_TERMS = 10 ** 6
 _KPHI_BLOCK = 64  # terms per vectorised step; divides _KPHI_MAX_TERMS
+
+# The fit stops once max(|U_beta|_inf, |U_phi|) is below _SCORE_TOL, in
+# the natural units of phi, or after _MAX_ITER Newton steps.
+_SCORE_TOL = 1e-6
+_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -131,8 +138,11 @@ def _means(dataset, beta):
 
 def log_likelihood(dataset, params):
     """Sum of cluster log pmfs (:func:`log_pmf`), from per-cluster sums."""
-    mu, mu_plus, y, y_plus = _means(dataset, params.beta)
-    phi = params.phi
+    return _log_likelihood(dataset, params.phi, _means(dataset, params.beta))
+
+
+def _log_likelihood(dataset, phi, sums):
+    mu, mu_plus, y, y_plus = sums
     per_cluster = (
         _lgamma_spans(y_plus, phi)
         - dataset.log_y_factorials
@@ -186,6 +196,25 @@ def _phi_scores(y_plus, mu_plus, phi):
     )
 
 
+def _phi_curvatures(y_plus, mu_plus, phi):
+    """Per-cluster contributions to d U_phi / d phi."""
+    return (
+        _trigamma_spans(y_plus, phi)
+        + 1.0 / phi
+        - 1.0 / (phi + mu_plus)
+        - (mu_plus - y_plus) / (phi + mu_plus) ** 2
+    )
+
+
+def _scores(dataset, phi, sums):
+    """The weights a_i = (phi + y+_i)/(phi + mu+_i), U_beta and U_phi,
+    from the output of :func:`_means`."""
+    mu, mu_plus, y, y_plus = sums
+    a = (phi + y_plus) / (phi + mu_plus)
+    u_beta = dataset.X.T @ (y - dataset.per_obs(a) * mu)
+    return a, u_beta, float(np.sum(_phi_scores(y_plus, mu_plus, phi)))
+
+
 def _k_phi(mu_plus, phi):
     # sum over clusters of sum_{j>=0} (j + phi)^-2 P(Y+ >= j + 1)
     # - mu+/(phi (mu+ + phi)), with Y+ negative binomial of mean mu+ and
@@ -232,22 +261,19 @@ def _info_beta(dataset, mu, mu_plus, phi, weights=None):
     return (X.T * mu) @ X - (xm.T * shrink) @ xm
 
 
-def _sweep(dataset, params, want_k_phi=True):
-    """Score and information from per-cluster sums, all clusters at once."""
-    phi = params.phi
-    mu, mu_plus, y, y_plus = _means(dataset, params.beta)
-    a = (phi + y_plus) / (phi + mu_plus)
-    return ScoreInfo(
-        u_beta=dataset.X.T @ (y - dataset.per_obs(a) * mu),
-        u_phi=float(np.sum(_phi_scores(y_plus, mu_plus, phi))),
-        k_beta=_info_beta(dataset, mu, mu_plus, phi),
-        k_phi=_k_phi(mu_plus, phi) if want_k_phi else 0.0,
-    )
-
-
 def score(dataset, params):
-    """Analytic score and expected (Fisher) information, from one sweep."""
-    return _sweep(dataset, params)
+    """Analytic score and expected (Fisher) information from per-cluster
+    sums, all clusters at once."""
+    phi = params.phi
+    sums = _means(dataset, params.beta)
+    _, u_beta, u_phi = _scores(dataset, phi, sums)
+    mu, mu_plus = sums[:2]
+    return ScoreInfo(
+        u_beta=u_beta,
+        u_phi=u_phi,
+        k_beta=_info_beta(dataset, mu, mu_plus, phi),
+        k_phi=_k_phi(mu_plus, phi),
+    )
 
 
 def observed_info_beta(dataset, params):
@@ -262,16 +288,9 @@ def observed_info_beta(dataset, params):
 
 
 def phi_curvature(dataset, params):
-    """d U_phi / d phi (the Newton denominator for the dispersion)."""
-    phi = params.phi
+    """d U_phi / d phi, the dispersion's own curvature."""
     _, mu_plus, _, y_plus = _means(dataset, params.beta)
-    per_cluster = (
-        _trigamma_spans(y_plus, phi)
-        + 1.0 / phi
-        - 1.0 / (phi + mu_plus)
-        - (mu_plus - y_plus) / (phi + mu_plus) ** 2
-    )
-    return float(per_cluster.sum())
+    return float(_phi_curvatures(y_plus, mu_plus, params.phi).sum())
 
 
 def intraclass_corr(mu_j, mu_k, phi):
@@ -284,33 +303,19 @@ def intraclass_corr(mu_j, mu_k, phi):
 def _check_design_rank(dataset):
     """Raise CollinearDesignError naming the dependent columns, if any.
 
-    Column-pivoted Gram-Schmidt, each projection done twice: at every step
-    the remaining column with the largest residual norm joins the basis,
-    until that norm is at most max(n, p) * eps times the largest column
-    norm.  The columns left over are the dependent ones, as in a pivoted
-    QR decomposition.
+    The rank counts singular values above max(n, p) * eps times the
+    largest.  Named is every column whose row of the null-space basis (the
+    right singular vectors past the rank) has a norm above sqrt(eps); that
+    norm is basis-free, the root of a diagonal of the null-space projector.
     """
     X = dataset.X
-    resid = X.copy()
-    left = list(range(X.shape[1]))
-    tol = None
-    while left:
-        rest = resid[:, left]
-        norms = np.sqrt((rest * rest).sum(axis=0))
-        k = int(norms.argmax())
-        if tol is None:
-            tol = max(X.shape) * np.finfo(float).eps * norms[k]
-        if not norms[k] > tol:
-            break
-        q = resid[:, left.pop(k)] / norms[k]
-        if left:
-            rest = resid[:, left]
-            for _ in range(2):  # a second pass restores orthogonality lost to rounding
-                rest -= q[:, None] * (q @ rest)
-            resid[:, left] = rest
-    if left:
-        rank = X.shape[1] - len(left)
-        bad = sorted(dataset.column_names[j] for j in left)
+    # all p right singular vectors; U stays n x min(n, p)
+    _, s, vt = np.linalg.svd(X, full_matrices=X.shape[0] < X.shape[1])
+    eps = np.finfo(float).eps
+    rank = int(np.sum(s > max(X.shape) * eps * s[0]))
+    if rank < X.shape[1]:
+        involved = np.linalg.norm(vt[rank:], axis=0) > math.sqrt(eps)
+        bad = sorted(name for name, hit in zip(dataset.column_names, involved) if hit)
         raise CollinearDesignError(
             f"design is rank deficient (rank {rank} < {X.shape[1]}); "
             f"columns involved: {bad}",
@@ -358,28 +363,70 @@ def _moment_start_phi(dataset, beta):
     return max(0.1, float(np.mean(mus ** 2)) / excess)
 
 
-@dataclass(frozen=True)
-class MnbFitOptions:
-    """Controls for the alternating Fisher-scoring/Newton loop."""
+def _objective(dataset):
+    """(loglik, score, hessian) over theta = (beta, log phi) from one
+    :func:`_means` pass, or None where any of them is not finite.
 
-    max_iter: int = 100
-    score_tol: float = 1e-6
-    max_halvings: int = 50
+    The score is (U_beta, phi U_phi).  The Hessian is minus the exact
+    observed information: the beta block is :func:`_info_beta` with
+    weights a_i, the cross block is -phi X'(per_obs((mu+ - y+)/(phi +
+    mu+)^2) mu), and the log phi entry is phi^2 dU_phi/dphi + phi U_phi.
+    """
+    X, p = dataset.X, dataset.p
+
+    def evaluate(theta):
+        with np.errstate(all="ignore"):  # non-finite values return None below
+            phi = float(np.exp(theta[p]))
+            if phi == 0.0:  # phi log phi below would raise
+                return None
+            sums = _means(dataset, theta[:p])
+            mu, mu_plus, _, y_plus = sums
+            loglik = _log_likelihood(dataset, phi, sums)
+            a, u_beta, u_phi = _scores(dataset, phi, sums)
+            beta_beta = _info_beta(dataset, mu, mu_plus, phi, weights=a)
+            cross = -phi * (X.T @ (dataset.per_obs((mu_plus - y_plus) / (phi + mu_plus) ** 2) * mu))
+            curv = float(_phi_curvatures(y_plus, mu_plus, phi).sum())
+        hess = np.empty((p + 1, p + 1))
+        hess[:p, :p] = -0.5 * (beta_beta + beta_beta.T)  # exactly symmetric
+        hess[:p, p] = hess[p, :p] = cross
+        hess[p, p] = phi * phi * curv + phi * u_phi
+        score = np.append(u_beta, phi * u_phi)
+        if not (math.isfinite(loglik) and np.all(np.isfinite(score)) and np.all(np.isfinite(hess))):
+            return None
+        return loglik, score, hess
+
+    return evaluate
 
 
-# Once the score is this small the iterate is inside the quadratic basin
-# and a full step is accepted without the (float-resolution-limited)
-# likelihood-increase check.
-_BASIN_SCORE = 1e-4
+def _natural_size(theta, score):
+    # max(|U_beta|_inf, |U_phi|), U_phi back in the natural units of phi
+    return max(float(np.max(np.abs(score[:-1]))), abs(score[-1]) / float(np.exp(theta[-1])))
 
 
-def fit(dataset, init=None, options=None):
-    """Maximum likelihood via alternating Fisher scoring on beta and
-    Newton steps on phi, with step-halving.
+def _maximise(dataset, init=None):
+    """(estimate, loglik, converged, trace) of the shared damped Newton in
+    (beta, log phi), from ``init`` or the independence Poisson fit with a
+    moment estimate of phi."""
+    _check_design_rank(dataset)
+    if init is None:
+        beta = _poisson_irls(dataset)
+        init = MnbParams(beta=beta, phi=_moment_start_phi(dataset, beta))
+    theta = np.append(init.beta, math.log(init.phi))
+    found = maximise(_objective(dataset), theta, _SCORE_TOL, _MAX_ITER, _natural_size)
+    if found is None:
+        raise DomainError("MNB log-likelihood, score or information not finite at the start")
+    theta, (loglik, _, _), max_score, trace = found
+    params = MnbParams(beta=theta[:-1], phi=float(np.exp(theta[-1])))
+    return params, loglik, max_score < _SCORE_TOL, trace
 
-    Convergence is declared when max(|U_beta|_inf, |U_phi|) drops below
-    ``options.score_tol``.  Standard errors come from the inverse Fisher
-    information blocks at the optimum.  Non-convergence returns the last
+
+def fit(dataset, init=None):
+    """Maximum likelihood by damped Newton in (beta, log phi) on the exact
+    observed information, as in the PGLG fit.
+
+    Converged means max(|U_beta|_inf, |U_phi|) < 1e-6, with U_phi in the
+    natural units of phi.  Standard errors come from the inverse Fisher
+    information blocks at the estimate.  Non-convergence returns the last
     iterate flagged, it does not raise.
 
     Raises
@@ -387,98 +434,18 @@ def fit(dataset, init=None, options=None):
     CollinearDesignError
         When the stacked design is rank deficient (names the columns).
     """
-    options = options or MnbFitOptions()
-    _check_design_rank(dataset)
-
-    if init is not None:
-        beta, phi = init.beta.copy(), init.phi
-    else:
-        beta = _poisson_irls(dataset)
-        phi = _moment_start_phi(dataset, beta)
-
-    params = MnbParams(beta=beta, phi=phi)
-    loglik = log_likelihood(dataset, params)
-    trace = []
-    converged = False
-    n_iter = 0
-
-    for r in range(options.max_iter):
-        info = _sweep(dataset, params, want_k_phi=False)
-        max_score = max(float(np.max(np.abs(info.u_beta))), abs(info.u_phi))
-        trace.append(TraceRecord(iteration=r, loglik=loglik, max_grad=max_score))
-        if max_score < options.score_tol:
-            converged = True
-            break
-        n_iter = r + 1
-
-        # Fisher scoring step on beta, judged against the beta score only.
-        try:
-            direction = np.linalg.solve(info.k_beta, info.u_beta)
-        except np.linalg.LinAlgError:
-            break
-        accepted, params, loglik = _try_step(
-            dataset, params, loglik, direction, 0.0,
-            float(np.max(np.abs(info.u_beta))), options,
-        )
-        if not accepted:
-            break
-
-        # Newton step on phi at the updated beta.
-        _, mu_plus, _, y_plus = _means(dataset, params.beta)
-        u_phi = float(np.sum(_phi_scores(y_plus, mu_plus, params.phi)))
-        curv = phi_curvature(dataset, params)
-        if curv < 0:
-            dphi = -u_phi / curv
-        else:
-            # Not locally concave in phi: bounded uphill move.
-            dphi = math.copysign(0.5 * params.phi, u_phi)
-        accepted, params, loglik = _try_step(
-            dataset, params, loglik, np.zeros_like(params.beta), dphi,
-            abs(u_phi), options,
-        )
-        if not accepted:
-            break
-    else:
-        r = options.max_iter  # loop exhausted
-        info = _sweep(dataset, params, want_k_phi=False)
-        max_score = max(float(np.max(np.abs(info.u_beta))), abs(info.u_phi))
-        trace.append(TraceRecord(iteration=r, loglik=loglik, max_grad=max_score))
-
-    final = _sweep(dataset, params)
-    std_errors = _standard_errors(final)
+    params, loglik, converged, trace = _maximise(dataset, init)
     return FitResult(
         model="mnb",
         names=(*dataset.column_names, "phi"),
         estimates=np.append(params.beta, params.phi),
-        std_errors=std_errors,
+        std_errors=_standard_errors(score(dataset, params)),
         loglik=loglik,
-        n_iterations=n_iter,
+        n_iterations=len(trace) - 1,
         converged=converged,
         trace=tuple(trace),
         z_defined=(True,) * dataset.p + (False,),
     )
-
-
-def _try_step(dataset, params, loglik, dbeta, dphi, score, options):
-    """Apply one step with halving until the likelihood does not drop.
-
-    ``score`` is the gradient magnitude for the block being moved.  Inside
-    its quadratic basin (score below _BASIN_SCORE) the improvement can be
-    below float resolution of the log-likelihood, so the full step is
-    taken on trust there.
-    """
-    scale = 1.0
-    for _ in range(options.max_halvings + 1):
-        phi_new = params.phi + scale * dphi
-        if phi_new <= 0:
-            scale *= 0.5
-            continue
-        candidate = MnbParams(beta=params.beta + scale * dbeta, phi=phi_new)
-        loglik_new = log_likelihood(dataset, candidate)
-        if np.isfinite(loglik_new) and (loglik_new > loglik or score < _BASIN_SCORE):
-            return True, candidate, loglik_new
-        scale *= 0.5
-    return False, params, loglik
 
 
 def _standard_errors(info):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import glg_dist
+from ._newton import maximise
 from .data_io import Dataset
 from .errors import DomainError, ModeSearchError
 from .glg_dist import GlgParams
@@ -35,7 +36,7 @@ from .quadrature import (
     log_integrate_adaptive_batch,
     posterior_mean_batch,
 )
-from .results import FitResult, TraceRecord
+from .results import FitResult
 
 
 @dataclass(frozen=True)
@@ -170,12 +171,6 @@ class PglgFitOptions:
             )
 
 
-_MAX_STEP = 1.0  # largest move of any coordinate in one Newton step
-_MAX_HALVINGS = 40
-# Below this max |score| quadrature noise can outweigh the objective's
-# true rise, so a Newton step from or to such a point is taken without
-# the ascent check.
-_UNCHECKED_SCORE = 1e-3
 _ORDER_TOL_PER_CLUSTER = 1e-6  # log-likelihood change allowed at twice the order
 
 
@@ -283,15 +278,6 @@ class _Objective:
         return float((values + c).sum()), score, hess
 
 
-def _newton_step(hess, score):
-    """Ascent step ``|H|^-1 score``, every eigenvalue of the Hessian taken
-    by absolute value, shrunk so that no coordinate moves more than
-    ``_MAX_STEP``."""
-    evals, evecs = np.linalg.eigh(hess)
-    step = evecs @ ((evecs.T @ score) / np.abs(evals))
-    return step / max(1.0, np.max(np.abs(step)) / _MAX_STEP)
-
-
 def _order_adequate(dataset, params, loglik, options):
     """Whether the log-likelihood at twice the order agrees within
     ``_ORDER_TOL_PER_CLUSTER`` per cluster."""
@@ -305,10 +291,10 @@ def _order_adequate(dataset, params, loglik, options):
 def fit(dataset, init=None, options=None):
     """Maximize the marginal likelihood over (beta, log sigma, lam).
 
-    Damped Newton on the exact score, with Louis' observed information
-    as the Hessian.  A step is halved until the log-likelihood does not
-    fall, unless max |score| is below 1e-3 before or after it; each step
-    costs one batch of quadrature nodes, plus one per halving.  Converged
+    The damped Newton ascent shared with the MNB fit, on the exact score
+    with Louis' observed information as the Hessian.  A step is halved
+    until the log-likelihood does not fall, unless max |score| is below
+    1e-3 before or after it; each try costs one batch of nodes.  Converged
     means max |score| < ``gtol`` and a log-likelihood that moves by at
     most 1e-6 per cluster at twice the quadrature order.  Standard errors
     invert the same Hessian at the estimate.  Defaults start beta at the
@@ -327,30 +313,13 @@ def fit(dataset, init=None, options=None):
         theta = np.append(theta, start.lam)
 
     objective = _Objective(dataset, options)
-    current = objective(theta)
-    if current is None:  # raises, naming the clusters, when a mode search is the cause
+    found = maximise(objective, theta, options.gtol, options.max_iter)
+    if found is None:  # raises, naming the clusters, when a mode search is the cause
         log_likelihood(dataset, objective.to_params(theta), objective.rule)
         raise ModeSearchError(
             "log-likelihood, score or information not finite at the start", last_iterate=None
         )
-    loglik, score, hess = current
-    max_score = float(np.max(np.abs(score)))
-    trace = [TraceRecord(iteration=0, loglik=loglik, max_grad=max_score)]
-    while max_score >= options.gtol and len(trace) <= options.max_iter:
-        step = _newton_step(hess, score)
-        for _ in range(_MAX_HALVINGS):
-            trial = objective(theta + step)
-            if trial is not None and (
-                min(max_score, np.max(np.abs(trial[1]))) < _UNCHECKED_SCORE or trial[0] >= loglik
-            ):
-                break
-            step = 0.5 * step
-        else:
-            break
-        theta = theta + step
-        loglik, score, hess = trial
-        max_score = float(np.max(np.abs(score)))
-        trace.append(TraceRecord(iteration=len(trace), loglik=loglik, max_grad=max_score))
+    theta, (loglik, _, hess), max_score, trace = found
 
     params_hat = objective.to_params(theta)
     converged = max_score < options.gtol and _order_adequate(dataset, params_hat, loglik, options)

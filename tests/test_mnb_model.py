@@ -7,15 +7,15 @@ import scipy.linalg
 from scipy.special import polygamma
 from scipy.stats import nbinom
 
-from glgmix import mnb_model
-from glgmix.data_io import ClusterData, Dataset
+from glgmix import _newton, mnb_model
+from glgmix.data_io import ClusterData, Dataset, ungroup
 from glgmix.errors import (
     CollinearDesignError,
     DomainError,
     LeverageError,
     NegativeDevianceWarning,
 )
-from glgmix.mnb_model import MnbFitOptions, MnbParams
+from glgmix.mnb_model import MnbParams
 from glgmix.simulate import SimDesign, simulate_mnb
 
 
@@ -202,6 +202,80 @@ class TestScoreAndInformation:
         assert np.all(np.abs(mean) < 4 * se)
 
 
+def law_dataset(seed, phi, n_clusters=300, beta=(0.8, -0.4)):
+    """Clusters of 3 at x = -1, 0, 1 around gamma(phi, 1/phi) frailties."""
+    X = np.array([[1.0, -1.0], [1.0, 0.0], [1.0, 1.0]])
+    rng = np.random.default_rng(seed)
+    w = rng.gamma(phi, 1.0 / phi, size=n_clusters)
+    y = rng.poisson(np.exp(X @ np.asarray(beta))[None, :] * w[:, None])
+    return make_dataset(list(y), [X] * n_clusters, names=("(intercept)", "x"))
+
+
+class TestJointObjective:
+    """The fit's objective over theta = (beta, log phi)."""
+
+    @pytest.mark.parametrize("grouped", [True, False])
+    @pytest.mark.parametrize("dataset", ["small", "law"])
+    def test_hessian_is_the_jacobian_of_the_score(self, grouped, dataset):
+        ds = small_dataset() if dataset == "small" else law_dataset([5, 1], 0.7, 60)
+        ds = ds if grouped else ungroup(ds)
+        objective = mnb_model._objective(ds)
+        theta = np.array([0.3, -0.7, math.log(0.6)])  # far from the optimum
+        loglik, score, hess = objective(theta)
+        assert np.array_equal(hess, hess.T)
+        h = 1e-5
+        numeric = np.empty_like(hess)
+        for k in range(theta.size):
+            step = np.zeros(theta.size)
+            step[k] = h
+            numeric[:, k] = (objective(theta + step)[1] - objective(theta - step)[1]) / (2 * h)
+        assert np.max(np.abs(hess - numeric)) < 1e-6 * np.max(np.abs(hess))
+        assert np.max(np.abs(hess[:2, 2])) > 1e-3 * np.max(np.abs(hess))  # cross block in play
+
+    def test_blocks_match_the_public_kernels(self):
+        ds = small_dataset()
+        theta = np.array([0.3, -0.7, math.log(0.6)])
+        loglik, score, hess = mnb_model._objective(ds)(theta)
+        params = MnbParams(beta=theta[:2], phi=math.exp(theta[2]))
+        phi = params.phi
+        info = mnb_model.score(ds, params)
+        assert loglik == mnb_model.log_likelihood(ds, params)
+        np.testing.assert_array_equal(score, np.append(info.u_beta, phi * info.u_phi))
+        obs = mnb_model.observed_info_beta(ds, params)
+        # equal up to the symmetrisation's rounding
+        assert np.max(np.abs(-hess[:2, :2] - obs)) < 1e-14 * np.max(np.abs(obs))
+        curv = mnb_model.phi_curvature(ds, params)
+        assert hess[2, 2] == phi * phi * curv + phi * info.u_phi
+
+    def test_unavailable_points_give_none(self):
+        objective = mnb_model._objective(small_dataset())
+        assert objective(np.array([0.0, 0.0, 800.0])) is None  # phi overflows
+        assert objective(np.array([0.0, 0.0, -800.0])) is None  # phi underflows to 0
+        assert objective(np.array([800.0, 0.0, 0.0])) is None  # means overflow
+
+    def test_start_where_the_means_overflow_raises(self):
+        X = np.column_stack([np.ones(3), [-1.0, 0.0, 1.0]])
+        ds = make_dataset([[1, 2, 3]] * 4, [X] * 4, offsets=[np.full(3, 750.0)] * 4)
+        with pytest.raises(DomainError, match="not finite at the start"):
+            mnb_model.fit(ds, init=MnbParams(beta=np.zeros(2), phi=1.0))
+
+    def test_stop_rule_is_the_natural_score(self):
+        # at this seed the log phi score phi U_phi drops below 1e-6 one
+        # step before U_phi itself does, at phi-hat = 0.33
+        ds = law_dataset([99, 2], 0.3)
+        res = mnb_model.fit(ds)
+        assert res.converged
+        info = mnb_model.score(ds, MnbParams(beta=res.estimates[:-1], phi=res.estimates[-1]))
+        assert max(np.max(np.abs(info.u_beta)), abs(info.u_phi)) < 1e-6
+        assert res.trace[-1].max_grad < 1e-6
+
+        start = mnb_model._poisson_irls(ds)
+        theta = np.append(start, math.log(mnb_model._moment_start_phi(ds, start)))
+        theta_log = _newton.maximise(mnb_model._objective(ds), theta, 1e-6, 100)[0]
+        at_log = MnbParams(beta=theta_log[:-1], phi=math.exp(theta_log[-1]))
+        assert abs(mnb_model.score(ds, at_log).u_phi) >= 1e-6
+
+
 class TestIntraclassCorr:
     def test_value(self):
         got = mnb_model.intraclass_corr(0.7, 1.2, 1.5)
@@ -296,11 +370,16 @@ class TestFit:
         assert "a" in msg or "a_twice" in msg
         assert info.value.columns
 
+    @staticmethod
+    def _null_space_columns(X):
+        # SciPy's null space uses the same rank tolerance, max(n, p) eps s_0
+        null = scipy.linalg.null_space(X)
+        return X.shape[1] - null.shape[1], np.flatnonzero(np.abs(null).max(axis=1) > 1e-8)
+
     @pytest.mark.parametrize("case", range(6))
     def test_collinear_columns_as_pivoted_qr_names_them(self, case):
-        # the dependent columns are those a column-pivoted QR leaves last;
-        # no two dependent columns enter with coefficients of equal size,
-        # whose residuals would tie and leave the pivot to rounding
+        # every column with a non-zero entry in the null space of X is
+        # named, not only the ones a pivoted QR would leave last
         rng = np.random.default_rng(case)
         n = 12
         a, b, c = rng.normal(size=(3, n))
@@ -315,14 +394,37 @@ class TestFit:
         X = np.column_stack(designs[case])
         names = tuple(f"c{j}" for j in range(X.shape[1]))
         ds = make_dataset([rng.poisson(2.0, n)], [X], names=names)
-        _, r, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(r))
-        rank = int(np.sum(diag > max(X.shape) * np.finfo(float).eps * diag[0]))
+        rank, involved = self._null_space_columns(X)
         assert rank < X.shape[1]
         with pytest.raises(CollinearDesignError) as info:
             mnb_model._check_design_rank(ds)
-        assert list(info.value.columns) == sorted(names[j] for j in piv[rank:])
+        assert list(info.value.columns) == sorted(names[j] for j in involved)
         assert f"rank {rank} < {X.shape[1]}" in str(info.value)
+
+    def test_whole_dependency_named_when_coefficients_tie(self):
+        # b and the last column enter the dependency with coefficients of
+        # equal size, which left a pivoted QR to name one of them by rounding
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(2, 12))
+        X = np.column_stack([np.ones(12), a, b, 1.0 + 0.5 * a - b])
+        names = ("one", "a", "b", "mix")
+        ds = make_dataset([rng.poisson(2.0, 12)], [X], names=names)
+        with pytest.raises(CollinearDesignError) as info:
+            mnb_model._check_design_rank(ds)
+        assert sorted(info.value.columns) == sorted(names)
+        assert list(self._null_space_columns(X)[1]) == [0, 1, 2, 3]
+        assert "rank 3 < 4" in str(info.value)
+
+    def test_wide_design_names_the_free_columns(self):
+        # fewer rows than columns: the null space has p - n dimensions or more
+        rng = np.random.default_rng(3)
+        X = np.column_stack([np.ones(3), rng.normal(size=(3, 4))])
+        ds = make_dataset([rng.poisson(2.0, 3)], [X])
+        with pytest.raises(CollinearDesignError) as info:
+            mnb_model._check_design_rank(ds)
+        rank, involved = self._null_space_columns(X)
+        assert rank == 3
+        assert list(info.value.columns) == sorted(ds.column_names[j] for j in involved)
 
     def test_full_rank_design_passes(self):
         rng = np.random.default_rng(4)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import digamma, gammaln
 
 from glgmix import glg_dist, mnb_model, pglg_model
@@ -10,7 +12,7 @@ from glgmix.errors import CollinearDesignError, DomainError, ModeSearchError
 from glgmix.glg_dist import GlgParams
 from glgmix.mnb_model import MnbParams
 from glgmix.pglg_model import PglgFitOptions, PglgParams
-from glgmix.quadrature import gauss_hermite
+from glgmix.quadrature import DEFAULT_ORDER, gauss_hermite
 from glgmix.simulate import SimDesign, simulate_pglg
 
 
@@ -161,6 +163,43 @@ class TestLogLikelihood:
             if pglg_model.log_likelihood(ds, truth) > pglg_model.log_likelihood(ds, wrong):
                 wins += 1
         assert wins >= 18
+
+
+@st.composite
+def tied_cases(draw):
+    """Small datasets of 1-5 clusters of 1-4 counts, with sigma = lam > 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    clusters = []
+    for i in range(int(rng.integers(1, 6))):
+        m = int(rng.integers(1, 5))
+        X = np.column_stack([np.ones(m), rng.uniform(-1.0, 1.0, m)])
+        clusters.append(one_cluster(rng.integers(0, 25, m), X, rng.normal(scale=0.3, size=m), f"c{i}"))
+    lam = draw(st.floats(0.05, 1.5))
+    beta = np.array([draw(st.floats(-2.0, 2.0)), draw(st.floats(-1.0, 1.0))])
+    return wrap(clusters, ("a", "b")), beta, lam
+
+
+class TestTiedMatchesMnb:
+    """sigma = lam > 0 is the closed-form MNB with phi = lam^-2."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_cases())
+    def test_log_likelihood_at_random_parameters(self, case):
+        # Gauss-Hermite error falls geometrically with the order on these
+        # smooth integrands, so whenever doubling the order at least halves
+        # the error, |l_n - l| <= |l_n - l_2n| + |l_2n - l| gives
+        # |l_n - l| <= 2 |l_n - l_2n|; 1e-10 per cluster covers rounding.
+        # Order 2n itself stays within 5e-5 per cluster (the worst seen over
+        # the corners of this range is 7.3e-6, at lam = 1.5), so the two
+        # rules cannot agree on a wrong value
+        ds, beta, lam = case
+        tied = PglgParams(beta=beta, sigma=lam, lam=lam)
+        n = DEFAULT_ORDER
+        coarse = pglg_model.log_likelihood(ds, tied, gauss_hermite(n))
+        fine = pglg_model.log_likelihood(ds, tied, gauss_hermite(2 * n))
+        exact = mnb_model.log_likelihood(ds, MnbParams(beta=beta, phi=lam ** -2))
+        assert abs(coarse - exact) <= 2.0 * abs(coarse - fine) + 1e-10 * ds.n_clusters
+        assert abs(fine - exact) <= 5e-5 * ds.n_clusters
 
 
 class TestPredictRandomEffects:
