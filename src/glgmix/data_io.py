@@ -331,6 +331,22 @@ def _parse_number(text, row, column):
     return value
 
 
+def _convert(fields, convert):
+    """``convert`` mapped over ``fields``: the values before the first field
+    it rejects with ValueError, and that field's index (``len(fields)``
+    when it rejects none)."""
+    try:
+        return list(map(convert, fields)), len(fields)
+    except ValueError:
+        values = []
+        for text in fields:
+            try:
+                values.append(convert(text))
+            except ValueError:
+                break
+        return values, len(values)
+
+
 def read_csv(path, spec):
     """Read a long-format CSV into a :class:`Dataset` under ``spec``.
 
@@ -343,6 +359,9 @@ def read_csv(path, spec):
     EmptyFileError, MissingColumnError, RaggedRowError,
     ResponseValueError, FieldParseError
         Each names the offending row (1-based, header = row 1) and column.
+        The first bad field in file order is reported, the response before
+        the other columns of its row; fields in rows above a ragged row are
+        checked first.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -359,41 +378,59 @@ def read_csv(path, spec):
             raise MissingColumnError(
                 f"column(s) not in header: {missing}", row=1, column=missing[0]
             )
+        rows = list(reader)
+    lines = range(2, len(rows) + 2)
+    if not all(rows):  # blank lines are skipped but keep their line numbers
+        lines = [line for line, row in zip(lines, rows) if row]
+        rows = list(filter(None, rows))
 
-        numeric_cols = [c for c in spec.required_columns()
-                        if c not in (spec.response, spec.cluster)]
-        codes = {}  # cluster id -> position in first-appearance order
-        row_codes, ys, xs, offs = [], [], [], []
-        n_fields = len(header)
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue  # blank line
-            if len(row) != n_fields:
-                raise RaggedRowError(
-                    f"expected {n_fields} fields, got {len(row)}", row=line
-                )
-            y = _parse_count(row[index[spec.response]], line, spec.response)
-            cid = row[index[spec.cluster]].strip()
-            values = {c: _parse_number(row[index[c]], line, c) for c in numeric_cols}
-            xrow = [1.0] if spec.add_intercept else []
-            xrow.extend(values[c] for c in spec.covariates)
-            xrow.extend(values[a] * values[b] for a, b in spec.interactions)
-            row_codes.append(codes.setdefault(cid, len(codes)))
-            ys.append(y)
-            xs.append(xrow)
-            offs.append(values[spec.offset] if spec.offset is not None else 0.0)
-
-    if not ys:
+    # the rows above the first ragged one are parsed column by column
+    n_fields = len(header)
+    n_good = len(rows)
+    if set(map(len, rows)) - {n_fields}:
+        n_good = next(k for k, row in enumerate(rows) if len(row) != n_fields)
+    columns = list(zip(*rows[:n_good])) or [()] * n_fields
+    numeric_cols = [c for c in spec.required_columns() if c not in (spec.response, spec.cluster)]
+    ys, first_bad = _convert(columns[index[spec.response]], int)
+    if first_bad and min(ys) < 0:  # a negative count above the first unparsable one
+        first_bad = next(k for k, value in enumerate(ys) if value < 0)
+    bad = [first_bad]  # each column's first bad field, in the order a row is checked
+    values = {}
+    for c in numeric_cols:
+        numbers, first_bad = _convert(columns[index[c]], float)
+        values[c] = np.array(numbers, dtype=float)
+        finite = np.isfinite(values[c])
+        bad.append(first_bad if finite.all() else int(np.argmin(finite)))
+    k = min(bad)
+    if k < n_good:  # re-parse the first bad field for its error
+        j = bad.index(k)
+        if j == 0:
+            _parse_count(columns[index[spec.response]][k], lines[k], spec.response)
+        else:
+            c = numeric_cols[j - 1]
+            _parse_number(columns[index[c]][k], lines[k], c)
+    if n_good < len(rows):
+        raise RaggedRowError(
+            f"expected {n_fields} fields, got {len(rows[n_good])}", row=lines[n_good]
+        )
+    if not rows:
         raise EmptyFileError("file has a header but no data rows")
 
-    row_codes = np.array(row_codes)
+    cids = list(map(str.strip, columns[index[spec.cluster]]))
+    codes = {cid: code for code, cid in enumerate(dict.fromkeys(cids))}
+    row_codes = np.array(list(map(codes.__getitem__, cids)))
+    xcols = [np.ones(n_good)] if spec.add_intercept else []
+    xcols.extend(values[c] for c in spec.covariates)
+    xcols.extend(values[a] * values[b] for a, b in spec.interactions)
+    X = np.column_stack(xcols) if xcols else np.empty((n_good, 0))
+    offset = values[spec.offset] if spec.offset is not None else np.zeros(n_good)
     order = np.argsort(row_codes, kind="stable")  # group rows, keeping file order
     return Dataset._from_flat(
         ids=codes,
         sizes=np.bincount(row_codes),
         y=np.array(ys, dtype=np.int64)[order],
-        X=np.array(xs, dtype=float)[order],
-        offset=np.array(offs, dtype=float)[order],
+        X=X[order],
+        offset=offset[order],
         column_names=spec.design_names(),
     )
 

@@ -18,7 +18,10 @@ class MomentExistenceError(GlgmixError, ValueError):
 
 
 class ModeSearchError(GlgmixError, RuntimeError):
-    """The mode search inside adaptive quadrature failed to converge.
+    """The mode search inside adaptive quadrature failed.
+
+    Either a derivative of the integrand was NaN, or the mode lies beyond
+    what the search's capped Newton steps reach.
 
     Attributes
     ----------

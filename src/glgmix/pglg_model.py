@@ -72,25 +72,42 @@ def _cluster_sums(dataset, beta):
 
 
 def _integrand(y_plus, log_mu_plus, params):
-    """g_i(b) = y+_i b - mu+_i e^b + log f(b), for b of shape (n,) or (n, k)."""
+    """g_i(b) = y+_i b - mu+_i e^b + log f(b) for b of shape (n, k), and its
+    derivatives (g'_i, g''_i) for b of shape (n,).
+
+    With u = lam b / sigma, g' = y+ - mu+ e^b - expm1(u) / (sigma lam) and
+    g'' = -mu+ e^b - e^u / sigma^2, or -b / sigma^2 and -1 / sigma^2 in
+    place of the u terms on the normal branch of log f.
+    """
     prior = GlgParams(mu=0.0, sigma=params.sigma, lam=params.lam)
+    sigma, lam = params.sigma, params.lam
 
     def g(b):
-        yp, lmp = (y_plus, log_mu_plus) if b.ndim == 1 else (y_plus[:, None], log_mu_plus[:, None])
         # mu+ e^b as one exp, so that an underflowed mu+ gives 0, not 0 * inf
         with np.errstate(over="ignore"):
-            return yp * b - np.exp(b + lmp) + glg_dist.log_pdf(b, prior)
+            return (y_plus[:, None] * b - np.exp(b + log_mu_plus[:, None])
+                    + glg_dist.log_pdf(b, prior))
 
-    return g
+    def derivatives(b):
+        # far out an exp overflows to inf; the mode search steps away from it
+        with np.errstate(over="ignore"):
+            mu_e = np.exp(b + log_mu_plus)
+            if prior.is_normal:
+                return y_plus - mu_e - b / sigma ** 2, -mu_e - 1.0 / sigma ** 2
+            em1 = np.expm1(b * (lam / sigma))
+            return y_plus - mu_e - em1 / (sigma * lam), -mu_e - (em1 + 1.0) / sigma ** 2
+
+    return g, derivatives
 
 
-def _reduce_clusters(reduce, dataset, params, rule):
+def _reduce_clusters(reduce, dataset, params, rule, init):
     """``reduce`` (a batch quadrature of :mod:`quadrature`) over every
-    cluster's integrand, with the clusters' constants c; raises one
-    ModeSearchError naming every cluster whose mode search failed."""
+    cluster's integrand with mode searches started at ``init``, and the
+    clusters' constants c; raises one ModeSearchError naming every cluster
+    whose mode search failed."""
     c, y_plus, log_mu_plus, _ = _cluster_sums(dataset, params.beta)
-    g = _integrand(y_plus, log_mu_plus, params)
-    out, failed, b_hat = reduce(g, rule, np.zeros(dataset.n_clusters))
+    g, derivatives = _integrand(y_plus, log_mu_plus, params)
+    out, failed, b_hat = reduce(g, derivatives, rule, init)
     if failed.any():
         bad = [cid for cid, f in zip(dataset.ids, failed) if f]
         raise ModeSearchError(
@@ -107,7 +124,8 @@ def cluster_log_marginal(c, params, rule=None):
 def log_likelihood(dataset, params, rule=None):
     """Sum of cluster log marginals, in dataset order."""
     rule = rule or gauss_hermite(DEFAULT_ORDER)
-    values, c = _reduce_clusters(log_integrate_adaptive_batch, dataset, params, rule)
+    init = np.zeros(dataset.n_clusters)
+    values, c = _reduce_clusters(log_integrate_adaptive_batch, dataset, params, rule, init)
     return float((values + c).sum())
 
 
@@ -121,7 +139,8 @@ def predict_random_effects(dataset, params, rule=None):
     is cheap.
     """
     rule = rule or gauss_hermite(MAX_ORDER)
-    means, _ = _reduce_clusters(posterior_mean_batch, dataset, params, rule)
+    init = np.zeros(dataset.n_clusters)
+    means, _ = _reduce_clusters(posterior_mean_batch, dataset, params, rule, init)
     return [(cid, float(m)) for cid, m in zip(dataset.ids, means)]
 
 
@@ -237,10 +256,10 @@ class _Objective:
             return None
         ds = self.dataset
         c, y_plus, log_mu_plus, mu = _cluster_sums(ds, params.beta)
-        g = _integrand(y_plus, log_mu_plus, params)
+        g, derivatives = _integrand(y_plus, log_mu_plus, params)
         prior = GlgParams(mu=0.0, sigma=params.sigma, lam=params.lam)
         for init in (self.modes, np.zeros(self.modes.size)):  # warm, then cold
-            values, points, weights, failed, modes = adaptive_nodes(g, self.rule, init)
+            values, points, weights, failed, modes = adaptive_nodes(g, derivatives, self.rule, init)
             if not failed.any() and np.all(np.isfinite(values)):
                 break
         else:
@@ -278,14 +297,16 @@ class _Objective:
         return float((values + c).sum()), score, hess
 
 
-def _order_adequate(dataset, params, loglik, options):
+def _order_adequate(dataset, params, loglik, options, init):
     """Whether the log-likelihood at twice the order agrees within
-    ``_ORDER_TOL_PER_CLUSTER`` per cluster."""
+    ``_ORDER_TOL_PER_CLUSTER`` per cluster.  The integrand does not depend
+    on the rule, so the fit's last modes ``init`` warm-start its searches."""
+    rule = gauss_hermite(2 * options.order)
     try:
-        finer = log_likelihood(dataset, params, gauss_hermite(2 * options.order))
+        values, c = _reduce_clusters(log_integrate_adaptive_batch, dataset, params, rule, init)
     except ModeSearchError:
         return False
-    return abs(finer - loglik) <= _ORDER_TOL_PER_CLUSTER * dataset.n_clusters
+    return abs(float((values + c).sum()) - loglik) <= _ORDER_TOL_PER_CLUSTER * dataset.n_clusters
 
 
 def fit(dataset, init=None, options=None):
@@ -322,7 +343,9 @@ def fit(dataset, init=None, options=None):
     theta, (loglik, _, hess), max_score, trace = found
 
     params_hat = objective.to_params(theta)
-    converged = max_score < options.gtol and _order_adequate(dataset, params_hat, loglik, options)
+    converged = max_score < options.gtol and _order_adequate(
+        dataset, params_hat, loglik, options, objective.modes
+    )
     std_errors = _pglg_standard_errors(hess, params_hat.sigma, p)
 
     names = [*dataset.column_names, "sigma=lambda" if options.tie_sigma_lambda else "sigma"]

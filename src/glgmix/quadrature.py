@@ -1,14 +1,16 @@
 """Gauss-Hermite rules and adaptive (mode-recentred) log-domain integration.
 
 The integrals of interest are ``I_i = int exp(g_i(b)) db``, one per
-cluster, with each ``g_i`` smooth and concave-ish: the marginal
-likelihood ``log I_i``, and posterior means ``int h(b) exp(g_i(b)) db /
-I_i`` (of a random intercept, or by Fisher's identity the score).  A
-fixed Gauss-Hermite rule applied to such an integrand is accurate only
-if the integrand mass sits near 0 with unit width, so one batched engine,
-:func:`adaptive_nodes`, first locates the mode of every ``g_i``,
-rescales by the curvature there, and only then lays out the rule; the
-other integrals reduce its nodes and normalised weights.
+cluster, with each ``g_i`` smooth and concave: the marginal likelihood
+``log I_i``, and posterior means ``int h(b) exp(g_i(b)) db / I_i`` (of a
+random intercept, or by Fisher's identity the score).  A fixed
+Gauss-Hermite rule applied to such an integrand is accurate only if the
+integrand mass sits near 0 with unit width, so one batched engine,
+:func:`adaptive_nodes`, first locates the mode of every ``g_i`` by exact
+Newton on the closed-form derivatives the caller supplies, rescales by
+the curvature there, and only then lays out the rule (Liu & Pierce 1994);
+the other integrals reduce its nodes and normalised weights.  The
+integrand itself is evaluated on the nodes only.
 
 Rules come from NumPy's ``hermgauss`` and are built once per order and
 process; the log-sum-exp of the nodes is the row-maximum shift below.
@@ -27,10 +29,7 @@ DEFAULT_ORDER = 40
 
 _MODE_MAX_ITER = 100
 _MODE_STEP_CAP = 10.0  # trust cap on a single Newton displacement
-# Step size below which the iterate counts as converged.  Central
-# differences with step 1e-4 carry an O(h^2) bias, so Newton steps
-# bottom out near 1e-8; demanding less than that loops forever.
-_MODE_STEP_TOL = 1e-7
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -70,101 +69,63 @@ def _logsumexp(terms):
         return np.log(np.exp(terms - shift[:, None]).sum(axis=1)) + shift
 
 
-def _find_mode_batch(log_integrand, init):
-    """Safeguarded Newton ascent on a batch of integrands at once.
+def _find_mode_batch(derivatives, init):
+    """Exact Newton on g' for a batch of integrands at once.
 
-    ``log_integrand`` maps an array of positions (one per integrand, shape
-    (n,) or (n, k)) to values of the same shape.  Derivatives come from
-    central differences; steps are capped and halved until the objective
-    does not decrease.  Components freeze as they converge.  Returns
-    (modes, curvatures, failed_mask), the curvature being g''(mode).
+    ``derivatives`` maps positions b of shape (n,), one per integrand, to
+    the pair (g'(b), g''(b)).  Where g'' < 0 the step is -g'/g'', capped at
+    ``_MODE_STEP_CAP``; elsewhere it is the cap in the direction of g'.
+    Each component keeps a bracket of the last positions where g' was
+    positive and negative, and a step that leaves it is replaced by the
+    bracket's midpoint.  A component converges once its step is within
+    rounding of max(1, |b|), so the mode is a root of g' to rounding; it
+    fails on a NaN derivative or after ``_MODE_MAX_ITER`` steps.  Returns
+    (modes, curvatures, failed_mask), the curvature being g''(mode); a
+    failed component's mode is its last iterate.
     """
     b = np.array(init, dtype=float)
-    g_b = np.asarray(log_integrand(b), dtype=float)
-    active = np.isfinite(g_b)
-    failed = ~active
-    curv_out = np.full_like(b, np.nan)
+    lo = np.full_like(b, -np.inf)
+    hi = np.full_like(b, np.inf)
+    curv = np.full_like(b, np.nan)
+    active = np.ones(b.shape, dtype=bool)
+    failed = np.zeros(b.shape, dtype=bool)
 
     for _ in range(_MODE_MAX_ITER):
-        if not active.any():
-            break
-        h = 1e-4 * np.maximum(1.0, np.abs(b))
-        g_plus = np.asarray(log_integrand(b + h), dtype=float)
-        g_minus = np.asarray(log_integrand(b - h), dtype=float)
-        # a probe can overshoot the integrand's effective support even
-        # though g(b) is finite; tighten those stencils, failing any
-        # component that will not yield finite probes
-        broken = active & ~(np.isfinite(g_plus) & np.isfinite(g_minus))
-        for _shrink in range(3):
-            if not broken.any():
-                break
-            h = np.where(broken, h * 0.1, h)
-            g_plus = np.where(broken, np.asarray(log_integrand(b + h), dtype=float), g_plus)
-            g_minus = np.where(broken, np.asarray(log_integrand(b - h), dtype=float), g_minus)
-            broken = active & ~(np.isfinite(g_plus) & np.isfinite(g_minus))
-        if broken.any():
-            failed |= broken
-            active &= ~broken
-            if not active.any():
-                break
-            g_plus = np.where(broken, g_b, g_plus)
-            g_minus = np.where(broken, g_b, g_minus)
-        with np.errstate(invalid="ignore"):
-            grad = (g_plus - g_minus) / (2.0 * h)
-            curv = (g_plus - 2.0 * g_b + g_minus) / (h * h)
-
+        grad, hess = derivatives(b)
+        lo = np.where(grad > 0, b, lo)
+        hi = np.where(grad < 0, b, hi)
+        concave = (hess < 0) & (hess > -np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(curv < 0, -grad / curv, np.sign(grad) * _MODE_STEP_CAP)
-        step = np.clip(step, -_MODE_STEP_CAP, _MODE_STEP_CAP)
+            step = np.where(concave, -grad / hess, np.sign(grad) * _MODE_STEP_CAP)
+        new = b + np.minimum(np.maximum(step, -_MODE_STEP_CAP), _MODE_STEP_CAP)
+        outside = (new != b) & ~((lo < new) & (new < hi))
+        if outside.any():
+            # a step heads away from b, the end just set, so it leaves the
+            # bracket only past a finite far end; other midpoints go unused
+            with np.errstate(invalid="ignore"):
+                new = np.where(outside, 0.5 * (lo + hi), new)
 
-        tol = _MODE_STEP_TOL * np.maximum(1.0, np.abs(b))
-        done = np.abs(step) < tol
-        curv_out[active & done] = curv[active & done]
-        active = active & ~done
+        done = active & (np.abs(new - b) <= _EPS * np.maximum(1.0, np.abs(b)))
+        curv[done] = hess[done]
+        failed |= active & np.isnan(new)
+        active &= ~(done | failed)
         if not active.any():
             break
-
-        step = np.where(active, step, 0.0)
-        g_new = np.asarray(log_integrand(b + step), dtype=float)
-        for _halve in range(60):
-            bad = active & (~np.isfinite(g_new) | (g_new < g_b))
-            # finite but descending with a sub-resolution step: converged
-            stalled = bad & np.isfinite(g_new) & (curv < 0) & (np.abs(step) < tol)
-            if stalled.any():
-                curv_out[stalled] = curv[stalled]
-                active &= ~stalled
-                step = np.where(stalled, 0.0, step)
-                bad &= ~stalled
-            if not bad.any():
-                break
-            step = np.where(bad, step * 0.5, step)
-            g_new = np.asarray(log_integrand(b + step), dtype=float)
-        else:
-            bad = active & (~np.isfinite(g_new) | (g_new < g_b))
-            failed |= bad
-            active &= ~bad
-            step = np.where(bad, 0.0, step)
-        b = b + step
-        g_b = np.where(active, g_new, g_b)
+        b = np.where(active, new, b)
     else:
         failed |= active  # ran out of iterations
 
-    # Final curvature for components that converged on the last pass.
-    pending = np.isnan(curv_out) & ~failed
-    if pending.any():
-        h = 1e-4 * np.maximum(1.0, np.abs(b))
-        g_plus = np.asarray(log_integrand(b + h), dtype=float)
-        g_minus = np.asarray(log_integrand(b - h), dtype=float)
-        curv_out = np.where(pending, (g_plus - 2.0 * g_b + g_minus) / (h * h), curv_out)
-    failed |= ~(curv_out < 0)
-    return b, curv_out, failed
+    failed |= ~((curv < 0) & (curv > -np.inf))
+    return b, curv, failed
 
 
-def adaptive_nodes(log_integrand, rule, init):
+def adaptive_nodes(log_integrand, derivatives, rule, init):
     """The rule laid out around each component's mode.
 
-    ``log_integrand`` maps positions of shape (n,) or (n, order) to values
-    of the same shape (component i at its own positions).  Returns (values,
+    ``log_integrand`` maps positions of shape (n, order) to values of the
+    same shape (component i at its own positions), and ``derivatives``
+    maps positions of shape (n,) to (g'_i, g''_i) there, as
+    :func:`_find_mode_batch` takes them.  Returns (values,
     points, weights, failed, modes): log ``int exp(g_i(b)) db``, NaN where
     the mode search failed (callers attach their own context); the points
     ``mode + sqrt(2) * (-g''(mode))^(-1/2) * node``; weights such that
@@ -172,7 +133,7 @@ def adaptive_nodes(log_integrand, rule, init):
     density proportional to ``exp(g_i)``; the failed mask; and the modes
     (a failed search's last iterate), which can warm-start the next call.
     """
-    b_hat, curv, failed = _find_mode_batch(log_integrand, np.asarray(init, dtype=float))
+    b_hat, curv, failed = _find_mode_batch(derivatives, init)
     h_hat = np.where(failed, 1.0, (-np.where(failed, -1.0, curv)) ** -0.5)
 
     points = b_hat[:, None] + np.sqrt(2.0) * h_hat[:, None] * rule.nodes[None, :]
@@ -185,19 +146,19 @@ def adaptive_nodes(log_integrand, rule, init):
     return np.where(failed, np.nan, values), points, weights, failed, b_hat
 
 
-def log_integrate_adaptive_batch(log_integrand, rule, init):
+def log_integrate_adaptive_batch(log_integrand, derivatives, rule, init):
     """log of ``int exp(g_i(b)) db`` for every component i: (values,
     failed_mask, modes) of :func:`adaptive_nodes`."""
-    values, _, _, failed, b_hat = adaptive_nodes(log_integrand, rule, init)
+    values, _, _, failed, b_hat = adaptive_nodes(log_integrand, derivatives, rule, init)
     return values, failed, b_hat
 
 
-def posterior_mean_batch(log_integrand, rule, init):
+def posterior_mean_batch(log_integrand, derivatives, rule, init):
     """Mean of b under each density proportional to ``exp(g_i(b))``.
 
     The first-moment and normalizing integrals share one recentring.
     Returns (means, failed_mask, modes) with NaN means for failed
     components, as :func:`log_integrate_adaptive_batch` does.
     """
-    _, points, weights, failed, b_hat = adaptive_nodes(log_integrand, rule, init)
+    _, points, weights, failed, b_hat = adaptive_nodes(log_integrand, derivatives, rule, init)
     return np.where(failed, np.nan, (weights * points).sum(axis=1)), failed, b_hat

@@ -1,10 +1,14 @@
 import copy
 import json
 import math
+import os
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glgmix.data_io import (
     INTERCEPT_NAME,
@@ -202,6 +206,49 @@ class TestReadCsv:
             assert np.array_equal(ca.offset, cb.offset)
 
 
+class TestReadCsvErrorOrder:
+    """The first bad field in file order is reported; within a row the
+    response comes first; rows above a ragged row are checked before it."""
+
+    SPEC = ModelSpec(response="y", cluster="g", covariates=("x", "z"))
+
+    def rows(self, bad):
+        # data rows on lines 2-10; ``bad`` maps a line to its text
+        lines = {line: f"c{line % 3},{line % 4},0.5,{line}" for line in range(2, 11)}
+        lines.update(bad)
+        return "g,y,x,z\n" + "".join(lines[k] + "\n" for k in sorted(lines))
+
+    def read(self, tmp_path, bad):
+        return read_csv(write(tmp_path, self.rows(bad)), self.SPEC)
+
+    def test_bad_field_above_ragged_row_wins(self, tmp_path):
+        with pytest.raises(FieldParseError) as info:
+            self.read(tmp_path, {5: "c1,2,0.5,oops", 9: "c1,2"})
+        assert (info.value.row, info.value.column) == (5, "z")
+
+    def test_ragged_row_above_bad_field_wins(self, tmp_path):
+        with pytest.raises(RaggedRowError) as info:
+            self.read(tmp_path, {5: "c1,2", 9: "c1,2,0.5,oops"})
+        assert info.value.row == 5
+
+    def test_response_before_covariates_in_one_row(self, tmp_path):
+        with pytest.raises(ResponseValueError) as info:
+            self.read(tmp_path, {6: "c1,-3,nan,oops"})
+        assert (info.value.row, info.value.column) == (6, "y")
+        assert "nonnegative" in str(info.value)
+
+    def test_covariates_in_spec_order(self, tmp_path):
+        with pytest.raises(FieldParseError) as info:
+            self.read(tmp_path, {7: "c1,2,inf,oops"})
+        assert (info.value.row, info.value.column) == (7, "x")
+        assert "non-finite" in str(info.value)
+
+    def test_earlier_row_wins_across_columns(self, tmp_path):
+        with pytest.raises(FieldParseError) as info:
+            self.read(tmp_path, {4: "c1,2,0.5,1e999", 8: "c1,x,0.5,1"})
+        assert (info.value.row, info.value.column) == (4, "z")
+
+
 class TestClusterValidation:
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
@@ -257,6 +304,37 @@ class TestWriteCsv:
             # repr round-trip keeps floats exact
             assert np.array_equal(ca.X, cb.X)
             assert np.array_equal(ca.offset, cb.offset)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_is_exact(self, data):
+        # any ids without surrounding blanks, counts and finite floats
+        ids = data.draw(st.lists(
+            st.text(alphabet='ab,"# 1', min_size=1, max_size=4).filter(lambda s: s == s.strip()),
+            min_size=1, max_size=5, unique=True))
+        p = data.draw(st.integers(1, 3))
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        clusters = []
+        for cid in ids:
+            m = data.draw(st.integers(1, 3))
+            clusters.append(ClusterData(
+                id=cid,
+                y=np.array(data.draw(st.lists(st.integers(0, 2 ** 62), min_size=m, max_size=m))),
+                X=np.array(data.draw(st.lists(
+                    st.lists(floats, min_size=p, max_size=p), min_size=m, max_size=m))),
+                offset=np.array(data.draw(st.lists(floats, min_size=m, max_size=m))),
+            ))
+        ds = Dataset(clusters=tuple(clusters), column_names=tuple(f"c{j}" for j in range(p)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "out.csv")
+            back = read_csv(path, write_csv(ds, path))
+        assert back.ids == ds.ids
+        assert back.column_names == ds.column_names
+        assert back.sizes.tolist() == ds.sizes.tolist()
+        assert back.y.dtype == ds.y.dtype and back.y.tolist() == ds.y.tolist()
+        # bytes, so that -0.0 and every last bit come back
+        assert back.X.tobytes() == ds.X.tobytes()
+        assert back.offset.tobytes() == ds.offset.tobytes()
 
     def test_reserved_name_clash(self, tmp_path):
         c = ClusterData(id="a", y=np.array([1]), X=np.ones((1, 1)), offset=np.zeros(1))

@@ -75,7 +75,7 @@ class TestOrderLimit:
         c = ClusterData(id="c0", y=np.array([1, 0, 2]), X=np.ones((3, 1)), offset=np.zeros(3))
         ds = Dataset(clusters=(c,), column_names=("(intercept)",))
         params = PglgParams(beta=np.array([0.1]), sigma=0.5, lam=0.3)
-        pglg_model._order_adequate(ds, params, 0.0, PglgFitOptions(order=order))
+        pglg_model._order_adequate(ds, params, 0.0, PglgFitOptions(order=order), np.zeros(1))
         assert asked == [2 * order]
 
 
@@ -280,6 +280,32 @@ class TestPredictRandomEffects:
         assert "near" not in str(info.value)
         assert info.value.last_iterate is not None
         assert info.value.last_iterate.shape == (1,)
+
+
+class TestPlainIntegrand:
+    """The quadrature gets the integrand's derivatives as an argument of
+    their own, so a caller that replaces the integrand by a plain function
+    of b, as a tracing wrapper does, changes nothing."""
+
+    def test_wrapped_integrand_gives_the_same_results(self, monkeypatch):
+        X = np.column_stack([np.ones(3), [-1.0, 0.0, 1.0]])
+        truth = PglgParams(beta=np.array([1.0, -0.3]), sigma=0.5, lam=-1.2)
+        ds = simulate_pglg(SimDesign(n_clusters=60, cluster_sizes=3, x_builder=X, seed=8), truth)
+
+        def run():
+            return (pglg_model.fit(ds), pglg_model.log_likelihood(ds, truth),
+                    pglg_model.predict_random_effects(ds, truth))
+
+        want = run()
+        for name in ("adaptive_nodes", "log_integrate_adaptive_batch", "posterior_mean_batch"):
+            engine = getattr(pglg_model, name)
+            monkeypatch.setattr(
+                pglg_model, name,
+                lambda g, *rest, engine=engine: engine(lambda b: g(b), *rest))
+        got = run()
+        assert got[0].as_dict() == want[0].as_dict()
+        assert got[1] == want[1]
+        assert got[2] == want[2]
 
 
 class TestMarginalMoments:

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp, roots_hermite
 
-from glgmix import mnb_model
+from glgmix import mnb_model, pglg_model
 from glgmix.data_io import ClusterData
 from glgmix.errors import DomainError
 from glgmix.glg_dist import GlgParams, log_pdf
 from glgmix.mnb_model import MnbParams
 from glgmix.quadrature import (
     MAX_ORDER,
+    _find_mode_batch,
     _logsumexp,
     gauss_hermite,
     log_integrate_adaptive_batch,
@@ -21,17 +22,33 @@ from glgmix.quadrature import (
 SQRT_PI = math.sqrt(math.pi)
 
 
-def integrate(g, rule, init=0.0):
-    """log int exp(g) for one elementwise integrand, through the batch API."""
-    values, failed, _ = log_integrate_adaptive_batch(g, rule, np.array([init]))
+def integrate(g, dg, rule, init=0.0):
+    """log int exp(g) for one elementwise integrand with derivatives dg,
+    through the batch API."""
+    values, failed, _ = log_integrate_adaptive_batch(g, dg, rule, np.array([init]))
     assert not failed[0]
     return float(values[0])
 
 
-def posterior_mean(g, rule, init=0.0):
-    means, failed, _ = posterior_mean_batch(g, rule, np.array([init]))
+def posterior_mean(g, dg, rule, init=0.0):
+    means, failed, _ = posterior_mean_batch(g, dg, rule, np.array([init]))
     assert not failed[0]
     return float(means[0])
+
+
+def log_pdf_derivatives(b, p):
+    """First and second derivatives in b of log_pdf(b, p), written apart
+    from the library's integrand."""
+    if p.lam == 0.0:
+        return -(b - p.mu) / p.sigma ** 2, np.full_like(b, -1.0 / p.sigma ** 2)
+    u = p.lam * (b - p.mu) / p.sigma
+    return -np.expm1(u) / (p.sigma * p.lam), -np.exp(u) / p.sigma ** 2
+
+
+def gaussian(center=0.0, scale=1.0):
+    """log of an unnormalised N(center, scale^2) density and its derivatives."""
+    return (lambda b: -0.5 * ((b - center) / scale) ** 2,
+            lambda b: (-(b - center) / scale ** 2, np.full_like(b, -1.0 / scale ** 2)))
 
 
 class TestRuleConstruction:
@@ -130,17 +147,23 @@ class TestLogSumExp:
 
 class TestAdaptiveIntegration:
     def test_gaussian_kernel(self):
-        rule = gauss_hermite(3)
-        got = integrate(lambda b: -0.5 * b * b, rule)
+        got = integrate(*gaussian(), gauss_hermite(3))
         assert got == pytest.approx(0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_glg_normalization(self):
         # the extreme-value shape has a heavy left tail; convergence in the
         # order is slow but steady
         p = GlgParams(0.0, 1.0, 1.0)
-        got40 = integrate(lambda b: log_pdf(b, p), gauss_hermite(40))
+
+        def g(b):
+            return log_pdf(b, p)
+
+        def dg(b):
+            return log_pdf_derivatives(b, p)
+
+        got40 = integrate(g, dg, gauss_hermite(40))
         assert got40 == pytest.approx(0.0, abs=1e-5)
-        got150 = integrate(lambda b: log_pdf(b, p), gauss_hermite(150))
+        got150 = integrate(g, dg, gauss_hermite(150))
         assert got150 == pytest.approx(0.0, abs=1e-8)
         assert abs(got150) < abs(got40)
 
@@ -152,27 +175,28 @@ class TestAdaptiveIntegration:
         def g(b):
             return 3.0 * b - np.exp(b) - gammaln(4.0) + log_pdf(b, p)
 
-        got = integrate(g, gauss_hermite(40))
+        def dg(b):
+            d1, d2 = log_pdf_derivatives(b, p)
+            return 3.0 - np.exp(b) + d1, -np.exp(b) + d2
+
+        got = integrate(g, dg, gauss_hermite(40))
         assert got == pytest.approx(math.log(1.0 / 16.0), abs=1e-8)
 
     def test_narrow_shifted_gaussian(self):
         # recentring must find a mode far from init and rescale
-        got = integrate(lambda b: -0.5 * ((b - 9.0) / 0.05) ** 2, gauss_hermite(10), init=0.0)
+        got = integrate(*gaussian(9.0, 0.05), gauss_hermite(10), init=0.0)
         assert got == pytest.approx(math.log(math.sqrt(2 * math.pi) * 0.05), abs=1e-10)
 
     def test_translation_invariance(self):
         rule = gauss_hermite(25)
 
         def make(shift):
-            return lambda b: -0.25 * (b - shift) ** 4 - 0.5 * (b - shift) ** 2
+            return (lambda b: -0.25 * (b - shift) ** 4 - 0.5 * (b - shift) ** 2,
+                    lambda b: (-(b - shift) ** 3 - (b - shift), -3.0 * (b - shift) ** 2 - 1.0))
 
-        base = integrate(make(0.0), rule)
-        for c in (-4.0, 3.7, 5.0):
-            assert integrate(make(c), rule, init=c - 0.5) == pytest.approx(base, abs=1e-10)
-        # the finite-difference step scales with |b|, so a far shift
-        # perturbs the recentring scale slightly
-        far = integrate(make(40.0), rule, init=39.5)
-        assert far == pytest.approx(base, abs=1e-8)
+        base = integrate(*make(0.0), rule)
+        for c in (-4.0, 3.7, 5.0, 40.0):
+            assert integrate(*make(c), rule, init=c - 0.5) == pytest.approx(base, abs=1e-10)
 
     def test_order_20_vs_40_converged(self):
         # Poisson-count contributions at moderate shapes
@@ -183,37 +207,69 @@ class TestAdaptiveIntegration:
                     def g(b, y=y, eta0=eta0, p=p):
                         return y * (eta0 + b) - np.exp(eta0 + b) + log_pdf(b, p)
 
-                    a = integrate(g, gauss_hermite(20))
-                    b = integrate(g, gauss_hermite(40))
+                    def dg(b, y=y, eta0=eta0, p=p):
+                        d1, d2 = log_pdf_derivatives(b, p)
+                        return y - np.exp(eta0 + b) + d1, -np.exp(eta0 + b) + d2
+
+                    a = integrate(g, dg, gauss_hermite(20))
+                    b = integrate(g, dg, gauss_hermite(40))
                     assert abs(a - b) < 1e-6
 
     def test_mode_search_failure_carries_iterate(self):
         # strictly increasing integrand has no interior mode: the component
         # is failed, its value NaN, and its mode slot holds the last iterate
         values, failed, modes = log_integrate_adaptive_batch(
-            lambda b: b, gauss_hermite(10), np.zeros(1)
+            lambda b: b, lambda b: (np.ones_like(b), np.zeros_like(b)), gauss_hermite(10),
+            np.zeros(1),
         )
         assert failed[0]
         assert np.isnan(values[0])
         assert np.isfinite(modes[0]) and modes[0] > 0
 
 
+class TestExactModeSearch:
+    """Modes and curvatures of PGLG integrands, checked at 50 digits."""
+
+    @pytest.mark.parametrize("lam, sigma", [(-2.8, 0.25), (-1.2, 0.5), (0.0, 0.5), (0.5, 0.8)])
+    def test_modes_are_roots_with_exact_curvature(self, lam, sigma):
+        rng = np.random.default_rng(7)
+        y_plus = np.concatenate([[0, 0, 1, 40, 200], rng.poisson(4.0, size=35)]).astype(float)
+        log_mu_plus = np.concatenate([[-3.0, 2.0, 0.0, 1.0, 6.0], rng.uniform(-1.0, 2.5, 35)])
+        params = pglg_model.PglgParams(beta=np.zeros(1), sigma=sigma, lam=lam)
+        _, derivatives = pglg_model._integrand(y_plus, log_mu_plus, params)
+        cold, _, _ = _find_mode_batch(derivatives, np.zeros(y_plus.size))
+        for init in (np.zeros(y_plus.size), cold + rng.normal(size=y_plus.size)):  # cold, warm
+            modes, curv, failed = _find_mode_batch(derivatives, init)
+            assert not failed.any()
+            with mpmath.workdps(50):
+                for y, lmp, b, c in zip(y_plus, log_mu_plus, modes, curv):
+                    b = mpmath.mpf(b)
+                    mu_e = mpmath.exp(b + lmp)
+                    if lam == 0.0:
+                        d1, d2 = y - mu_e - b / sigma ** 2, -mu_e - 1 / mpmath.mpf(sigma) ** 2
+                    else:
+                        u = lam * b / sigma
+                        d1 = y - mu_e - mpmath.expm1(u) / (sigma * lam)
+                        d2 = -mu_e - mpmath.exp(u) / mpmath.mpf(sigma) ** 2
+                    # distance to the root, relative to the mode's size
+                    assert abs(d1 / d2) <= 1e-10 * max(1.0, abs(b))
+                    assert abs(c - d2) <= 1e-10 * abs(d2)
+
+
 class TestAdaptiveExpectation:
     def test_gaussian_mean(self):
         rule = gauss_hermite(20)
-
-        def g(b):
-            return -0.5 * ((b - 2.5) / 1.3) ** 2
-
-        assert posterior_mean(g, rule, init=0.0) == pytest.approx(2.5, abs=1e-9)
-        log_norm = integrate(g, rule, init=0.0)
+        g, dg = gaussian(2.5, 1.3)
+        assert posterior_mean(g, dg, rule, init=0.0) == pytest.approx(2.5, abs=1e-9)
+        log_norm = integrate(g, dg, rule, init=0.0)
         assert log_norm == pytest.approx(math.log(math.sqrt(2 * math.pi) * 1.3), abs=1e-9)
 
     def test_skewed_density_mean(self):
         # GLG(0,1,1) has mean -EulerGamma; the bare heavy-tailed prior
         # needs a high order (Poisson-tamed posteriors converge much faster)
         p = GlgParams(0.0, 1.0, 1.0)
-        m = posterior_mean(lambda b: log_pdf(b, p), gauss_hermite(150))
+        m = posterior_mean(lambda b: log_pdf(b, p), lambda b: log_pdf_derivatives(b, p),
+                           gauss_hermite(150))
         assert m == pytest.approx(-0.5772156649015329, abs=1e-7)
 
 
@@ -229,11 +285,13 @@ class TestBatchIntegration:
         const = gammaln(ys + 1.0)
 
         def batch(b):
-            if b.ndim == 1:
-                return ys * b - np.exp(b) - const + log_pdf(b, p)
             return ys[:, None] * b - np.exp(b) - const[:, None] + log_pdf(b, p)
 
-        values, failed, _ = log_integrate_adaptive_batch(batch, rule, np.zeros(3))
+        def derivatives(b):
+            d1, d2 = log_pdf_derivatives(b, p)
+            return ys - np.exp(b) + d1, -np.exp(b) + d2
+
+        values, failed, _ = log_integrate_adaptive_batch(batch, derivatives, rule, np.zeros(3))
         assert not failed.any()
         params = MnbParams(beta=np.zeros(1), phi=lam ** -2)
         for i, y in enumerate(ys):
@@ -247,87 +305,80 @@ class TestBatchIntegration:
             # component 0 is a Gaussian kernel, component 1 has no mode
             return np.stack([-0.5 * b[0] ** 2, b[1]])
 
-        values, failed, _ = log_integrate_adaptive_batch(batch, rule, np.zeros(2))
+        def derivatives(b):
+            return np.array([-b[0], 1.0]), np.array([-1.0, 0.0])
+
+        values, failed, _ = log_integrate_adaptive_batch(batch, derivatives, rule, np.zeros(2))
         assert not failed[0] and failed[1]
         assert np.isfinite(values[0]) and np.isnan(values[1])
-        means, failed, _ = posterior_mean_batch(batch, rule, np.zeros(2))
+        means, failed, _ = posterior_mean_batch(batch, derivatives, rule, np.zeros(2))
         assert not failed[0] and failed[1]
         assert means[0] == pytest.approx(0.0, abs=1e-12) and np.isnan(means[1])
 
     def test_return_modes(self):
         rule = gauss_hermite(10)
+        centers = np.array([-3.0, 4.0])
 
         def batch(b):
-            centers = np.array([-3.0, 4.0])
-            if b.ndim == 1:
-                return -0.5 * (b - centers) ** 2
             return -0.5 * (b - centers[:, None]) ** 2
 
-        values, failed, modes = log_integrate_adaptive_batch(batch, rule, np.zeros(2))
+        def derivatives(b):
+            return -(b - centers), -np.ones_like(b)
+
+        values, failed, modes = log_integrate_adaptive_batch(batch, derivatives, rule, np.zeros(2))
         assert not failed.any()
-        assert modes == pytest.approx([-3.0, 4.0], abs=1e-6)
-        means, failed, mean_modes = posterior_mean_batch(batch, rule, np.zeros(2))
+        np.testing.assert_array_equal(modes, centers)
+        means, failed, mean_modes = posterior_mean_batch(batch, derivatives, rule, np.zeros(2))
         np.testing.assert_array_equal(mean_modes, modes)
         assert means == pytest.approx([-3.0, 4.0], abs=1e-12)
 
 
 class TestSupportCliff:
-    """Finite-difference probes that overshoot the integrand's support.
+    """An integrand that is -inf past an edge, where its derivatives are NaN.
 
-    The mode search must tighten its stencil (or fail cleanly) instead of
-    letting inf - inf turn into a NaN step and a NaN evaluation point.
+    A search started just inside the edge finds the mode, and nodes past
+    the edge carry no weight.  A search started on the edge is failed and
+    its value NaN, without evaluating anything at a NaN position, and the
+    other component of the batch is untouched.
     """
 
     CLIFF = 8.0
 
     def _batch_with_cliff(self, b):
-        b = np.asarray(b, dtype=float)
         if not np.all(np.isfinite(b)):
             raise DomainError("non-finite position")  # same contract as log_pdf
-        plain = -0.5 * (b + 1.0) ** 2
-        with np.errstate(invalid="ignore"):
-            clipped = np.where(b < self.CLIFF, -0.5 * b * b, -np.inf)
-        if b.ndim == 1:
-            return np.array([plain[0], clipped[1]])
-        return np.stack([plain[0], clipped[1]])
+        clipped = np.where(b[1] < self.CLIFF, -0.5 * b[1] * b[1], -np.inf)
+        return np.stack([-0.5 * (b[0] + 1.0) ** 2, clipped])
+
+    def _derivatives_with_cliff(self, b):
+        inside = b[1] < self.CLIFF
+        return (np.array([-(b[0] + 1.0), -b[1] if inside else np.nan]),
+                np.array([-1.0, -1.0 if inside else np.nan]))
+
+    def _run(self, batch, edge_init):
+        return batch(self._batch_with_cliff, self._derivatives_with_cliff, gauss_hermite(40),
+                     np.array([0.0, edge_init]))
 
     def test_batch_recovers_near_cliff(self):
-        # first probes at init + h land past the edge; two shrinks get back in
-        rule = gauss_hermite(40)
-        values, failed, _ = log_integrate_adaptive_batch(
-            self._batch_with_cliff, rule, np.array([0.0, self.CLIFF - 3e-5])
-        )
+        values, failed, _ = self._run(log_integrate_adaptive_batch, self.CLIFF - 3e-5)
         assert not failed.any()
-        assert values == pytest.approx(
-            [0.5 * math.log(2.0 * math.pi)] * 2, abs=1e-10
-        )
+        assert values == pytest.approx([0.5 * math.log(2.0 * math.pi)] * 2, abs=1e-10)
 
     def test_batch_masks_component_stuck_at_edge(self):
-        # closer than any shrunk stencil can resolve: the stuck component is
-        # failed and NaN, not a DomainError from evaluating at NaN; the
-        # healthy one is untouched
-        rule = gauss_hermite(40)
-        values, failed, _ = log_integrate_adaptive_batch(
-            self._batch_with_cliff, rule, np.array([0.0, self.CLIFF - 1e-9])
-        )
+        values, failed, modes = self._run(log_integrate_adaptive_batch, self.CLIFF)
         assert not failed[0] and failed[1]
         assert values[0] == pytest.approx(0.5 * math.log(2.0 * math.pi), abs=1e-10)
         assert np.isnan(values[1])
+        assert modes[1] == self.CLIFF
 
     def test_posterior_mean_recovers_near_cliff(self):
         # the truncation at 8 moves the N(0, 1) and N(-1, 1) means by < 1e-14
-        rule = gauss_hermite(40)
-        means, failed, _ = posterior_mean_batch(
-            self._batch_with_cliff, rule, np.array([0.0, self.CLIFF - 3e-5])
-        )
+        means, failed, _ = self._run(posterior_mean_batch, self.CLIFF - 3e-5)
         assert not failed.any()
         assert means == pytest.approx([-1.0, 0.0], abs=1e-10)
 
     def test_posterior_mean_masks_component_stuck_at_edge(self):
-        rule = gauss_hermite(40)
-        means, failed, _ = posterior_mean_batch(
-            self._batch_with_cliff, rule, np.array([0.0, self.CLIFF - 1e-9])
-        )
+        means, failed, _ = self._run(posterior_mean_batch, self.CLIFF)
         assert not failed[0] and failed[1]
         assert means[0] == pytest.approx(-1.0, abs=1e-10)
         assert np.isnan(means[1])
