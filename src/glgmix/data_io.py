@@ -14,8 +14,10 @@ transform applied is the optional intercept column of ones.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,7 @@ from .errors import (
 )
 
 INTERCEPT_NAME = "intercept"
+_BLOCK_ROWS = 4096  # rows read_csv splits into columns at a time
 
 
 def _interaction_name(a, b):
@@ -378,26 +381,41 @@ def read_csv(path, spec):
             raise MissingColumnError(
                 f"column(s) not in header: {missing}", row=1, column=missing[0]
             )
-        rows = list(reader)
-    lines = range(2, len(rows) + 2)
-    if not all(rows):  # blank lines are skipped but keep their line numbers
-        lines = [line for line, row in zip(lines, rows) if row]
-        rows = list(filter(None, rows))
+        # the rows above the first ragged one, read in blocks so that the
+        # columns the spec does not read are never all held at once
+        required = spec.required_columns()
+        n_fields = len(header)
+        names, pick = header, None  # the fields kept of each row
+        if len(required) < n_fields:
+            names, cols = required, [index[c] for c in required]
+            pick = operator.itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
+        kept, lines, ragged = [], [], None
+        line = 1
+        for rows in iter(lambda: list(itertools.islice(reader, _BLOCK_ROWS)), []):
+            block_lines = range(line + 1, line + 1 + len(rows))
+            line += len(rows)
+            if not all(rows):  # blank lines are skipped but keep their line numbers
+                block_lines = [n for n, row in zip(block_lines, rows) if row]
+                rows = list(filter(None, rows))
+            n_good = len(rows)
+            if set(map(len, rows)) - {n_fields}:
+                n_good = next(k for k, row in enumerate(rows) if len(row) != n_fields)
+                ragged = (block_lines[n_good], len(rows[n_good]))
+            kept.extend(rows[:n_good] if pick is None else map(pick, rows[:n_good]))
+            lines.extend(block_lines[:n_good])
+            if ragged:
+                break
 
-    # the rows above the first ragged one are parsed column by column
-    n_fields = len(header)
-    n_good = len(rows)
-    if set(map(len, rows)) - {n_fields}:
-        n_good = next(k for k, row in enumerate(rows) if len(row) != n_fields)
-    columns = list(zip(*rows[:n_good])) or [()] * n_fields
-    numeric_cols = [c for c in spec.required_columns() if c not in (spec.response, spec.cluster)]
-    ys, first_bad = _convert(columns[index[spec.response]], int)
+    n_good = len(kept)
+    columns = dict(zip(names, zip(*kept))) if kept else dict.fromkeys(names, ())
+    numeric_cols = [c for c in required if c not in (spec.response, spec.cluster)]
+    ys, first_bad = _convert(columns[spec.response], int)
     if first_bad and min(ys) < 0:  # a negative count above the first unparsable one
         first_bad = next(k for k, value in enumerate(ys) if value < 0)
     bad = [first_bad]  # each column's first bad field, in the order a row is checked
     values = {}
     for c in numeric_cols:
-        numbers, first_bad = _convert(columns[index[c]], float)
+        numbers, first_bad = _convert(columns[c], float)
         values[c] = np.array(numbers, dtype=float)
         finite = np.isfinite(values[c])
         bad.append(first_bad if finite.all() else int(np.argmin(finite)))
@@ -405,18 +423,16 @@ def read_csv(path, spec):
     if k < n_good:  # re-parse the first bad field for its error
         j = bad.index(k)
         if j == 0:
-            _parse_count(columns[index[spec.response]][k], lines[k], spec.response)
+            _parse_count(columns[spec.response][k], lines[k], spec.response)
         else:
             c = numeric_cols[j - 1]
-            _parse_number(columns[index[c]][k], lines[k], c)
-    if n_good < len(rows):
-        raise RaggedRowError(
-            f"expected {n_fields} fields, got {len(rows[n_good])}", row=lines[n_good]
-        )
-    if not rows:
+            _parse_number(columns[c][k], lines[k], c)
+    if ragged:
+        raise RaggedRowError(f"expected {n_fields} fields, got {ragged[1]}", row=ragged[0])
+    if not kept:
         raise EmptyFileError("file has a header but no data rows")
 
-    cids = list(map(str.strip, columns[index[spec.cluster]]))
+    cids = list(map(str.strip, columns[spec.cluster]))
     codes = {cid: code for code, cid in enumerate(dict.fromkeys(cids))}
     row_codes = np.array(list(map(codes.__getitem__, cids)))
     xcols = [np.ones(n_good)] if spec.add_intercept else []

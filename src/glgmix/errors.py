@@ -20,8 +20,10 @@ class MomentExistenceError(GlgmixError, ValueError):
 class ModeSearchError(GlgmixError, RuntimeError):
     """The mode search inside adaptive quadrature failed.
 
-    Either a derivative of the integrand was NaN, or the mode lies beyond
-    what the search's capped Newton steps reach.
+    Either the integrand's first derivative was NaN where the search
+    stood, its second derivative at the mode found was not finite and
+    negative, or the mode lies beyond what the search's capped Newton
+    steps reach.
 
     Attributes
     ----------

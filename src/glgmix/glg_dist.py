@@ -84,6 +84,23 @@ def log_pdf(y, params):
     return out if out.ndim else float(out)
 
 
+def log_pdf_y_derivatives(y, params):
+    """First and second derivatives of :func:`log_pdf` in ``y``, as two arrays.
+
+    With z = (y - mu)/sigma and u = lam z: -expm1(u)/(sigma lam) and
+    -e^u/sigma^2, or -z/sigma and -1/sigma^2 on the normal branch.  Far in
+    the heavy tail e^u overflows to inf, the correct limit.  Unlike
+    :func:`log_pdf`, non-finite ``y`` is not rejected.
+    """
+    y = np.asarray(y, dtype=float)
+    curv = -params.sigma ** -2.0
+    if params.is_normal:
+        return (y - params.mu) * curv, np.full_like(y, curv)
+    with np.errstate(over="ignore"):
+        em1 = np.expm1((y - params.mu) * (params.lam / params.sigma))
+    return em1 / (-params.sigma * params.lam), (em1 + 1.0) * curv
+
+
 def log_pdf_grad(y, params):
     """Derivatives of :func:`log_pdf` at ``y`` in (log sigma, lam), as two arrays.
 

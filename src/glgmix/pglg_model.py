@@ -73,14 +73,9 @@ def _cluster_sums(dataset, beta):
 
 def _integrand(y_plus, log_mu_plus, params):
     """g_i(b) = y+_i b - mu+_i e^b + log f(b) for b of shape (n, k), and its
-    derivatives (g'_i, g''_i) for b of shape (n,).
-
-    With u = lam b / sigma, g' = y+ - mu+ e^b - expm1(u) / (sigma lam) and
-    g'' = -mu+ e^b - e^u / sigma^2, or -b / sigma^2 and -1 / sigma^2 in
-    place of the u terms on the normal branch of log f.
-    """
+    derivatives (y+_i - mu+_i e^b + (log f)', -mu+_i e^b + (log f)'') for
+    b of shape (n,)."""
     prior = GlgParams(mu=0.0, sigma=params.sigma, lam=params.lam)
-    sigma, lam = params.sigma, params.lam
 
     def g(b):
         # mu+ e^b as one exp, so that an underflowed mu+ gives 0, not 0 * inf
@@ -89,13 +84,11 @@ def _integrand(y_plus, log_mu_plus, params):
                     + glg_dist.log_pdf(b, prior))
 
     def derivatives(b):
+        d1, d2 = glg_dist.log_pdf_y_derivatives(b, prior)
         # far out an exp overflows to inf; the mode search steps away from it
         with np.errstate(over="ignore"):
             mu_e = np.exp(b + log_mu_plus)
-            if prior.is_normal:
-                return y_plus - mu_e - b / sigma ** 2, -mu_e - 1.0 / sigma ** 2
-            em1 = np.expm1(b * (lam / sigma))
-            return y_plus - mu_e - em1 / (sigma * lam), -mu_e - (em1 + 1.0) / sigma ** 2
+        return y_plus - mu_e + d1, d2 - mu_e
 
     return g, derivatives
 

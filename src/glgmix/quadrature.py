@@ -30,6 +30,7 @@ DEFAULT_ORDER = 40
 _MODE_MAX_ITER = 100
 _MODE_STEP_CAP = 10.0  # trust cap on a single Newton displacement
 _EPS = np.finfo(float).eps
+_SQRT_EPS = np.sqrt(_EPS)
 
 
 @dataclass(frozen=True)
@@ -76,44 +77,55 @@ def _find_mode_batch(derivatives, init):
     the pair (g'(b), g''(b)).  Where g'' < 0 the step is -g'/g'', capped at
     ``_MODE_STEP_CAP``; elsewhere it is the cap in the direction of g'.
     Each component keeps a bracket of the last positions where g' was
-    positive and negative, and a step that leaves it is replaced by the
-    bracket's midpoint.  A component converges once its step is within
-    rounding of max(1, |b|), so the mode is a root of g' to rounding; it
-    fails on a NaN derivative or after ``_MODE_MAX_ITER`` steps.  Returns
-    (modes, curvatures, failed_mask), the curvature being g''(mode); a
-    failed component's mode is its last iterate.
+    positive and negative.  A step that leaves the bracket is replaced by
+    its midpoint, and so is a step larger than half the step before last
+    (Numerical Recipes' rtsafe rule: Newton is crawling, as it does down
+    an exponential wall); without a far end to halve towards, such a
+    crawl takes the capped step instead.  A component converges once its
+    step is within rounding of max(1, |b|), so the mode is a root of g' to
+    rounding.  It fails where g' is NaN, staying there, where g'' at the
+    mode is not finite and negative, or after ``_MODE_MAX_ITER`` steps.
+    Returns (modes, curvatures, failed_mask), the curvature being
+    g''(mode); a failed component's mode is its last iterate.
     """
     b = np.array(init, dtype=float)
     lo = np.full_like(b, -np.inf)
     hi = np.full_like(b, np.inf)
+    last = np.full_like(b, np.inf)  # sizes of the last two steps
+    before = np.full_like(b, np.inf)
     curv = np.full_like(b, np.nan)
     active = np.ones(b.shape, dtype=bool)
     failed = np.zeros(b.shape, dtype=bool)
 
-    for _ in range(_MODE_MAX_ITER):
-        grad, hess = derivatives(b)
-        lo = np.where(grad > 0, b, lo)
-        hi = np.where(grad < 0, b, hi)
-        concave = (hess < 0) & (hess > -np.inf)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # NaN and infinite derivatives are handled below, not warned about
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MODE_MAX_ITER):
+            grad, hess = derivatives(b)
+            lo = np.where(grad > 0, b, lo)
+            hi = np.where(grad < 0, b, hi)
+            concave = (hess < 0) & (hess > -np.inf)
             step = np.where(concave, -grad / hess, np.sign(grad) * _MODE_STEP_CAP)
-        new = b + np.minimum(np.maximum(step, -_MODE_STEP_CAP), _MODE_STEP_CAP)
-        outside = (new != b) & ~((lo < new) & (new < hi))
-        if outside.any():
+            step = np.minimum(np.maximum(step, -_MODE_STEP_CAP), _MODE_STEP_CAP)
+            new = b + step
             # a step heads away from b, the end just set, so it leaves the
-            # bracket only past a finite far end; other midpoints go unused
-            with np.errstate(invalid="ignore"):
-                new = np.where(outside, 0.5 * (lo + hi), new)
+            # bracket only past a finite far end; steps below sqrt(eps) are
+            # quadratic Newton or rounding noise, never a crawl
+            outside = (new != b) & ~((lo < new) & (new < hi))
+            replace = outside | (np.abs(step) > np.maximum(0.5 * before, _SQRT_EPS))
+            if replace.any():
+                far = np.where(hi - lo < np.inf, 0.5 * (lo + hi), b + np.sign(step) * _MODE_STEP_CAP)
+                new = np.where(replace, far, new)
+            before, last = last, np.abs(new - b)
 
-        done = active & (np.abs(new - b) <= _EPS * np.maximum(1.0, np.abs(b)))
-        curv[done] = hess[done]
-        failed |= active & np.isnan(new)
-        active &= ~(done | failed)
-        if not active.any():
-            break
-        b = np.where(active, new, b)
-    else:
-        failed |= active  # ran out of iterations
+            done = active & (last <= _EPS * np.maximum(1.0, np.abs(b)))
+            curv = np.where(done, hess, curv)
+            failed |= active & np.isnan(grad)
+            active &= ~(done | failed)
+            if not active.any():
+                break
+            b = np.where(active, new, b)
+        else:
+            failed |= active  # ran out of iterations
 
     failed |= ~((curv < 0) & (curv > -np.inf))
     return b, curv, failed

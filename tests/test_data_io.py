@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glgmix import data_io
 from glgmix.data_io import (
     INTERCEPT_NAME,
     ClusterData,
@@ -194,6 +195,26 @@ class TestReadCsv:
         ds = read_csv(str(path), spec)
         assert ds.clusters[0].y.tolist() == [4]
 
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_blocks_read_as_one(self, tmp_path, monkeypatch, block):
+        # an unused column, and blank lines on both sides of block edges
+        text = "g,y,unused,x\nc1,2,u,0.5\n\nc2,3,u,1.5\n\n\nc1,4,u,-1\nc3,0,u,2\n"
+        spec = ModelSpec(response="y", cluster="g", covariates=("x",))
+        path = write(tmp_path, text)
+        whole = read_csv(path, spec)
+        monkeypatch.setattr(data_io, "_BLOCK_ROWS", block)
+        parts = read_csv(path, spec)
+        assert parts.ids == whole.ids
+        for name in ("y", "X", "offset", "sizes"):
+            np.testing.assert_array_equal(getattr(parts, name), getattr(whole, name))
+        with pytest.raises(RaggedRowError) as info:
+            read_csv(write(tmp_path, text + "c1,2\n", name="ragged.csv"), spec)
+        assert info.value.row == 9
+        bad = text.replace("c3,0,u,2", "c3,0,u,oops") + "c1,2\n"
+        with pytest.raises(FieldParseError) as info:
+            read_csv(write(tmp_path, bad, name="bad.csv"), spec)
+        assert (info.value.row, info.value.column) == (8, "x")
+
     def test_rereading_identical(self, tmp_path):
         spec = ModelSpec(response="count", cluster="animal", covariates=("conc",))
         path = write(tmp_path, BASIC)
@@ -211,6 +232,11 @@ class TestReadCsvErrorOrder:
     response comes first; rows above a ragged row are checked before it."""
 
     SPEC = ModelSpec(response="y", cluster="g", covariates=("x", "z"))
+
+    @pytest.fixture(autouse=True, params=[None, 2], ids=["one-block", "blocks-of-2"])
+    def block_rows(self, request, monkeypatch):
+        if request.param:
+            monkeypatch.setattr(data_io, "_BLOCK_ROWS", request.param)
 
     def rows(self, bad):
         # data rows on lines 2-10; ``bad`` maps a line to its text

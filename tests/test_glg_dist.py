@@ -12,6 +12,7 @@ from glgmix.glg_dist import (
     log_pdf,
     log_pdf_grad,
     log_pdf_hess,
+    log_pdf_y_derivatives,
     mean,
     pdf,
     sample,
@@ -150,6 +151,34 @@ class TestLogPdfGrad:
         with np.errstate(all="raise"):
             d_log_sigma, _ = log_pdf_grad(np.array([2000.0]), GlgParams(0.0, 1.0, 1.0))
         assert d_log_sigma[0] == np.inf
+
+
+class TestLogPdfYDerivatives:
+    """Derivatives in y against 40-digit differentiation of the density."""
+
+    @pytest.mark.parametrize("lam", [-2.8, -1.2, -0.05, 2e-6, 0.0, 0.5, 1.0])
+    def test_matches_high_precision(self, lam):
+        mpmath = pytest.importorskip("mpmath")
+        p = GlgParams(mu=0.2, sigma=0.7, lam=lam)
+        ys = np.array([-2.5, -1.3, 0.2, 0.9, 2.0])
+        d1, d2 = log_pdf_y_derivatives(ys, p)
+        with mpmath.workdps(40):
+            def logf(y):
+                z = (y - mpmath.mpf(0.2)) / mpmath.mpf(0.7)
+                if p.is_normal:
+                    return -z * z / 2
+                lam_ = mpmath.mpf(lam)
+                return z / lam_ - mpmath.exp(lam_ * z) / lam_ ** 2
+
+            for y, a, b in zip(ys, d1, d2):
+                y = mpmath.mpf(y)
+                assert a == pytest.approx(float(mpmath.diff(logf, y)), rel=1e-13, abs=1e-14)
+                assert b == pytest.approx(float(mpmath.diff(logf, y, 2)), rel=1e-13)
+
+    def test_heavy_tail_overflow_is_silent(self):
+        with np.errstate(all="raise"):
+            d1, d2 = log_pdf_y_derivatives(np.array([2000.0]), GlgParams(0.0, 1.0, 1.0))
+        assert d1[0] == -np.inf and d2[0] == -np.inf
 
 
 class TestLogPdfHess:

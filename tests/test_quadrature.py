@@ -255,6 +255,42 @@ class TestExactModeSearch:
                     assert abs(d1 / d2) <= 1e-10 * max(1.0, abs(b))
                     assert abs(c - d2) <= 1e-10 * abs(d2)
 
+    @pytest.mark.parametrize("lam, sigma, y_plus, log_mu_plus, init", [
+        (2.8, 0.25, 200.0, 0.0, 0.0),  # the capped first step lands on the e^(lam b/sigma) wall
+        (-2.8, 0.25, 6.0, 1.19, -9.75),  # a start on the left wall, no far end yet
+    ])
+    def test_crawl_down_exponential_wall(self, lam, sigma, y_plus, log_mu_plus, init):
+        # Newton moves about sigma/|lam| = 0.09 per step along the wall:
+        # more than 100 steps back to the mode without the rtsafe rule
+        params = pglg_model.PglgParams(beta=np.zeros(1), sigma=sigma, lam=lam)
+        _, derivatives = pglg_model._integrand(np.array([y_plus]), np.array([log_mu_plus]), params)
+        calls = []
+
+        def counted(b):
+            calls.append(b)
+            return derivatives(b)
+
+        modes, curv, failed = _find_mode_batch(counted, np.array([init]))
+        assert not failed[0]
+        d1, d2 = derivatives(modes)
+        assert abs(d1[0] / d2[0]) <= 1e-12 and curv[0] == d2[0]
+        assert len(calls) <= 20
+
+    def test_nan_derivative_fails_where_found(self):
+        # g = -log cosh b: Newton from 1.5 overshoots to -3.5, whose step
+        # leaves the bracket; the midpoint -1.0 lies in a band where the
+        # derivatives are NaN, so that component fails there and the
+        # same integrand without the band converges
+        def derivatives(b):
+            band = (b > -1.2) & (b < -0.8) & np.array([False, True])
+            return np.where(band, np.nan, -np.tanh(b)), np.where(band, np.nan, -np.cosh(b) ** -2.0)
+
+        modes, curv, failed = _find_mode_batch(derivatives, np.array([1.5, 1.5]))
+        assert not failed[0] and failed[1]
+        assert modes[0] == pytest.approx(0.0, abs=1e-15) and curv[0] == -1.0
+        overshoot = 1.5 - np.sinh(3.0) / 2.0
+        assert modes[1] == pytest.approx(0.5 * (overshoot + 1.5), rel=1e-12)
+
 
 class TestAdaptiveExpectation:
     def test_gaussian_mean(self):
