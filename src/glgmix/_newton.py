@@ -1,13 +1,21 @@
 """Damped Newton ascent shared by the model families' fits.
 
-An objective maps an unconstrained parameter vector to (loglik, score,
-hessian), or to None where any of them is unavailable.  A step is halved
-until the log-likelihood does not fall, unless the score is below
+The loop climbs a stack of R independent problems at once, one parameter
+vector per row of ``theta``; a single fit is the stack of one row.  An
+objective maps points of shape (n, k) for the rows ``rows`` of the stack
+to (loglik (n,), score (n, k), hessian (n, k, k)); a row whose values
+are not all finite is unavailable at that point.  A step is halved until
+the log-likelihood does not fall, unless the score is below
 ``_UNCHECKED_SCORE`` before or after it: there the true rise can be below
-what the objective resolves, so the step is taken on trust.
+what the objective resolves, so the step is taken on trust.  Every row
+keeps its own halvings, stop, iteration count and trace, so a row's
+iterates are those it would have alone; each halving round evaluates only
+the rows whose step is still pending.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -18,44 +26,69 @@ _MAX_HALVINGS = 40
 _UNCHECKED_SCORE = 1e-3
 
 
+# a namedtuple: a dataclass would cost about 1 ms at every import
+Climb = namedtuple("Climb", "theta loglik score hess size traces started converged")
+Climb.__doc__ = """Where each row of a stack stopped: its last accepted iterate and the
+objective's values there, ``size`` of its score, its trace, whether the
+objective was available at its start (``started``; if not, the row holds
+the start and NaN values) and whether it ``converged``."""
+
+
 def _max_abs(theta, score):
-    return float(np.max(np.abs(score)))
+    return np.abs(score).max(axis=1)
+
+
+def available(loglik, score, hess):
+    """Rows at which the objective's values are all finite."""
+    return np.isfinite(loglik) & np.isfinite(score).all(axis=-1) & np.isfinite(hess).all(axis=(-2, -1))
 
 
 def _newton_step(hess, score):
-    """Ascent step ``|H|^-1 score``, every eigenvalue of the Hessian taken
-    by absolute value, shrunk so that no coordinate moves more than
+    """Ascent steps ``|H|^-1 score``, every eigenvalue of each Hessian taken
+    by absolute value, each shrunk so that no coordinate moves more than
     ``_MAX_STEP``."""
     evals, evecs = np.linalg.eigh(hess)
-    step = evecs @ ((evecs.T @ score) / np.abs(evals))
-    return step / max(1.0, np.max(np.abs(step)) / _MAX_STEP)
+    step = (evecs @ ((score[:, None, :] @ evecs)[:, 0] / np.abs(evals))[:, :, None])[:, :, 0]
+    return step / np.maximum(1.0, np.abs(step).max(axis=1, keepdims=True) / _MAX_STEP)
 
 
 def maximise(objective, theta, gtol, max_iter, size=_max_abs):
-    """Climb from ``theta`` until ``size(theta, score)`` (max |score| by
-    default) is below ``gtol``, after ``max_iter`` steps, or when no halving
-    of a step is accepted.  Returns None when the objective is unavailable
-    at ``theta``, else (theta, (loglik, score, hessian), size, trace)."""
-    current = objective(theta)
-    if current is None:
-        return None
-    loglik, score, hess = current
-    max_score = size(theta, score)
-    trace = [TraceRecord(iteration=0, loglik=loglik, max_grad=max_score)]
-    while max_score >= gtol and len(trace) <= max_iter:
-        step = _newton_step(hess, score)
+    """Climb every row of ``theta`` (R, k) until ``size(theta, score)`` (max
+    |score| by default, one value per row) is below ``gtol``, after
+    ``max_iter`` steps, or when no halving of a step is accepted.  Returns
+    a :class:`Climb`."""
+    theta = np.array(theta, dtype=float)
+    loglik, score, hess = (np.array(v, dtype=float) for v in objective(theta, np.arange(len(theta))))
+    started = available(loglik, score, hess)
+    with np.errstate(all="ignore"):  # unavailable rows may overflow or be NaN
+        sizes = np.where(started, size(theta, score), np.nan)
+    traces = tuple(
+        [TraceRecord(iteration=0, loglik=float(ll), max_grad=float(s))] if ok else []
+        for ll, s, ok in zip(loglik, sizes, started)
+    )
+    steps = np.zeros(len(theta), dtype=int)
+    active = started & (sizes >= gtol) & (steps < max_iter)
+    while active.any():
+        rows = np.flatnonzero(active)  # then only the rows still pending
+        step = _newton_step(hess[rows], score[rows])
         for _ in range(_MAX_HALVINGS):
-            candidate = theta + step
-            trial = objective(candidate)
-            if trial is not None and (
-                min(max_score, size(candidate, trial[1])) < _UNCHECKED_SCORE or trial[0] >= loglik
-            ):
+            candidate = theta[rows] + step
+            t_loglik, t_score, t_hess = objective(candidate, rows)
+            with np.errstate(all="ignore"):
+                t_size = size(candidate, t_score)
+                accept = available(t_loglik, t_score, t_hess) & (
+                    (np.minimum(sizes[rows], t_size) < _UNCHECKED_SCORE) | (t_loglik >= loglik[rows]))
+            took = rows[accept]
+            theta[took], loglik[took], sizes[took] = candidate[accept], t_loglik[accept], t_size[accept]
+            score[took], hess[took] = t_score[accept], t_hess[accept]
+            steps[took] += 1
+            for r in took.tolist():
+                traces[r].append(TraceRecord(
+                    iteration=len(traces[r]), loglik=float(loglik[r]), max_grad=float(sizes[r])))
+            active[took] = (sizes[took] >= gtol) & (steps[took] < max_iter)
+            rows, step = rows[~accept], 0.5 * step[~accept]
+            if not rows.size:
                 break
-            step = 0.5 * step
-        else:
-            break
-        theta = candidate
-        loglik, score, hess = trial
-        max_score = size(theta, score)
-        trace.append(TraceRecord(iteration=len(trace), loglik=loglik, max_grad=max_score))
-    return theta, (loglik, score, hess), max_score, trace
+        active[rows] = False  # no halving accepted: the row stops
+    return Climb(theta=theta, loglik=loglik, score=score, hess=hess, size=sizes, traces=traces,
+                 started=started, converged=started & (sizes < gtol))

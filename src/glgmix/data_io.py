@@ -275,12 +275,17 @@ class Dataset:
         """sum_j log y_ij! per cluster (read-only), the data-only constant
         of every Poisson-based log-likelihood."""
         if self._log_y_factorials is None:
-            counts, which = np.unique(self.y, return_inverse=True)
-            per_count = np.array([math.lgamma(k + 1.0) for k in counts.tolist()])
-            sums = self.cluster_sums(per_count[which])
+            sums = self.log_factorial_sums(self.y)
             sums.setflags(write=False)
             object.__setattr__(self, "_log_y_factorials", sums)
         return self._log_y_factorials
+
+    def log_factorial_sums(self, y):
+        """sum_j log y_ij! per cluster for counts ``y`` of shape (..., n_obs)
+        on this layout, one ``lgamma`` per distinct count."""
+        counts, which = np.unique(y, return_inverse=True)
+        per_count = np.array([math.lgamma(k + 1.0) for k in counts.tolist()])
+        return self.cluster_sums(per_count[which.reshape(np.shape(y))], axis=-1)
 
     @property
     def n_clusters(self):
@@ -294,13 +299,14 @@ class Dataset:
     def p(self):
         return len(self.column_names)
 
-    def cluster_sums(self, values):
-        """Sum per-observation ``values`` (along axis 0) within each cluster."""
-        return np.add.reduceat(values, self.starts, axis=0)
+    def cluster_sums(self, values, axis=0):
+        """Sum per-observation ``values`` (along ``axis``) within each cluster."""
+        return np.add.reduceat(values, self.starts, axis=axis)
 
-    def per_obs(self, values):
-        """Repeat one value per cluster over that cluster's observations."""
-        return np.repeat(values, self.sizes, axis=0)
+    def per_obs(self, values, axis=0):
+        """Repeat one value per cluster (along ``axis``) over that cluster's
+        observations."""
+        return np.repeat(values, self.sizes, axis=axis)
 
     def obs_ids(self):
         """Cluster id of every observation, as an object array."""

@@ -3,29 +3,39 @@ envelopes, and AIC comparison tables.
 
 Normal quantiles come from :class:`statistics.NormalDist` (Wichura's
 AS241 algorithm), one plotting position at a time.
+
+A simulated envelope (Atkinson 1981) refits every replicate together: the
+replicates' counts form one stack on the observed design, the damped
+Newton climbs all their fits at once and the residuals come out for the
+whole stack.  Replicates go through in blocks of at most
+``_BLOCK_ELEMENTS`` replicate observations, so the working memory does
+not grow with the number of replicates.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EnvelopeError,
-    EnvelopeReplicateWarning,
-    GlgmixError,
-    NegativeDevianceWarning,
-)
-from .mnb_model import _maximise as mnb_maximise
+from .errors import DomainError, EnvelopeError, EnvelopeReplicateWarning
+from .mnb_model import _check_design_rank, _climb, _replicate_residuals
 from .mnb_model import residuals as mnb_residuals
-from .simulate import resample_mnb
+from .simulate import _mnb_counts
 
 _MIN_REPLICATES = 19  # fewer cannot bracket a 95% band
 _MAX_DROP_FRACTION = 0.2
+_BLOCK_ELEMENTS = 1_000_000  # replicates x observations refitted at once
+
+# why a replicate is dropped
+NOT_CONVERGED = "not converged"
+NOT_STARTED = "objective not finite at the start"
+NON_FINITE = "non-finite residuals"
+SINGULAR = "singular pooled information"
 
 
 _ndtri = NormalDist().inv_cdf  # standard normal quantile of one probability
@@ -56,7 +66,9 @@ class EnvelopeResult:
     """Simulated envelope for an ordered residual plot.
 
     ``n_replicates`` counts the replicates retained; ``n_dropped`` the
-    discarded ones (non-convergence or undefined residuals).
+    discarded ones, and ``dropped`` names each as (replicate index,
+    reason): not converged, objective not finite at the start, non-finite
+    residuals, or singular pooled information.
     """
 
     theoretical: np.ndarray
@@ -66,6 +78,7 @@ class EnvelopeResult:
     upper: np.ndarray
     n_dropped: int
     n_replicates: int
+    dropped: tuple = ()
 
 
 def _pick_residual(report, which):
@@ -76,21 +89,20 @@ def _pick_residual(report, which):
     raise DomainError(f"residual must be 'deviance' or 'pearson', got {which!r}")
 
 
-def _one_replicate(dataset, params, which, seed_seq):
-    """Sorted residual vector from one parametric-bootstrap refit, or None."""
-    rng = np.random.default_rng(seed_seq)
-    sim = resample_mnb(dataset, params, rng)
-    try:
-        pars, _, converged, _ = mnb_maximise(sim, init=params)
-        if not converged:
-            return None
-        report = mnb_residuals(sim, pars)
-    except (GlgmixError, np.linalg.LinAlgError):
-        return None
-    r = _pick_residual(report, which)
-    if not np.all(np.isfinite(r)):
-        return None
-    return np.sort(r)
+def _block_residuals(dataset, params, which, y):
+    """Sorted residual rows of the refits, started at ``params``, to the
+    count stack ``y`` (B, n_obs), and each row's reason to be dropped
+    (None for a row that is kept)."""
+    start = np.append(params.beta, math.log(params.phi))
+    climb = _climb(dataset, np.tile(start, (len(y), 1)), y)
+    with np.errstate(all="ignore"):  # non-finite residuals drop their row below
+        resid, singular = _replicate_residuals(dataset, climb.theta, y, which)
+    reasons = np.select(
+        [~climb.started, ~climb.converged, singular, ~np.isfinite(resid).all(axis=1)],
+        [NOT_STARTED, NOT_CONVERGED, SINGULAR, NON_FINITE],
+        None,
+    )
+    return np.sort(resid, axis=1), reasons.tolist()
 
 
 def simulated_envelope(
@@ -103,11 +115,12 @@ def simulated_envelope(
 ):
     """Parametric-bootstrap envelope for the ordered residuals.
 
-    Each replicate redraws responses from the fitted law, refits, and
-    contributes a sorted residual vector; the bands are per-rank
-    quantiles at the requested ``level`` (1.0 gives the min/max hull).
-    Replicates that fail to converge or yield undefined residuals are
-    dropped with a warning; more than 20% dropped is an error.
+    Each replicate redraws responses from the fitted law with its own
+    child of ``SeedSequence(seed)``, refits, and contributes a sorted
+    residual vector; the bands are per-rank quantiles at the requested
+    ``level`` (1.0 gives the min/max hull).  Replicates that fail to
+    converge or yield undefined residuals are dropped with a warning that
+    counts them by reason; more than 20% dropped is an error.
     """
     if n_replicates < _MIN_REPLICATES:
         raise DomainError(
@@ -125,20 +138,23 @@ def simulated_envelope(
         )
     observed = np.sort(base)
     n_obs = observed.size
+    _check_design_rank(dataset)  # once: every replicate shares the design
 
     seeds = np.random.SeedSequence(seed).spawn(n_replicates)
-    with warnings.catch_warnings():
-        # replicate refits may hit negative components; only the observed
-        # data's warning (raised above) should reach the user
-        warnings.simplefilter("ignore", NegativeDevianceWarning)
-        results = [_one_replicate(dataset, params, residual, s) for s in seeds]
+    block = max(1, _BLOCK_ELEMENTS // n_obs)
+    kept, dropped = [], []
+    for first in range(0, n_replicates, block):
+        rngs = [np.random.default_rng(s) for s in seeds[first:first + block]]
+        rows, reasons = _block_residuals(dataset, params, residual, _mnb_counts(dataset, params, rngs))
+        kept.append(rows[[r is None for r in reasons]])
+        dropped += [(first + i, r) for i, r in enumerate(reasons) if r is not None]
 
-    kept = [r for r in results if r is not None]
-    n_dropped = n_replicates - len(kept)
+    n_dropped = len(dropped)
     if n_dropped:
+        counts = Counter(r for _, r in dropped)
         warnings.warn(
-            f"dropped {n_dropped} of {n_replicates} envelope replicates "
-            "(non-convergence or undefined residuals)",
+            f"dropped {n_dropped} of {n_replicates} envelope replicates ("
+            + ", ".join(f"{r}: {k}" for r, k in counts.items()) + ")",
             EnvelopeReplicateWarning,
             stacklevel=2,
         )
@@ -148,7 +164,7 @@ def simulated_envelope(
             "would be unreliable"
         )
 
-    stack = np.vstack(kept)  # (R_kept, n_obs), each row already sorted
+    stack = np.concatenate(kept)  # (R_kept, n_obs), each row already sorted
     alpha = (1.0 - level) / 2.0
     lower, median, upper = np.quantile(stack, [alpha, 0.5, 1.0 - alpha], axis=0)
 
@@ -159,7 +175,8 @@ def simulated_envelope(
         median=median,
         upper=upper,
         n_dropped=n_dropped,
-        n_replicates=len(kept),
+        n_replicates=n_replicates - n_dropped,
+        dropped=tuple(dropped),
     )
 
 

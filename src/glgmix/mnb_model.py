@@ -11,13 +11,18 @@ observed information.
 Every dataset-wide quantity is an array kernel on the flat
 :class:`~glgmix.data_io.Dataset`: the cluster totals it needs (y+, mu+,
 X'mu) are segment sums over the cluster starts, so the cost grows with
-the number of observations and no Python loop runs over clusters.
+the number of observations and no Python loop runs over clusters.  The
+kernels keep observations (or clusters) on the last axis and take an
+optional leading replicate axis: a stack of R count vectors on one
+design, with one (beta, phi) per replicate, as a simulated envelope
+refits them.  The single-dataset functions are the case without it.
 
 The gamma-function ratios need no special-function library: the
 log-gamma, digamma and trigamma differences at phi + y+ and phi are
 finite sums over j < y+ read off one cumulative table per call
-(:func:`_lgamma_spans`, :func:`_digamma_spans`, :func:`_trigamma_spans`),
-and the data's own log y! sums are cached on the dataset.
+(:func:`_lgamma_spans`, :func:`_digamma_spans`, :func:`_trigamma_spans`;
+one table per replicate's phi), and the data's own log y! sums are cached
+on the dataset.
 """
 
 from __future__ import annotations
@@ -128,46 +133,74 @@ def log_pmf(c, params):
     )
 
 
-def _means(dataset, beta):
+def _col(phi):
+    """phi against arrays with clusters or observations on the last axis:
+    a stack (R,) becomes a column (R, 1); one value, or a stack of one,
+    stays a number, which NumPy combines with an array faster."""
+    phi = np.asarray(phi, dtype=float)
+    return phi.reshape(-1)[0] if phi.size == 1 else phi[..., None]
+
+
+def _rows_at(v, M):
+    """``v @ M`` for each row of ``v`` (..., n) as a product of its own, so
+    that a row's result does not depend on the stack it is in (one matrix
+    product over the stack rounds rows differently by stack size)."""
+    return (v[..., None, :] @ M)[..., 0, :]
+
+
+def _means(dataset, beta, y=None):
     """Observation means, their cluster totals mu+, and the counts with
-    their cluster totals y+, all as floats."""
-    mu = np.exp(dataset.X @ beta + dataset.offset)
-    y = dataset.y.astype(float)
-    return mu, dataset.cluster_sums(mu), y, dataset.cluster_sums(y)
+    their cluster totals y+, all as floats.  ``beta`` is one coefficient
+    vector or a stack (R, p); ``y`` a stack of counts (R, n_obs) on the
+    dataset's layout, the dataset's own counts by default."""
+    mu = np.exp(_rows_at(beta, dataset.X.T) + dataset.offset)
+    y = dataset.y.astype(float) if y is None else y
+    return mu, dataset.cluster_sums(mu, axis=-1), y, dataset.cluster_sums(y, axis=-1)
 
 
 def log_likelihood(dataset, params):
     """Sum of cluster log pmfs (:func:`log_pmf`), from per-cluster sums."""
-    return _log_likelihood(dataset, params.phi, _means(dataset, params.beta))
+    return float(_log_likelihood(dataset, params.phi, _means(dataset, params.beta)))
 
 
-def _log_likelihood(dataset, phi, sums):
+def _log_likelihood(dataset, phi, sums, log_y_factorials=None):
+    """Log-likelihood per replicate; ``log_y_factorials`` are the counts'
+    per-cluster sums of log y!, the dataset's own by default."""
     mu, mu_plus, y, y_plus = sums
+    if log_y_factorials is None:
+        log_y_factorials = dataset.log_y_factorials
+    phi_col = _col(phi)
     per_cluster = (
         _lgamma_spans(y_plus, phi)
-        - dataset.log_y_factorials
-        + phi * math.log(phi)
-        + dataset.cluster_sums(y * np.log(mu))
-        - (phi + y_plus) * np.log(phi + mu_plus)
+        - log_y_factorials
+        + phi_col * np.log(phi_col)
+        + dataset.cluster_sums(y * np.log(mu), axis=-1)
+        - (phi_col + y_plus) * np.log(phi_col + mu_plus)
     )
-    return float(per_cluster.sum())
+    return per_cluster.sum(axis=-1)
 
 
 def _spans(y_plus, phi, term, past):
     """sum_{j=0}^{y+ - 1} term(phi + j) per cluster, zero for y+ = 0.
 
-    One cumulative table runs up to the largest y+ <= _SUM_TERMS_MAX; a
-    cluster past it gets the closed form past(phi + y+) - past(phi), one
-    scalar call each.
+    ``y_plus`` has clusters on its last axis and ``phi`` one value per
+    leading index.  One cumulative table per phi runs up to the largest
+    y+ <= _SUM_TERMS_MAX; a cluster past it gets the closed form
+    past(phi + y+) - past(phi), one scalar call each.
     """
     counts = y_plus.astype(np.int64)
     small = counts <= _SUM_TERMS_MAX
     top = int(counts[small].max(initial=0))
-    table = np.concatenate(([0.0], np.cumsum(term(phi + np.arange(top)))))
-    spans = np.empty(counts.size)
-    spans[small] = table[counts[small]]
+    phi_col = _col(phi)
+    table = np.zeros((*np.shape(phi_col)[:-1], top + 1))
+    np.cumsum(term(phi_col + np.arange(top)), axis=-1, out=table[..., 1:])
+    index = np.where(small, counts, 0)
+    if table.ndim > 1:  # one table row per phi, at flat positions top + 1 apart
+        index = index + np.arange(0, table.size, top + 1)[:, None]
+    spans = table.ravel()[index]
     if not small.all():  # rare; keeps scalar code off the common path
-        spans[~small] = [past(phi + n) - past(phi) for n in y_plus[~small].tolist()]
+        phis = np.broadcast_to(phi_col, counts.shape)[~small]
+        spans[~small] = [past(f + n) - past(f) for f, n in zip(phis.tolist(), y_plus[~small].tolist())]
     return spans
 
 
@@ -188,21 +221,23 @@ def _trigamma_spans(y_plus, phi):
 
 def _phi_scores(y_plus, mu_plus, phi):
     """Per-cluster contributions to U_phi."""
+    phi_col = _col(phi)
     return (
         _digamma_spans(y_plus, phi)
-        - y_plus / (phi + mu_plus)
-        - np.log1p(mu_plus / phi)
-        + mu_plus / (phi + mu_plus)
+        - y_plus / (phi_col + mu_plus)
+        - np.log1p(mu_plus / phi_col)
+        + mu_plus / (phi_col + mu_plus)
     )
 
 
 def _phi_curvatures(y_plus, mu_plus, phi):
     """Per-cluster contributions to d U_phi / d phi."""
+    phi_col = _col(phi)
     return (
         _trigamma_spans(y_plus, phi)
-        + 1.0 / phi
-        - 1.0 / (phi + mu_plus)
-        - (mu_plus - y_plus) / (phi + mu_plus) ** 2
+        + 1.0 / phi_col
+        - 1.0 / (phi_col + mu_plus)
+        - (mu_plus - y_plus) / (phi_col + mu_plus) ** 2
     )
 
 
@@ -210,9 +245,10 @@ def _scores(dataset, phi, sums):
     """The weights a_i = (phi + y+_i)/(phi + mu+_i), U_beta and U_phi,
     from the output of :func:`_means`."""
     mu, mu_plus, y, y_plus = sums
-    a = (phi + y_plus) / (phi + mu_plus)
-    u_beta = dataset.X.T @ (y - dataset.per_obs(a) * mu)
-    return a, u_beta, float(np.sum(_phi_scores(y_plus, mu_plus, phi)))
+    phi_col = _col(phi)
+    a = (phi_col + y_plus) / (phi_col + mu_plus)
+    u_beta = _rows_at(y - dataset.per_obs(a, axis=-1) * mu, dataset.X)
+    return a, u_beta, _phi_scores(y_plus, mu_plus, phi).sum(axis=-1)
 
 
 def _k_phi(mu_plus, phi):
@@ -253,12 +289,13 @@ def _info_beta(dataset, mu, mu_plus, phi, weights=None):
     """sum_i w_i X_i' W_i X_i with W_i = D(mu_i) - mu_i mu_i'/(phi + mu+_i);
     unit weights when ``weights`` is None."""
     X = dataset.X
-    xm = dataset.cluster_sums(X * mu[:, None])  # (n_clusters, p): X_i' mu_i
-    shrink = 1.0 / (phi + mu_plus)
+    xm = dataset.cluster_sums(X * mu[..., :, None], axis=-2)  # (..., n_clusters, p): X_i' mu_i
+    shrink = 1.0 / (_col(phi) + mu_plus)
     if weights is not None:
-        mu = mu * dataset.per_obs(weights)
+        mu = mu * dataset.per_obs(weights, axis=-1)
         shrink = shrink * weights
-    return (X.T * mu) @ X - (xm.T * shrink) @ xm
+    # one product per replicate, as with _rows_at
+    return (X.T * mu[..., None, :]) @ X - (xm.swapaxes(-1, -2) * shrink[..., None, :]) @ xm
 
 
 def score(dataset, params):
@@ -270,7 +307,7 @@ def score(dataset, params):
     mu, mu_plus = sums[:2]
     return ScoreInfo(
         u_beta=u_beta,
-        u_phi=u_phi,
+        u_phi=float(u_phi),
         k_beta=_info_beta(dataset, mu, mu_plus, phi),
         k_phi=_k_phi(mu_plus, phi),
     )
@@ -363,9 +400,11 @@ def _moment_start_phi(dataset, beta):
     return max(0.1, float(np.mean(mus ** 2)) / excess)
 
 
-def _objective(dataset):
-    """(loglik, score, hessian) over theta = (beta, log phi) from one
-    :func:`_means` pass, or None where any of them is not finite.
+def _objective(dataset, y=None):
+    """The objective :func:`~glgmix._newton.maximise` climbs over theta =
+    (beta, log phi): (loglik, score, hessian) at points (n, p + 1) for rows
+    of the count stack ``y`` (R, n_obs), from one :func:`_means` pass.
+    Without ``y`` the stack is the dataset's own counts, one row.
 
     The score is (U_beta, phi U_phi).  The Hessian is minus the exact
     observed information: the beta block is :func:`_info_beta` with
@@ -373,34 +412,41 @@ def _objective(dataset):
     mu+)^2) mu), and the log phi entry is phi^2 dU_phi/dphi + phi U_phi.
     """
     X, p = dataset.X, dataset.p
+    if y is None:
+        y, log_y_factorials = dataset.y[None].astype(float), dataset.log_y_factorials[None]
+    else:
+        y, log_y_factorials = y.astype(float), dataset.log_factorial_sums(y)
 
-    def evaluate(theta):
-        with np.errstate(all="ignore"):  # non-finite values return None below
-            phi = float(np.exp(theta[p]))
-            if phi == 0.0:  # phi log phi below would raise
-                return None
-            sums = _means(dataset, theta[:p])
+    def evaluate(theta, rows):
+        with np.errstate(all="ignore"):  # non-finite values mark the row unavailable
+            phi = np.exp(theta[:, p])
+            sums = _means(dataset, theta[:, :p], y[rows])
             mu, mu_plus, _, y_plus = sums
-            loglik = _log_likelihood(dataset, phi, sums)
+            loglik = _log_likelihood(dataset, phi, sums, log_y_factorials[rows])
             a, u_beta, u_phi = _scores(dataset, phi, sums)
             beta_beta = _info_beta(dataset, mu, mu_plus, phi, weights=a)
-            cross = -phi * (X.T @ (dataset.per_obs((mu_plus - y_plus) / (phi + mu_plus) ** 2) * mu))
-            curv = float(_phi_curvatures(y_plus, mu_plus, phi).sum())
-        hess = np.empty((p + 1, p + 1))
-        hess[:p, :p] = -0.5 * (beta_beta + beta_beta.T)  # exactly symmetric
-        hess[:p, p] = hess[p, :p] = cross
-        hess[p, p] = phi * phi * curv + phi * u_phi
-        score = np.append(u_beta, phi * u_phi)
-        if not (math.isfinite(loglik) and np.all(np.isfinite(score)) and np.all(np.isfinite(hess))):
-            return None
-        return loglik, score, hess
+            shift = dataset.per_obs((mu_plus - y_plus) / (_col(phi) + mu_plus) ** 2, axis=-1)
+            cross = -_col(phi) * _rows_at(shift * mu, X)
+            curv = _phi_curvatures(y_plus, mu_plus, phi).sum(axis=-1)
+            hess = np.empty((len(rows), p + 1, p + 1))
+            hess[:, :p, :p] = -0.5 * (beta_beta + beta_beta.swapaxes(-1, -2))  # exactly symmetric
+            hess[:, :p, p] = hess[:, p, :p] = cross
+            hess[:, p, p] = phi * phi * curv + phi * u_phi
+            return loglik, np.column_stack([u_beta, phi * u_phi]), hess
 
     return evaluate
 
 
 def _natural_size(theta, score):
     # max(|U_beta|_inf, |U_phi|), U_phi back in the natural units of phi
-    return max(float(np.max(np.abs(score[:-1]))), abs(score[-1]) / float(np.exp(theta[-1])))
+    return np.maximum(np.abs(score[:, :-1]).max(axis=1), np.abs(score[:, -1]) / np.exp(theta[:, -1]))
+
+
+def _climb(dataset, theta, y=None):
+    """The damped Newton in (beta, log phi) from each row of ``theta``
+    (R, p + 1), on the matching row of the count stack ``y`` (the
+    dataset's own counts by default): a :class:`~glgmix._newton.Climb`."""
+    return maximise(_objective(dataset, y), theta, _SCORE_TOL, _MAX_ITER, _natural_size)
 
 
 def _maximise(dataset, init=None):
@@ -411,13 +457,12 @@ def _maximise(dataset, init=None):
     if init is None:
         beta = _poisson_irls(dataset)
         init = MnbParams(beta=beta, phi=_moment_start_phi(dataset, beta))
-    theta = np.append(init.beta, math.log(init.phi))
-    found = maximise(_objective(dataset), theta, _SCORE_TOL, _MAX_ITER, _natural_size)
-    if found is None:
+    climb = _climb(dataset, np.append(init.beta, math.log(init.phi))[None])
+    if not climb.started[0]:
         raise DomainError("MNB log-likelihood, score or information not finite at the start")
-    theta, (loglik, _, _), max_score, trace = found
+    theta = climb.theta[0]
     params = MnbParams(beta=theta[:-1], phi=float(np.exp(theta[-1])))
-    return params, loglik, max_score < _SCORE_TOL, trace
+    return params, float(climb.loglik[0]), bool(climb.converged[0]), climb.traces[0]
 
 
 def fit(dataset, init=None):
@@ -464,12 +509,13 @@ def _deviance_terms(dataset, phi, sums):
     y log(y (phi + mu+) / (mu (phi + y+))), zero where y = 0, from the
     output of :func:`_means`."""
     mu, mu_plus, y, y_plus = sums
+    phi_col = _col(phi)
     pos = y > 0
-    num = dataset.per_obs(phi + mu_plus)[pos]
-    den = dataset.per_obs(phi + y_plus)[pos]
-    own = np.zeros(y.size)
+    num = dataset.per_obs(phi_col + mu_plus, axis=-1)[pos]
+    den = dataset.per_obs(phi_col + y_plus, axis=-1)[pos]
+    own = np.zeros(y.shape)
     own[pos] = y[pos] * np.log(y[pos] * num / (mu[pos] * den))
-    return np.log((phi + mu_plus) / (phi + y_plus)), own
+    return np.log((phi_col + mu_plus) / (phi_col + y_plus)), own
 
 
 def deviance(dataset, fitted):
@@ -484,7 +530,7 @@ def deviance(dataset, fitted):
 
 def _components(dataset, phi, sums):
     log_ratio, own = _deviance_terms(dataset, phi, sums)
-    return 2.0 * (dataset.per_obs((phi / dataset.sizes) * log_ratio) + own)
+    return 2.0 * (dataset.per_obs((_col(phi) / dataset.sizes) * log_ratio, axis=-1) + own)
 
 
 def deviance_components(dataset, fitted):
@@ -506,24 +552,43 @@ def deviance_components(dataset, fitted):
     return comps
 
 
+def _pooled_inverse(dataset, mu, mu_plus, phi):
+    """Inverses of the pooled cross products sum_i X_i' W_i X_i, and a mask
+    of those that are singular (their inverse is NaN)."""
+    info = _info_beta(dataset, mu, mu_plus, phi)
+    try:
+        return np.linalg.inv(info), np.zeros(info.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:  # rare: find the singular ones one at a time
+        pass
+    flat = info.reshape(-1, *info.shape[-2:])
+    inverse = np.full(flat.shape, np.nan)
+    singular = np.zeros(len(flat), dtype=bool)
+    for k, m in enumerate(flat):
+        try:
+            inverse[k] = np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            singular[k] = True
+    return inverse.reshape(info.shape), singular.reshape(info.shape[:-2])
+
+
 def _leverages(dataset, mu, mu_plus, phi, pooled_inv):
     """Diagonals of W_i^(1/2) X_i M^(-1) X_i' W_i^(1/2), with the symmetric
     square roots from one stacked ``eigh`` per cluster size."""
-    lev = np.empty(dataset.n_obs)
+    lev = np.empty(mu.shape)
     lowest = 0.0
     for m in np.unique(dataset.sizes).tolist():
         which = np.flatnonzero(dataset.sizes == m)
         rows = dataset.starts[which][:, None] + np.arange(m)  # (n_m, m)
-        mus = mu[rows]
+        mus = mu[..., rows]
         # W = D(mu) - mu mu'/(phi + mu+); PSD by construction, so
         # eigenvalues below -1e-10 indicate real trouble
-        w = -mus[:, :, None] * mus[:, None, :] / (phi + mu_plus[which])[:, None, None]
-        w[:, np.arange(m), np.arange(m)] += mus
+        w = -mus[..., :, None] * mus[..., None, :] / (_col(phi) + mu_plus[..., which])[..., None, None]
+        w[..., np.arange(m), np.arange(m)] += mus
         vals, vecs = np.linalg.eigh(w)
         lowest = min(lowest, float(vals.min()))
-        half = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ vecs.transpose(0, 2, 1)
-        a = half @ dataset.X[rows]  # (n_m, m, p)
-        lev[rows] = np.einsum("nij,jk,nik->ni", a, pooled_inv, a)
+        half = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ vecs.swapaxes(-1, -2)
+        a = half @ dataset.X[rows]  # (..., n_m, m, p)
+        lev[..., rows] = ((a @ pooled_inv[..., None, :, :]) * a).sum(axis=-1)
     if lowest < -1e-10:
         warnings.warn(
             f"weight matrix eigenvalue {lowest:.3e} below -1e-10; clipping",
@@ -531,6 +596,21 @@ def _leverages(dataset, mu, mu_plus, phi, pooled_inv):
             stacklevel=3,
         )
     return np.clip(lev, 0.0, 1.0)  # shave float dust off [0, 1]
+
+
+def _pearson(y, mu, phi):
+    return (y - mu) / np.sqrt(mu + mu ** 2 / _col(phi))
+
+
+def _deviance_residuals(y, mu, dev_comp, leverage):
+    """sign(y - mu) sqrt(dev_comp / (1 - h)), NaN where dev_comp < 0."""
+    with np.errstate(invalid="ignore"):
+        return np.where(
+            dev_comp >= 0,
+            np.sign(y - mu) * np.sqrt(np.where(dev_comp >= 0, dev_comp, 0.0))
+            / np.sqrt(1.0 - leverage),
+            np.nan,
+        )
 
 
 def residuals(dataset, fitted):
@@ -551,10 +631,9 @@ def residuals(dataset, fitted):
     phi = fitted.phi
     sums = _means(dataset, fitted.beta)
     mu, mu_plus, y, _ = sums
-    try:
-        pooled_inv = np.linalg.inv(_info_beta(dataset, mu, mu_plus, phi))
-    except np.linalg.LinAlgError:
-        raise LeverageError("pooled weighted cross-product matrix is singular") from None
+    pooled_inv, singular = _pooled_inverse(dataset, mu, mu_plus, phi)
+    if singular:
+        raise LeverageError("pooled weighted cross-product matrix is singular")
     leverage = _leverages(dataset, mu, mu_plus, phi, pooled_inv)
     dev_comp = _components(dataset, phi, sums)
 
@@ -566,19 +645,28 @@ def residuals(dataset, fitted):
             NegativeDevianceWarning,
             stacklevel=2,
         )
-    with np.errstate(invalid="ignore"):
-        dev_resid = np.where(
-            dev_comp >= 0,
-            np.sign(y - mu) * np.sqrt(np.where(dev_comp >= 0, dev_comp, 0.0))
-            / np.sqrt(1.0 - leverage),
-            np.nan,
-        )
     return ResidualReport(
         cluster_ids=tuple(dataset.obs_ids()),
         obs_index=np.arange(1, dataset.n_obs + 1) - dataset.per_obs(dataset.starts),
         fitted=mu,
         leverage=leverage,
         dev_comp=dev_comp,
-        dev_resid=dev_resid,
-        pearson=(y - mu) / np.sqrt(mu + mu ** 2 / phi),
+        dev_resid=_deviance_residuals(y, mu, dev_comp, leverage),
+        pearson=_pearson(y, mu, phi),
     )
+
+
+def _replicate_residuals(dataset, theta, y, which):
+    """One kind of residual, ``"pearson"`` or ``"deviance"``, for each fit
+    theta = (beta, log phi) (R, p + 1) to its row of the count stack ``y``
+    (R, n_obs), as :func:`residuals` reports it; and the mask of rows whose
+    pooled information is singular, which have no deviance residuals.  A
+    Pearson residual needs only the means and phi."""
+    phi = np.exp(theta[:, -1])
+    sums = _means(dataset, theta[:, :-1], y.astype(float))
+    mu, mu_plus, y, _ = sums
+    if which == "pearson":
+        return _pearson(y, mu, phi), np.zeros(len(phi), dtype=bool)
+    pooled_inv, singular = _pooled_inverse(dataset, mu, mu_plus, phi)
+    leverage = _leverages(dataset, mu, mu_plus, phi, pooled_inv)
+    return _deviance_residuals(y, mu, _components(dataset, phi, sums), leverage), singular

@@ -289,6 +289,15 @@ class _Objective:
         self.modes = modes
         return float((values + c).sum()), score, hess
 
+    def stacked(self, theta, rows):
+        """The objective at a stack of one point, in the form
+        :func:`~glgmix._newton.maximise` takes; NaN where unavailable."""
+        found = self(theta[0])
+        if found is None:
+            return np.full(1, np.nan), np.full(theta.shape, np.nan), np.full((1, *theta.shape), np.nan)
+        loglik, score, hess = found
+        return np.array([loglik]), score[None], hess[None]
+
 
 def _order_adequate(dataset, params, loglik, options, init):
     """Whether the log-likelihood at twice the order agrees within
@@ -327,19 +336,19 @@ def fit(dataset, init=None, options=None):
         theta = np.append(theta, start.lam)
 
     objective = _Objective(dataset, options)
-    found = maximise(objective, theta, options.gtol, options.max_iter)
-    if found is None:  # raises, naming the clusters, when a mode search is the cause
+    climb = maximise(objective.stacked, theta[None], options.gtol, options.max_iter)
+    if not climb.started[0]:  # raises, naming the clusters, when a mode search is the cause
         log_likelihood(dataset, objective.to_params(theta), objective.rule)
         raise ModeSearchError(
             "log-likelihood, score or information not finite at the start", last_iterate=None
         )
-    theta, (loglik, _, hess), max_score, trace = found
+    theta, loglik, trace = climb.theta[0], float(climb.loglik[0]), climb.traces[0]
 
     params_hat = objective.to_params(theta)
-    converged = max_score < options.gtol and _order_adequate(
+    converged = climb.converged[0] and _order_adequate(
         dataset, params_hat, loglik, options, objective.modes
     )
-    std_errors = _pglg_standard_errors(hess, params_hat.sigma, p)
+    std_errors = _pglg_standard_errors(climb.hess[0], params_hat.sigma, p)
 
     names = [*dataset.column_names, "sigma=lambda" if options.tie_sigma_lambda else "sigma"]
     z_defined = [True] * p + [False]

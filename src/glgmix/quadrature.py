@@ -81,7 +81,11 @@ def _find_mode_batch(derivatives, init):
     its midpoint, and so is a step larger than half the step before last
     (Numerical Recipes' rtsafe rule: Newton is crawling, as it does down
     an exponential wall); without a far end to halve towards, such a
-    crawl takes the capped step instead.  A component converges once its
+    crawl takes the capped step instead.  That capped jump lands on new
+    ground, so the step after it is judged against the jump, not against
+    the crawl step before it.  (After a midpoint the step before last
+    stays the yardstick: on a wall, bisecting twice in a row beats a
+    Newton crawl in between.)  A component converges once its
     step is within rounding of max(1, |b|), so the mode is a root of g' to
     rounding.  It fails where g' is NaN, staying there, where g'' at the
     mode is not finite and negative, or after ``_MODE_MAX_ITER`` steps.
@@ -113,8 +117,12 @@ def _find_mode_batch(derivatives, init):
             outside = (new != b) & ~((lo < new) & (new < hi))
             replace = outside | (np.abs(step) > np.maximum(0.5 * before, _SQRT_EPS))
             if replace.any():
-                far = np.where(hi - lo < np.inf, 0.5 * (lo + hi), b + np.sign(step) * _MODE_STEP_CAP)
+                bracketed = hi - lo < np.inf
+                far = np.where(bracketed, 0.5 * (lo + hi), b + np.sign(step) * _MODE_STEP_CAP)
                 new = np.where(replace, far, new)
+                # a capped jump lands on new ground: the next step is judged
+                # against the jump, not against the crawl step before it
+                last = np.where(replace & ~bracketed, np.abs(new - b), last)
             before, last = last, np.abs(new - b)
 
             done = active & (last <= _EPS * np.maximum(1.0, np.abs(b)))

@@ -152,29 +152,41 @@ def simulate_mnb(design, params):
     return _assemble(design, xs, offs, params.beta, np.log(w), rng, names)
 
 
-def _redraw(dataset, beta, log_frailty, rng):
-    eta = dataset.X @ beta + dataset.offset + dataset.per_obs(log_frailty)
+def _poisson_counts(dataset, beta, log_frailty, rngs):
+    """Poisson counts around exp(X beta + offset + log frailty) on the
+    dataset's design, one row (n_obs,) per generator and row of
+    ``log_frailty`` (R, n_clusters)."""
+    eta = dataset.X @ beta + dataset.offset + dataset.per_obs(log_frailty, axis=-1)
     with np.errstate(over="ignore"):
         mu = np.exp(eta)
     overflow = np.isinf(mu)
     if overflow.any():
-        bad = dataset.obs_ids()[np.argmax(overflow)]
+        bad = dataset.obs_ids()[np.argmax(overflow.any(axis=0))]
         raise DomainError(f"cluster {bad!r}: linear predictor overflows")
+    return np.stack([rng.poisson(m) for rng, m in zip(rngs, mu)])
+
+
+def _redraw(dataset, y):
     return Dataset._from_flat(
         ids=dataset.ids,
         sizes=dataset.sizes,
-        y=rng.poisson(mu),
+        y=y,
         X=dataset.X,
         offset=dataset.offset,
         column_names=dataset.column_names,
     )
 
 
+def _mnb_counts(dataset, params, rngs):
+    """The responses :func:`resample_mnb` draws from each generator, one
+    row per generator: its gamma frailties, then its Poisson counts."""
+    w = np.array([rng.gamma(params.phi, 1.0 / params.phi, size=dataset.n_clusters) for rng in rngs])
+    return _poisson_counts(dataset, params.beta, np.log(w), rngs)
+
+
 def resample_mnb(dataset, params, rng):
     """New responses from the fitted law, on the dataset's own design."""
-    rng = np.random.default_rng(rng)
-    w = rng.gamma(params.phi, 1.0 / params.phi, size=dataset.n_clusters)
-    return _redraw(dataset, params.beta, np.log(w), rng)
+    return _redraw(dataset, _mnb_counts(dataset, params, [np.random.default_rng(rng)])[0])
 
 
 def resample_pglg(dataset, params, rng):
@@ -182,4 +194,4 @@ def resample_pglg(dataset, params, rng):
     rng = np.random.default_rng(rng)
     prior = GlgParams(mu=0.0, sigma=params.sigma, lam=params.lam)
     b = glg_dist.sample(prior, rng, dataset.n_clusters)
-    return _redraw(dataset, params.beta, b, rng)
+    return _redraw(dataset, _poisson_counts(dataset, params.beta, b[None], [rng])[0])

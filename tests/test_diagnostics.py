@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from glgmix.errors import (
     DomainError,
     EnvelopeError,
     EnvelopeReplicateWarning,
+    LeverageError,
     NegativeDevianceWarning,
 )
 from glgmix.mnb_model import MnbParams
-from glgmix.simulate import SimDesign, simulate_mnb
+from glgmix.simulate import SimDesign, resample_mnb, simulate_mnb
 
 # envelope calls surface the base report's warning as a side effect; the
 # one test about that warning asserts it explicitly via pytest.warns
@@ -30,6 +32,46 @@ def fitted_mnb(seed=0, n=40, phi=1.5):
     res = mnb_model.fit(ds)
     assert res.converged
     return ds, MnbParams(beta=res.estimates[:-1], phi=res.estimates[-1])
+
+
+def fitted_singletons(seed, n, b0, phi):
+    """Clusters of one observation, whose deviance residuals are defined."""
+    def x_builder(rng, m):
+        return np.column_stack([np.ones(m), rng.normal(size=m)])
+
+    d = SimDesign(n_clusters=n, cluster_sizes=1, x_builder=x_builder, seed=seed)
+    ds = simulate_mnb(d, MnbParams(beta=np.array([b0, -0.3]), phi=phi))
+    res = mnb_model.fit(ds)
+    assert res.converged
+    return ds, MnbParams(beta=res.estimates[:-1], phi=res.estimates[-1])
+
+
+def reference_replicate(dataset, params, which, seed_seq):
+    """Sorted residuals of one replicate redrawn and refitted on its own,
+    or the reason it is dropped."""
+    sim = resample_mnb(dataset, params, np.random.default_rng(seed_seq))
+    try:
+        pars, _, converged, _ = mnb_model._maximise(sim, init=params)
+    except DomainError:
+        return diagnostics.NOT_STARTED
+    if not converged:
+        return diagnostics.NOT_CONVERGED
+    try:
+        report = mnb_model.residuals(sim, pars)
+    except LeverageError:
+        return diagnostics.SINGULAR
+    r = report.pearson if which == "pearson" else report.dev_resid
+    if not np.all(np.isfinite(r)):
+        return diagnostics.NON_FINITE
+    return np.sort(r)
+
+
+def reference_envelope(dataset, params, which, n_replicates, seed):
+    """(kept stack, dropped (index, reason) pairs) replicate by replicate."""
+    rows = [reference_replicate(dataset, params, which, s)
+            for s in np.random.SeedSequence(seed).spawn(n_replicates)]
+    kept = np.vstack([r for r in rows if not isinstance(r, str)])
+    return kept, tuple((i, r) for i, r in enumerate(rows) if isinstance(r, str))
 
 
 class TestQqPoints:
@@ -98,11 +140,7 @@ class TestSimulatedEnvelope:
             ds, pars, residual="pearson", n_replicates=19, level=1.0, seed=5
         )
         # reconstruct the replicate stack by hand with the same seeds
-        seeds = np.random.SeedSequence(5).spawn(19)
-        rows = [
-            diagnostics._one_replicate(ds, pars, "pearson", s) for s in seeds
-        ]
-        stack = np.vstack([r for r in rows if r is not None])
+        stack, _ = reference_envelope(ds, pars, "pearson", 19, 5)
         np.testing.assert_allclose(env.lower, stack.min(axis=0), rtol=1e-12)
         np.testing.assert_allclose(env.upper, stack.max(axis=0), rtol=1e-12)
 
@@ -146,28 +184,69 @@ class TestSimulatedEnvelope:
 
     def test_replicate_drop_warning_and_failure_cap(self, monkeypatch):
         ds, pars = fitted_mnb(seed=8)
-        real = diagnostics._one_replicate
-        calls = {"n": 0}
+        real = diagnostics._block_residuals
 
-        def flaky(dataset, params, which, seed_seq):
-            calls["n"] += 1
-            if calls["n"] % 7 == 0:
-                return None
-            return real(dataset, params, which, seed_seq)
+        def flaky(dataset, params, which, y):
+            # every 7th replicate of the one block fails
+            rows, reasons = real(dataset, params, which, y)
+            return rows, [diagnostics.NOT_CONVERGED if (i + 1) % 7 == 0 else r
+                          for i, r in enumerate(reasons)]
 
-        monkeypatch.setattr(diagnostics, "_one_replicate", flaky)
+        monkeypatch.setattr(diagnostics, "_block_residuals", flaky)
         with pytest.warns(EnvelopeReplicateWarning, match="dropped"):
             env = simulated_envelope(ds, pars, residual="pearson", n_replicates=21, seed=0)
         assert env.n_dropped == 3
         assert env.n_replicates == 18
 
-        def broken(dataset, params, which, seed_seq):
-            return None
+        def broken(dataset, params, which, y):
+            rows, reasons = real(dataset, params, which, y)
+            return rows, [diagnostics.NOT_CONVERGED] * len(reasons)
 
-        monkeypatch.setattr(diagnostics, "_one_replicate", broken)
+        monkeypatch.setattr(diagnostics, "_block_residuals", broken)
         with pytest.warns(EnvelopeReplicateWarning):
             with pytest.raises(EnvelopeError):
                 simulated_envelope(ds, pars, residual="pearson", n_replicates=19, seed=0)
+
+    @pytest.mark.parametrize("which", ["pearson", "deviance"])
+    @pytest.mark.parametrize("seed, n, b0, phi", [
+        (0, 40, 1.0, 1.5),  # nothing dropped
+        (7, 6, 0.5, 50.0),  # replicate 3 does not converge
+        (2, 8, 1.0, 20.0),  # replicate 20 has an infinite deviance residual
+    ])
+    def test_matches_replicates_fitted_one_at_a_time(self, which, seed, n, b0, phi):
+        ds, pars = fitted_singletons(seed, n, b0, phi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EnvelopeReplicateWarning)
+            env = simulated_envelope(ds, pars, residual=which, n_replicates=39, level=0.9, seed=seed)
+        kept, dropped = reference_envelope(ds, pars, which, 39, seed)
+        assert env.dropped == dropped
+        assert env.n_dropped == len(dropped) and env.n_replicates == 39 - len(dropped)
+        want = np.quantile(kept, [0.05, 0.5, 0.95], axis=0)
+        for got, ref in zip((env.lower, env.median, env.upper), want):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
+
+    def test_warning_counts_each_reason(self):
+        ds, pars = fitted_singletons(7, 6, 0.5, 50.0)
+        with pytest.warns(EnvelopeReplicateWarning) as record:
+            simulated_envelope(ds, pars, residual="pearson", n_replicates=39, seed=7)
+        assert str(record[0].message) == (
+            "dropped 1 of 39 envelope replicates (not converged: 1)"
+        )
+
+    @pytest.mark.parametrize("which", ["pearson", "deviance"])
+    def test_blocks_give_the_same_bands(self, monkeypatch, which):
+        ds, pars = fitted_singletons(2, 8, 1.0, 20.0)
+        bands = []
+        for block in (1, 7, 39):
+            monkeypatch.setattr(diagnostics, "_BLOCK_ELEMENTS", block * ds.n_obs)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", EnvelopeReplicateWarning)
+                env = simulated_envelope(ds, pars, residual=which, n_replicates=39, seed=2)
+            bands.append((env.lower, env.median, env.upper, env.dropped))
+        for other in bands[1:]:
+            for got, ref in zip(other[:3], bands[0][:3]):
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+            assert other[3] == bands[0][3]
 
     def test_parameter_validation(self):
         ds, pars = fitted_mnb(seed=11, n=10)

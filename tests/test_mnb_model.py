@@ -211,6 +211,20 @@ def law_dataset(seed, phi, n_clusters=300, beta=(0.8, -0.4)):
     return make_dataset(list(y), [X] * n_clusters, names=("(intercept)", "x"))
 
 
+def joint_objective(ds):
+    """The fit's stacked objective at one point: (loglik, score, hessian),
+    or None where the point is unavailable."""
+    evaluate = mnb_model._objective(ds)
+
+    def at(theta):
+        loglik, score, hess = evaluate(theta[None], np.zeros(1, dtype=int))
+        if not _newton.available(loglik, score, hess)[0]:
+            return None
+        return loglik[0], score[0], hess[0]
+
+    return at
+
+
 class TestJointObjective:
     """The fit's objective over theta = (beta, log phi)."""
 
@@ -219,7 +233,7 @@ class TestJointObjective:
     def test_hessian_is_the_jacobian_of_the_score(self, grouped, dataset):
         ds = small_dataset() if dataset == "small" else law_dataset([5, 1], 0.7, 60)
         ds = ds if grouped else ungroup(ds)
-        objective = mnb_model._objective(ds)
+        objective = joint_objective(ds)
         theta = np.array([0.3, -0.7, math.log(0.6)])  # far from the optimum
         loglik, score, hess = objective(theta)
         assert np.array_equal(hess, hess.T)
@@ -235,7 +249,7 @@ class TestJointObjective:
     def test_blocks_match_the_public_kernels(self):
         ds = small_dataset()
         theta = np.array([0.3, -0.7, math.log(0.6)])
-        loglik, score, hess = mnb_model._objective(ds)(theta)
+        loglik, score, hess = joint_objective(ds)(theta)
         params = MnbParams(beta=theta[:2], phi=math.exp(theta[2]))
         phi = params.phi
         info = mnb_model.score(ds, params)
@@ -248,7 +262,7 @@ class TestJointObjective:
         assert hess[2, 2] == phi * phi * curv + phi * info.u_phi
 
     def test_unavailable_points_give_none(self):
-        objective = mnb_model._objective(small_dataset())
+        objective = joint_objective(small_dataset())
         assert objective(np.array([0.0, 0.0, 800.0])) is None  # phi overflows
         assert objective(np.array([0.0, 0.0, -800.0])) is None  # phi underflows to 0
         assert objective(np.array([800.0, 0.0, 0.0])) is None  # means overflow
@@ -271,7 +285,7 @@ class TestJointObjective:
 
         start = mnb_model._poisson_irls(ds)
         theta = np.append(start, math.log(mnb_model._moment_start_phi(ds, start)))
-        theta_log = _newton.maximise(mnb_model._objective(ds), theta, 1e-6, 100)[0]
+        theta_log = _newton.maximise(mnb_model._objective(ds), theta[None], 1e-6, 100).theta[0]
         at_log = MnbParams(beta=theta_log[:-1], phi=math.exp(theta_log[-1]))
         assert abs(mnb_model.score(ds, at_log).u_phi) >= 1e-6
 

@@ -276,6 +276,25 @@ class TestExactModeSearch:
         assert abs(d1[0] / d2[0]) <= 1e-12 and curv[0] == d2[0]
         assert len(calls) <= 20
 
+    @pytest.mark.parametrize("lam, sigma, y_plus, log_mu_plus, init, most", [
+        (2.8, 0.25, 200.0, 0.0, 0.0, 16),  # crawls, halved by midpoints of the bracket
+        # the capped jump off the left wall lands at 0.429, next to the mode
+        # at 0.337; the Newton step from there is kept, not bisected
+        (-2.8, 0.25, 6.0, 1.19, -9.75, 10),
+    ])
+    def test_derivative_calls_after_a_crawl(self, lam, sigma, y_plus, log_mu_plus, init, most):
+        params = pglg_model.PglgParams(beta=np.zeros(1), sigma=sigma, lam=lam)
+        _, derivatives = pglg_model._integrand(np.array([y_plus]), np.array([log_mu_plus]), params)
+        calls = []
+
+        def counted(b):
+            calls.append(b)
+            return derivatives(b)
+
+        _, _, failed = _find_mode_batch(counted, np.array([init]))
+        assert not failed[0]
+        assert len(calls) <= most
+
     def test_nan_derivative_fails_where_found(self):
         # g = -log cosh b: Newton from 1.5 overshoots to -3.5, whose step
         # leaves the bracket; the midpoint -1.0 lies in a band where the
