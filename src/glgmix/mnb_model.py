@@ -554,21 +554,12 @@ def deviance_components(dataset, fitted):
 
 def _pooled_inverse(dataset, mu, mu_plus, phi):
     """Inverses of the pooled cross products sum_i X_i' W_i X_i, and a mask
-    of those that are singular (their inverse is NaN)."""
+    of those that are singular (an exact zero in their LU factors, where
+    ``inv`` would raise), whose inverse is NaN."""
     info = _info_beta(dataset, mu, mu_plus, phi)
-    try:
-        return np.linalg.inv(info), np.zeros(info.shape[:-2], dtype=bool)
-    except np.linalg.LinAlgError:  # rare: find the singular ones one at a time
-        pass
-    flat = info.reshape(-1, *info.shape[-2:])
-    inverse = np.full(flat.shape, np.nan)
-    singular = np.zeros(len(flat), dtype=bool)
-    for k, m in enumerate(flat):
-        try:
-            inverse[k] = np.linalg.inv(m)
-        except np.linalg.LinAlgError:
-            singular[k] = True
-    return inverse.reshape(info.shape), singular.reshape(info.shape[:-2])
+    singular = np.linalg.det(info) == 0.0
+    inverse = np.linalg.inv(np.where(singular[..., None, None], np.eye(info.shape[-1]), info))
+    return np.where(singular[..., None, None], np.nan, inverse), singular
 
 
 def _leverages(dataset, mu, mu_plus, phi, pooled_inv):
