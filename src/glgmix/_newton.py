@@ -10,7 +10,8 @@ the log-likelihood does not fall, unless the score is below
 what the objective resolves, so the step is taken on trust.  Every row
 keeps its own halvings, stop, iteration count and trace, so a row's
 iterates are those it would have alone; each halving round evaluates only
-the rows whose step is still pending.
+the rows whose step is still pending.  The loop keeps the arrays an
+objective returns and writes into them, so each call returns new arrays.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ _UNCHECKED_SCORE = 1e-3
 
 
 # a namedtuple: a dataclass would cost about 1 ms at every import
-Climb = namedtuple("Climb", "theta loglik score hess size traces started converged")
-Climb.__doc__ = """Where each row of a stack stopped: its last accepted iterate and the
-objective's values there, ``size`` of its score, its trace, whether the
+Climb = namedtuple("Climb", "theta loglik hess traces started converged")
+Climb.__doc__ = """Where each row of a stack stopped: its last accepted iterate, the
+objective's log-likelihood and Hessian there, its trace, whether the
 objective was available at its start (``started``; if not, the row holds
 the start and NaN values) and whether it ``converged``."""
 
@@ -52,6 +53,38 @@ def _newton_step(hess, score):
     return step / np.maximum(1.0, np.abs(step).max(axis=1, keepdims=True) / _MAX_STEP)
 
 
+def _try_step(objective, size, state, step, rows):
+    """Evaluate the stack rows ``rows`` at their ``state`` theta + ``step``:
+    the new state (theta, loglik, score, hessian, size) and which rows the
+    damped rule accepts."""
+    theta, loglik, _, _, sizes = state
+    candidate = theta + step
+    t_loglik, t_score, t_hess = objective(candidate, rows)
+    with np.errstate(all="ignore"):  # an unavailable point may overflow or be NaN
+        t_size = size(candidate, t_score)
+        accept = available(t_loglik, t_score, t_hess) & (
+            (np.minimum(sizes, t_size) < _UNCHECKED_SCORE) | (t_loglik >= loglik))
+    return [candidate, t_loglik, t_score, t_hess, t_size], accept
+
+
+def _halve(objective, size, state, step, rows, new, moved):
+    """Halve the steps the damped rule refused until each is accepted or
+    ``_MAX_HALVINGS`` tries are spent; only the rows still pending are
+    evaluated again.  Accepted points go into ``new`` and ``moved``; a row
+    that no halving lets move keeps its ``state``."""
+    pending, accept = np.arange(len(rows)), moved.copy()
+    for _ in range(_MAX_HALVINGS - 1):
+        pending, step = pending[~accept], 0.5 * step[~accept]
+        trial, accept = _try_step(objective, size, [a[pending] for a in state], step, rows[pending])
+        for a, t in zip(new, trial):
+            a[pending[accept]] = t[accept]
+        moved[pending[accept]] = True
+        if accept.all():
+            return
+    for a, s in zip(new, state):
+        a[~moved] = s[~moved]
+
+
 def maximise(objective, theta, gtol, max_iter, size=_max_abs):
     """Climb every row of ``theta`` (R, k) until ``size(theta, score)`` (max
     |score| by default, one value per row) is below ``gtol``, after
@@ -64,31 +97,35 @@ def maximise(objective, theta, gtol, max_iter, size=_max_abs):
         sizes = np.where(started, size(theta, score), np.nan)
     traces = tuple(
         [TraceRecord(iteration=0, loglik=float(ll), max_grad=float(s))] if ok else []
-        for ll, s, ok in zip(loglik, sizes, started)
+        for ll, s, ok in zip(loglik.tolist(), sizes.tolist(), started.tolist())
     )
-    steps = np.zeros(len(theta), dtype=int)
-    active = started & (sizes >= gtol) & (steps < max_iter)
-    while active.any():
-        rows = np.flatnonzero(active)  # then only the rows still pending
-        step = _newton_step(hess[rows], score[rows])
-        for _ in range(_MAX_HALVINGS):
-            candidate = theta[rows] + step
-            t_loglik, t_score, t_hess = objective(candidate, rows)
-            with np.errstate(all="ignore"):
-                t_size = size(candidate, t_score)
-                accept = available(t_loglik, t_score, t_hess) & (
-                    (np.minimum(sizes[rows], t_size) < _UNCHECKED_SCORE) | (t_loglik >= loglik[rows]))
-            took = rows[accept]
-            theta[took], loglik[took], sizes[took] = candidate[accept], t_loglik[accept], t_size[accept]
-            score[took], hess[took] = t_score[accept], t_hess[accept]
-            steps[took] += 1
-            for r in took.tolist():
-                traces[r].append(TraceRecord(
-                    iteration=len(traces[r]), loglik=float(loglik[r]), max_grad=float(sizes[r])))
-            active[took] = (sizes[took] >= gtol) & (steps[took] < max_iter)
-            rows, step = rows[~accept], 0.5 * step[~accept]
-            if not rows.size:
-                break
-        active[rows] = False  # no halving accepted: the row stops
-    return Climb(theta=theta, loglik=loglik, score=score, hess=hess, size=sizes, traces=traces,
+    final = [theta, loglik, score, hess, sizes]
+    # The rows still climbing keep their state in compact arrays (``final``
+    # itself while every row climbs), so the usual step, taken by every row
+    # at once, needs no indexing; a row's state goes back into ``final``
+    # when it stops.
+    climbing = started & (sizes >= gtol) & (max_iter > 0)
+    rows, state = np.arange(len(theta)), final
+    if not climbing.all():
+        rows, state = rows[climbing], [a[climbing] for a in final]
+    iteration = 0
+    while rows.size:
+        iteration += 1
+        step = _newton_step(state[3], state[2])
+        new, moved = _try_step(objective, size, state, step, rows)
+        if not moved.all():
+            _halve(objective, size, state, step, rows, new, moved)
+        for r, ok, ll, s in zip(rows.tolist(), moved.tolist(), new[1].tolist(), new[4].tolist()):
+            if ok:
+                traces[r].append(TraceRecord(iteration=len(traces[r]), loglik=ll, max_grad=s))
+        stop = ~moved | (new[4] < gtol) | (iteration >= max_iter)
+        if rows.size == len(theta) and stop.all():  # the whole stack stops at once
+            final, rows = new, rows[:0]
+        elif stop.any():
+            for a, n in zip(final, new):
+                a[rows[stop]] = n[stop]
+            rows, new = rows[~stop], [n[~stop] for n in new]
+        state = new
+    theta, loglik, _, hess, sizes = final
+    return Climb(theta=theta, loglik=loglik, hess=hess, traces=traces,
                  started=started, converged=started & (sizes < gtol))

@@ -7,9 +7,12 @@ AS241 algorithm), one plotting position at a time.
 A simulated envelope (Atkinson 1981) refits every replicate together: the
 replicates' counts form one stack on the observed design, the damped
 Newton climbs all their fits at once and the residuals come out for the
-whole stack.  Replicates go through in blocks of at most
-``_BLOCK_ELEMENTS`` replicate observations, so the working memory does
-not grow with the number of replicates.
+whole stack.  Replicates go through in blocks whose largest working
+arrays hold at most ``_BLOCK_ELEMENTS`` numbers between them: per
+replicate, the (n_obs, p) products of the information, the m x m weight
+matrices of every cluster (deviance residuals only) and the cumulative
+gamma-function tables, one entry per unit of the largest cluster total.
+So the working memory does not grow with the number of replicates.
 """
 
 from __future__ import annotations
@@ -23,13 +26,13 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DomainError, EnvelopeError, EnvelopeReplicateWarning
-from .mnb_model import _check_design_rank, _climb, _replicate_residuals
+from .mnb_model import _SUM_TERMS_MAX, _check_design_rank, _climb, _replicate_residuals
 from .mnb_model import residuals as mnb_residuals
 from .simulate import _mnb_counts
 
 _MIN_REPLICATES = 19  # fewer cannot bracket a 95% band
 _MAX_DROP_FRACTION = 0.2
-_BLOCK_ELEMENTS = 1_000_000  # replicates x observations refitted at once
+_BLOCK_ELEMENTS = 1_000_000  # working elements of the replicates refitted at once
 
 # why a replicate is dropped
 NOT_CONVERGED = "not converged"
@@ -89,6 +92,32 @@ def _pick_residual(report, which):
     raise DomainError(f"residual must be 'deviance' or 'pearson', got {which!r}")
 
 
+def _replicate_elements(dataset, which):
+    """Elements of one replicate's largest working arrays that do not
+    depend on its counts: the (n_obs, p) products of the information and,
+    for deviance residuals, the m x m weight matrices of all clusters."""
+    elements = dataset.n_obs * dataset.p
+    if which == "deviance":
+        elements = max(elements, int(np.sum(dataset.sizes.astype(np.int64) ** 2)))
+    return elements
+
+
+def _count_blocks(dataset, params, which, seeds):
+    """Draw every replicate's counts from its own generator, in order, and
+    yield them in blocks as (index of the block's first replicate, count
+    stack).  A block holds at most ``_BLOCK_ELEMENTS`` working elements:
+    it is sized by :func:`_replicate_elements`, and once drawn it is cut
+    again where its gamma-function tables, one row of up to the largest
+    cluster total per replicate, would pass the bound."""
+    block = max(1, _BLOCK_ELEMENTS // _replicate_elements(dataset, which))
+    for first in range(0, len(seeds), block):
+        y = _mnb_counts(dataset, params, [np.random.default_rng(s) for s in seeds[first:first + block]])
+        width = min(int(dataset.cluster_sums(y, axis=-1).max()), _SUM_TERMS_MAX) + 1
+        piece = max(1, _BLOCK_ELEMENTS // width)
+        for start in range(0, len(y), piece):
+            yield first + start, y[start:start + piece]
+
+
 def _block_residuals(dataset, params, which, y):
     """Sorted residual rows of the refits, started at ``params``, to the
     count stack ``y`` (B, n_obs), and each row's reason to be dropped
@@ -141,11 +170,9 @@ def simulated_envelope(
     _check_design_rank(dataset)  # once: every replicate shares the design
 
     seeds = np.random.SeedSequence(seed).spawn(n_replicates)
-    block = max(1, _BLOCK_ELEMENTS // n_obs)
     kept, dropped = [], []
-    for first in range(0, n_replicates, block):
-        rngs = [np.random.default_rng(s) for s in seeds[first:first + block]]
-        rows, reasons = _block_residuals(dataset, params, residual, _mnb_counts(dataset, params, rngs))
+    for first, y in _count_blocks(dataset, params, residual, seeds):
+        rows, reasons = _block_residuals(dataset, params, residual, y)
         kept.append(rows[[r is None for r in reasons]])
         dropped += [(first + i, r) for i, r in enumerate(reasons) if r is not None]
 

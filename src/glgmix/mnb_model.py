@@ -15,7 +15,8 @@ the number of observations and no Python loop runs over clusters.  The
 kernels keep observations (or clusters) on the last axis and take an
 optional leading replicate axis: a stack of R count vectors on one
 design, with one (beta, phi) per replicate, as a simulated envelope
-refits them.  The single-dataset functions are the case without it.
+refits them; their phi is then a column (R, 1), made once per call by
+:func:`_col`.  The single-dataset functions are the case without it.
 
 The gamma-function ratios need no special-function library: the
 log-gamma, digamma and trigamma differences at phi + y+ and phi are
@@ -134,9 +135,10 @@ def log_pmf(c, params):
 
 
 def _col(phi):
-    """phi against arrays with clusters or observations on the last axis:
-    a stack (R,) becomes a column (R, 1); one value, or a stack of one,
-    stays a number, which NumPy combines with an array faster."""
+    """phi as the kernels take it, against arrays with clusters or
+    observations on the last axis: a stack (R,) becomes a column (R, 1);
+    one value, or a stack of one, stays a number, which NumPy combines with
+    an array faster."""
     phi = np.asarray(phi, dtype=float)
     return phi.reshape(-1)[0] if phi.size == 1 else phi[..., None]
 
@@ -148,14 +150,16 @@ def _rows_at(v, M):
     return (v[..., None, :] @ M)[..., 0, :]
 
 
-def _means(dataset, beta, y=None):
+def _means(dataset, beta, y=None, y_plus=None):
     """Observation means, their cluster totals mu+, and the counts with
     their cluster totals y+, all as floats.  ``beta`` is one coefficient
     vector or a stack (R, p); ``y`` a stack of counts (R, n_obs) on the
-    dataset's layout, the dataset's own counts by default."""
+    dataset's layout, the dataset's own counts by default, and ``y_plus``
+    their cluster totals where the caller has them."""
     mu = np.exp(_rows_at(beta, dataset.X.T) + dataset.offset)
     y = dataset.y.astype(float) if y is None else y
-    return mu, dataset.cluster_sums(mu, axis=-1), y, dataset.cluster_sums(y, axis=-1)
+    y_plus = dataset.cluster_sums(y, axis=-1) if y_plus is None else y_plus
+    return mu, dataset.cluster_sums(mu, axis=-1), y, y_plus
 
 
 def log_likelihood(dataset, params):
@@ -163,92 +167,99 @@ def log_likelihood(dataset, params):
     return float(_log_likelihood(dataset, params.phi, _means(dataset, params.beta)))
 
 
-def _log_likelihood(dataset, phi, sums, log_y_factorials=None):
+def _log_likelihood(dataset, phi, sums, log_y_factorials=None, layout=None):
     """Log-likelihood per replicate; ``log_y_factorials`` are the counts'
     per-cluster sums of log y!, the dataset's own by default."""
     mu, mu_plus, y, y_plus = sums
     if log_y_factorials is None:
         log_y_factorials = dataset.log_y_factorials
-    phi_col = _col(phi)
     per_cluster = (
-        _lgamma_spans(y_plus, phi)
+        _lgamma_spans(y_plus, phi, layout)
         - log_y_factorials
-        + phi_col * np.log(phi_col)
+        + phi * np.log(phi)
         + dataset.cluster_sums(y * np.log(mu), axis=-1)
-        - (phi_col + y_plus) * np.log(phi_col + mu_plus)
+        - (phi + y_plus) * np.log(phi + mu_plus)
     )
     return per_cluster.sum(axis=-1)
 
 
-def _spans(y_plus, phi, term, past):
-    """sum_{j=0}^{y+ - 1} term(phi + j) per cluster, zero for y+ = 0.
-
-    ``y_plus`` has clusters on its last axis and ``phi`` one value per
-    leading index.  One cumulative table per phi runs up to the largest
-    y+ <= _SUM_TERMS_MAX; a cluster past it gets the closed form
-    past(phi + y+) - past(phi), one scalar call each.
-    """
+def _span_layout(y_plus):
+    """Where :func:`_spans` reads the clusters' y+ off its tables: the
+    largest y+ <= _SUM_TERMS_MAX, each cluster's flat position in the
+    tables (one row of top + 1 entries per leading index of ``y_plus``)
+    and the mask of the clusters past it, or None.  It depends on the
+    counts alone, so a fit works it out once."""
     counts = y_plus.astype(np.int64)
     small = counts <= _SUM_TERMS_MAX
     top = int(counts[small].max(initial=0))
-    phi_col = _col(phi)
-    table = np.zeros((*np.shape(phi_col)[:-1], top + 1))
-    np.cumsum(term(phi_col + np.arange(top)), axis=-1, out=table[..., 1:])
     index = np.where(small, counts, 0)
-    if table.ndim > 1:  # one table row per phi, at flat positions top + 1 apart
-        index = index + np.arange(0, table.size, top + 1)[:, None]
+    if index.ndim > 1:  # one table row per replicate, at flat positions top + 1 apart
+        index = index + np.arange(0, index.shape[0] * (top + 1), top + 1)[:, None]
+    return top, index, None if small.all() else ~small
+
+
+def _spans(y_plus, phi, term, past, layout=None):
+    """sum_{j=0}^{y+ - 1} term(phi + j) per cluster, zero for y+ = 0.
+
+    ``y_plus`` has clusters on its last axis and ``phi`` is one value or
+    a column with one value per leading index (see :func:`_col`).  One
+    cumulative table per phi runs up to the largest y+ <= _SUM_TERMS_MAX;
+    a cluster past it gets the closed form past(phi + y+) - past(phi), one
+    scalar call each.  ``layout`` is :func:`_span_layout` of ``y_plus``,
+    worked out here when not given.
+    """
+    top, index, large = _span_layout(y_plus) if layout is None else layout
+    table = np.zeros((*np.shape(phi)[:-1], top + 1))
+    np.cumsum(term(phi + np.arange(top)), axis=-1, out=table[..., 1:])
     spans = table.ravel()[index]
-    if not small.all():  # rare; keeps scalar code off the common path
-        phis = np.broadcast_to(phi_col, counts.shape)[~small]
-        spans[~small] = [past(f + n) - past(f) for f, n in zip(phis.tolist(), y_plus[~small].tolist())]
+    if large is not None:  # rare; keeps scalar code off the common path
+        phis = np.broadcast_to(phi, y_plus.shape)[large]
+        spans[large] = [past(f + n) - past(f) for f, n in zip(phis.tolist(), y_plus[large].tolist())]
     return spans
 
 
-def _lgamma_spans(y_plus, phi):
+def _lgamma_spans(y_plus, phi, layout=None):
     # lgamma(phi + y+) - lgamma(phi) = sum_{j < y+} log(phi + j)
-    return _spans(y_plus, phi, np.log, math.lgamma)
+    return _spans(y_plus, phi, np.log, math.lgamma, layout)
 
 
-def _digamma_spans(y_plus, phi):
+def _digamma_spans(y_plus, phi, layout=None):
     # digamma(phi + y+) - digamma(phi) = sum_{j < y+} 1/(phi + j)
-    return _spans(y_plus, phi, np.reciprocal, digamma)
+    return _spans(y_plus, phi, np.reciprocal, digamma, layout)
 
 
-def _trigamma_spans(y_plus, phi):
+def _trigamma_spans(y_plus, phi, layout=None):
     # trigamma(phi + y+) - trigamma(phi) = -sum_{j < y+} 1/(phi + j)^2
-    return _spans(y_plus, phi, lambda x: -1.0 / (x * x), trigamma)
+    return _spans(y_plus, phi, lambda x: -1.0 / (x * x), trigamma, layout)
 
 
-def _phi_scores(y_plus, mu_plus, phi):
+def _phi_scores(y_plus, mu_plus, phi, layout=None):
     """Per-cluster contributions to U_phi."""
-    phi_col = _col(phi)
     return (
-        _digamma_spans(y_plus, phi)
-        - y_plus / (phi_col + mu_plus)
-        - np.log1p(mu_plus / phi_col)
-        + mu_plus / (phi_col + mu_plus)
+        _digamma_spans(y_plus, phi, layout)
+        - y_plus / (phi + mu_plus)
+        - np.log1p(mu_plus / phi)
+        + mu_plus / (phi + mu_plus)
     )
 
 
-def _phi_curvatures(y_plus, mu_plus, phi):
+def _phi_curvatures(y_plus, mu_plus, phi, layout=None):
     """Per-cluster contributions to d U_phi / d phi."""
-    phi_col = _col(phi)
     return (
-        _trigamma_spans(y_plus, phi)
-        + 1.0 / phi_col
-        - 1.0 / (phi_col + mu_plus)
-        - (mu_plus - y_plus) / (phi_col + mu_plus) ** 2
+        _trigamma_spans(y_plus, phi, layout)
+        + 1.0 / phi
+        - 1.0 / (phi + mu_plus)
+        - (mu_plus - y_plus) / (phi + mu_plus) ** 2
     )
 
 
-def _scores(dataset, phi, sums):
+def _scores(dataset, phi, sums, layout=None):
     """The weights a_i = (phi + y+_i)/(phi + mu+_i), U_beta and U_phi,
     from the output of :func:`_means`."""
     mu, mu_plus, y, y_plus = sums
-    phi_col = _col(phi)
-    a = (phi_col + y_plus) / (phi_col + mu_plus)
+    a = (phi + y_plus) / (phi + mu_plus)
     u_beta = _rows_at(y - dataset.per_obs(a, axis=-1) * mu, dataset.X)
-    return a, u_beta, _phi_scores(y_plus, mu_plus, phi).sum(axis=-1)
+    return a, u_beta, _phi_scores(y_plus, mu_plus, phi, layout).sum(axis=-1)
 
 
 def _k_phi(mu_plus, phi):
@@ -290,7 +301,7 @@ def _info_beta(dataset, mu, mu_plus, phi, weights=None):
     unit weights when ``weights`` is None."""
     X = dataset.X
     xm = dataset.cluster_sums(X * mu[..., :, None], axis=-2)  # (..., n_clusters, p): X_i' mu_i
-    shrink = 1.0 / (_col(phi) + mu_plus)
+    shrink = 1.0 / (phi + mu_plus)
     if weights is not None:
         mu = mu * dataset.per_obs(weights, axis=-1)
         shrink = shrink * weights
@@ -416,18 +427,27 @@ def _objective(dataset, y=None):
         y, log_y_factorials = dataset.y[None].astype(float), dataset.log_y_factorials[None]
     else:
         y, log_y_factorials = y.astype(float), dataset.log_factorial_sums(y)
+    # what the counts alone fix, worked out once for the whole stack
+    y_plus = dataset.cluster_sums(y, axis=-1)
+    stack_layout = _span_layout(y_plus)
 
     def evaluate(theta, rows):
+        if len(rows) == len(y):  # rows come in order, so these are the whole stack
+            ys, ys_plus, log_ys, layout = y, y_plus, log_y_factorials, stack_layout
+        else:
+            ys, ys_plus, log_ys = y[rows], y_plus[rows], log_y_factorials[rows]
+            layout = _span_layout(ys_plus)
         with np.errstate(all="ignore"):  # non-finite values mark the row unavailable
             phi = np.exp(theta[:, p])
-            sums = _means(dataset, theta[:, :p], y[rows])
-            mu, mu_plus, _, y_plus = sums
-            loglik = _log_likelihood(dataset, phi, sums, log_y_factorials[rows])
-            a, u_beta, u_phi = _scores(dataset, phi, sums)
-            beta_beta = _info_beta(dataset, mu, mu_plus, phi, weights=a)
-            shift = dataset.per_obs((mu_plus - y_plus) / (_col(phi) + mu_plus) ** 2, axis=-1)
-            cross = -_col(phi) * _rows_at(shift * mu, X)
-            curv = _phi_curvatures(y_plus, mu_plus, phi).sum(axis=-1)
+            col = _col(phi)
+            sums = _means(dataset, theta[:, :p], ys, ys_plus)
+            mu, mu_plus = sums[:2]
+            loglik = _log_likelihood(dataset, col, sums, log_ys, layout)
+            a, u_beta, u_phi = _scores(dataset, col, sums, layout)
+            beta_beta = _info_beta(dataset, mu, mu_plus, col, weights=a)
+            shift = dataset.per_obs((mu_plus - ys_plus) / (col + mu_plus) ** 2, axis=-1)
+            cross = -col * _rows_at(shift * mu, X)
+            curv = _phi_curvatures(ys_plus, mu_plus, col, layout).sum(axis=-1)
             hess = np.empty((len(rows), p + 1, p + 1))
             hess[:, :p, :p] = -0.5 * (beta_beta + beta_beta.swapaxes(-1, -2))  # exactly symmetric
             hess[:, :p, p] = hess[:, p, :p] = cross
@@ -509,13 +529,12 @@ def _deviance_terms(dataset, phi, sums):
     y log(y (phi + mu+) / (mu (phi + y+))), zero where y = 0, from the
     output of :func:`_means`."""
     mu, mu_plus, y, y_plus = sums
-    phi_col = _col(phi)
     pos = y > 0
-    num = dataset.per_obs(phi_col + mu_plus, axis=-1)[pos]
-    den = dataset.per_obs(phi_col + y_plus, axis=-1)[pos]
+    num = dataset.per_obs(phi + mu_plus, axis=-1)[pos]
+    den = dataset.per_obs(phi + y_plus, axis=-1)[pos]
     own = np.zeros(y.shape)
     own[pos] = y[pos] * np.log(y[pos] * num / (mu[pos] * den))
-    return np.log((phi_col + mu_plus) / (phi_col + y_plus)), own
+    return np.log((phi + mu_plus) / (phi + y_plus)), own
 
 
 def deviance(dataset, fitted):
@@ -530,7 +549,7 @@ def deviance(dataset, fitted):
 
 def _components(dataset, phi, sums):
     log_ratio, own = _deviance_terms(dataset, phi, sums)
-    return 2.0 * (dataset.per_obs((_col(phi) / dataset.sizes) * log_ratio, axis=-1) + own)
+    return 2.0 * (dataset.per_obs((phi / dataset.sizes) * log_ratio, axis=-1) + own)
 
 
 def deviance_components(dataset, fitted):
@@ -555,9 +574,11 @@ def deviance_components(dataset, fitted):
 def _pooled_inverse(dataset, mu, mu_plus, phi):
     """Inverses of the pooled cross products sum_i X_i' W_i X_i, and a mask
     of those that are singular (an exact zero in their LU factors, where
-    ``inv`` would raise), whose inverse is NaN."""
+    ``inv`` would raise), whose inverse is NaN.  The sign of the
+    determinant is 0 exactly then; the determinant itself can underflow
+    to 0 for a matrix with small entries."""
     info = _info_beta(dataset, mu, mu_plus, phi)
-    singular = np.linalg.det(info) == 0.0
+    singular = np.linalg.slogdet(info)[0] == 0.0
     inverse = np.linalg.inv(np.where(singular[..., None, None], np.eye(info.shape[-1]), info))
     return np.where(singular[..., None, None], np.nan, inverse), singular
 
@@ -573,7 +594,7 @@ def _leverages(dataset, mu, mu_plus, phi, pooled_inv):
         mus = mu[..., rows]
         # W = D(mu) - mu mu'/(phi + mu+); PSD by construction, so
         # eigenvalues below -1e-10 indicate real trouble
-        w = -mus[..., :, None] * mus[..., None, :] / (_col(phi) + mu_plus[..., which])[..., None, None]
+        w = -mus[..., :, None] * mus[..., None, :] / (phi + mu_plus[..., which])[..., None, None]
         w[..., np.arange(m), np.arange(m)] += mus
         vals, vecs = np.linalg.eigh(w)
         lowest = min(lowest, float(vals.min()))
@@ -590,7 +611,7 @@ def _leverages(dataset, mu, mu_plus, phi, pooled_inv):
 
 
 def _pearson(y, mu, phi):
-    return (y - mu) / np.sqrt(mu + mu ** 2 / _col(phi))
+    return (y - mu) / np.sqrt(mu + mu ** 2 / phi)
 
 
 def _deviance_residuals(y, mu, dev_comp, leverage):
@@ -653,11 +674,11 @@ def _replicate_residuals(dataset, theta, y, which):
     (R, n_obs), as :func:`residuals` reports it; and the mask of rows whose
     pooled information is singular, which have no deviance residuals.  A
     Pearson residual needs only the means and phi."""
-    phi = np.exp(theta[:, -1])
+    phi = _col(np.exp(theta[:, -1]))
     sums = _means(dataset, theta[:, :-1], y.astype(float))
     mu, mu_plus, y, _ = sums
     if which == "pearson":
-        return _pearson(y, mu, phi), np.zeros(len(phi), dtype=bool)
+        return _pearson(y, mu, phi), np.zeros(len(y), dtype=bool)
     pooled_inv, singular = _pooled_inverse(dataset, mu, mu_plus, phi)
     leverage = _leverages(dataset, mu, mu_plus, phi, pooled_inv)
     return _deviance_residuals(y, mu, _components(dataset, phi, sums), leverage), singular

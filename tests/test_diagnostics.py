@@ -236,17 +236,66 @@ class TestSimulatedEnvelope:
     @pytest.mark.parametrize("which", ["pearson", "deviance"])
     def test_blocks_give_the_same_bands(self, monkeypatch, which):
         ds, pars = fitted_singletons(2, 8, 1.0, 20.0)
-        bands = []
+        real = diagnostics._block_residuals
+        sizes = []
+
+        def counted(dataset, params, which, y):
+            sizes.append(len(y))
+            return real(dataset, params, which, y)
+
+        monkeypatch.setattr(diagnostics, "_block_residuals", counted)
+        # a replicate's working elements: its design's, or its widest tables
+        monkeypatch.setattr(diagnostics, "_BLOCK_ELEMENTS", 10 ** 9)
+        [(_, y)] = diagnostics._count_blocks(ds, pars, which, np.random.SeedSequence(2).spawn(39))
+        per = max(diagnostics._replicate_elements(ds, which), int(ds.cluster_sums(y, axis=-1).max()) + 1)
+        bands, runs = [], []
         for block in (1, 7, 39):
-            monkeypatch.setattr(diagnostics, "_BLOCK_ELEMENTS", block * ds.n_obs)
+            monkeypatch.setattr(diagnostics, "_BLOCK_ELEMENTS", block * per)
+            sizes.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", EnvelopeReplicateWarning)
                 env = simulated_envelope(ds, pars, residual=which, n_replicates=39, seed=2)
+            runs.append(list(sizes))
             bands.append((env.lower, env.median, env.upper, env.dropped))
+        assert runs[0] == [1] * 39 and runs[2] == [39] and 1 < max(runs[1]) < 39
         for other in bands[1:]:
             for got, ref in zip(other[:3], bands[0][:3]):
                 np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
             assert other[3] == bands[0][3]
+
+    @staticmethod
+    def clusters_of_30(b0):
+        def x_builder(rng, m):
+            return np.column_stack([np.ones(m), rng.normal(size=m)])
+
+        pars = MnbParams(beta=np.array([b0, 0.2]), phi=2.0)
+        d = SimDesign(n_clusters=4, cluster_sizes=30, x_builder=x_builder, seed=3)
+        return simulate_mnb(d, pars), pars
+
+    def test_block_size_follows_the_working_set(self, monkeypatch):
+        # a deviance replicate's weight matrices (4 clusters x 30^2
+        # elements) outgrow its (n_obs, p) products (120 x 2)
+        ds, pars = self.clusters_of_30(0.0)
+        monkeypatch.setattr(diagnostics, "_BLOCK_ELEMENTS", 5 * 4 * 30 ** 2)
+        seeds = np.random.SeedSequence(0).spawn(21)
+        sizes = {which: [len(y) for _, y in diagnostics._count_blocks(ds, pars, which, seeds)]
+                 for which in ("deviance", "pearson")}
+        assert sizes == {"deviance": [5, 5, 5, 5, 1], "pearson": [21]}
+
+    def test_wide_count_tables_cut_a_block(self, monkeypatch):
+        # cluster totals near 3000: a replicate's gamma-function tables
+        # outgrow its (n_obs, p) products
+        ds, pars = self.clusters_of_30(math.log(100.0))
+        seeds = np.random.SeedSequence(1).spawn(21)
+        monkeypatch.setattr(diagnostics, "_BLOCK_ELEMENTS", 20_000)
+        blocks = list(diagnostics._count_blocks(ds, pars, "pearson", seeds))
+        assert len(blocks) > 1
+        assert [first for first, _ in blocks] == np.cumsum([0] + [len(y) for _, y in blocks[:-1]]).tolist()
+        for _, y in blocks:
+            assert len(y) * (ds.cluster_sums(y, axis=-1).max() + 1) <= 20_000
+        monkeypatch.setattr(diagnostics, "_BLOCK_ELEMENTS", 10 ** 9)
+        [(_, whole)] = diagnostics._count_blocks(ds, pars, "pearson", seeds)
+        np.testing.assert_array_equal(np.concatenate([y for _, y in blocks]), whole)
 
     def test_parameter_validation(self):
         ds, pars = fitted_mnb(seed=11, n=10)

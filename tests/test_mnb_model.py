@@ -575,3 +575,15 @@ class TestResiduals:
         fitted = MnbParams(beta=np.array([0.1, 0.1]), phi=1.0)
         with pytest.raises(LeverageError):
             mnb_model.residuals(ds, fitted)
+
+    def test_small_scale_pooled_matrix_is_not_singular(self):
+        # means near 1e-130 make a well-conditioned pooled matrix whose
+        # determinant underflows to 0; only an exact zero pivot is singular
+        rng = np.random.default_rng(4)
+        Xs = [np.column_stack([np.ones(3), rng.normal(size=(3, 2))]) for _ in range(6)]
+        ds = make_dataset([[0, 0, 0]] * 6, Xs, names=("(intercept)", "a", "b"))
+        fitted = MnbParams(beta=np.array([-300.0, 0.1, -0.2]), phi=2.0)
+        mu, mu_plus = mnb_model._means(ds, fitted.beta)[:2]
+        assert np.linalg.det(mnb_model._info_beta(ds, mu, mu_plus, fitted.phi)) == 0.0
+        rep = mnb_model.residuals(ds, fitted)
+        assert rep.leverage.sum() == pytest.approx(3.0, rel=1e-8)
