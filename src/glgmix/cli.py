@@ -218,7 +218,14 @@ def _params_from_report(report):
 
 
 def _format_cell(x):
-    return "" if not math.isfinite(x) else repr(float(x))
+    return "" if not math.isfinite(x) else repr(x)
+
+
+def _write_table(path, header, columns):
+    """A CSV file of ``header`` and the rows of ``columns`` (iterables of
+    cell strings), written at once."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
 
 
 def _cmd_diagnose(args):
@@ -244,23 +251,14 @@ def _cmd_diagnose(args):
         res = mnb_model.residuals(dataset, params)
     relay(caught)
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("cluster,obs,fitted,leverage,dev_comp,dev_resid,pearson\n")
-        for i in range(res.fitted.size):
-            fh.write(
-                ",".join(
-                    [
-                        res.cluster_ids[i],
-                        str(int(res.obs_index[i])),
-                        repr(float(res.fitted[i])),
-                        repr(float(res.leverage[i])),
-                        repr(float(res.dev_comp[i])),
-                        _format_cell(res.dev_resid[i]),
-                        repr(float(res.pearson[i])),
-                    ]
-                )
-                + "\n"
-            )
+    columns = [
+        res.cluster_ids,
+        map(str, res.obs_index.tolist()),
+        *(map(repr, a.tolist()) for a in (res.fitted, res.leverage, res.dev_comp)),
+        map(_format_cell, res.dev_resid.tolist()),
+        map(repr, res.pearson.tolist()),
+    ]
+    _write_table(args.out, "cluster,obs,fitted,leverage,dev_comp,dev_resid,pearson", columns)
 
     envelope = None
     if args.envelope:
@@ -279,16 +277,10 @@ def _cmd_diagnose(args):
     if envelope is not None:
         stem, dot, ext = args.out.rpartition(".")
         env_path = f"{stem}_envelope{dot}{ext}" if dot else args.out + "_envelope"
-        with open(env_path, "w", encoding="utf-8") as fh:
-            fh.write("rank,observed,lower,median,upper\n")
-            for k in range(envelope.observed_sorted.size):
-                cells = (
-                    envelope.observed_sorted[k],
-                    envelope.lower[k],
-                    envelope.median[k],
-                    envelope.upper[k],
-                )
-                fh.write(f"{k + 1}," + ",".join(repr(float(v)) for v in cells) + "\n")
+        bands = (envelope.observed_sorted, envelope.lower, envelope.median, envelope.upper)
+        columns = [map(str, range(1, envelope.observed_sorted.size + 1)),
+                   *(map(repr, a.tolist()) for a in bands)]
+        _write_table(env_path, "rank,observed,lower,median,upper", columns)
         if args.svg:
             with open(args.svg, "w", encoding="utf-8") as fh:
                 fh.write(_envelope_svg(envelope))

@@ -673,12 +673,20 @@ def _replicate_residuals(dataset, theta, y, which):
     theta = (beta, log phi) (R, p + 1) to its row of the count stack ``y``
     (R, n_obs), as :func:`residuals` reports it; and the mask of rows whose
     pooled information is singular, which have no deviance residuals.  A
-    Pearson residual needs only the means and phi."""
-    phi = _col(np.exp(theta[:, -1]))
+    Pearson residual needs only the means and phi.  Leverages are computed
+    only for rows whose deviance components are all non-negative; every
+    residual of the other rows is NaN."""
+    phis = np.exp(theta[:, -1])
+    phi = _col(phis)
     sums = _means(dataset, theta[:, :-1], y.astype(float))
     mu, mu_plus, y, _ = sums
     if which == "pearson":
         return _pearson(y, mu, phi), np.zeros(len(y), dtype=bool)
+    comps = _components(dataset, phi, sums)
     pooled_inv, singular = _pooled_inverse(dataset, mu, mu_plus, phi)
-    leverage = _leverages(dataset, mu, mu_plus, phi, pooled_inv)
-    return _deviance_residuals(y, mu, _components(dataset, phi, sums), leverage), singular
+    defined = np.flatnonzero((comps >= 0).all(axis=1))
+    leverage = np.full(mu.shape, np.nan)
+    if defined.size:
+        leverage[defined] = _leverages(
+            dataset, mu[defined], mu_plus[defined], _col(phis[defined]), pooled_inv[defined])
+    return _deviance_residuals(y, mu, comps, leverage), singular

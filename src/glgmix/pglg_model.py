@@ -5,14 +5,17 @@ drawn from GLG(0, sigma, lam).  b_i enters only through y+_i b - mu+_i e^b,
 so the cluster's log marginal likelihood is c_i + log int exp(g_i(b)) db,
 g_i(b) = y+_i b - mu+_i e^b + log f(b) and c_i = sum_j (y_ij log mu_ij -
 log y_ij!): per-cluster sums and a one-dimensional integral, handled by
-mode-recentred Gauss-Hermite quadrature.  On the same nodes, Fisher's
-identity gives the score as a posterior mean of the complete-data score,
-and Louis' identity gives the observed information from the posterior
-moments of the complete-data first and second derivatives; :func:`fit`
-climbs the score with damped Newton steps on that information.  Setting
-sigma = lam > 0 recovers the closed-form multivariate negative binomial
-with dispersion phi = lam^-2, which is the cross-check used throughout
-the tests.
+mode-recentred Gauss-Hermite quadrature.  The integrand depends on the
+data only through (y+_i, mu+_i), so the quadrature runs once per distinct
+pair and clusters that share one reuse its result: a balanced design
+costs its distinct totals, not its cluster count.  On the same nodes,
+Fisher's identity gives the score as a posterior mean of the complete-data
+score, and Louis' identity gives the observed information from the
+posterior moments of the complete-data first and second derivatives;
+:func:`fit` climbs the score with damped Newton steps on that
+information.  Setting sigma = lam > 0 recovers the closed-form
+multivariate negative binomial with dispersion phi = lam^-2, which is the
+cross-check used throughout the tests.
 """
 
 from __future__ import annotations
@@ -93,20 +96,39 @@ def _integrand(y_plus, log_mu_plus, params):
     return g, derivatives
 
 
+def _distinct(y_plus, log_mu_plus):
+    """(first, inverse): the index of one cluster per distinct pair (y+,
+    log mu+), the lowest, and each cluster's position in ``first``, so that
+    ``y_plus[first][inverse]`` is ``y_plus``.  Every NaN is a pair of its
+    own."""
+    order = np.lexsort((log_mu_plus, y_plus))
+    y_sorted, l_sorted = y_plus[order], log_mu_plus[order]
+    new = np.empty(order.size, dtype=bool)
+    new[0] = True
+    np.not_equal(y_sorted[1:], y_sorted[:-1], out=new[1:])
+    new[1:] |= l_sorted[1:] != l_sorted[:-1]
+    inverse = np.empty_like(order)
+    inverse[order] = new.cumsum()
+    inverse -= 1
+    return order[new], inverse
+
+
 def _reduce_clusters(reduce, dataset, params, rule, init):
     """``reduce`` (a batch quadrature of :mod:`quadrature`) over every
-    cluster's integrand with mode searches started at ``init``, and the
-    clusters' constants c; raises one ModeSearchError naming every cluster
-    whose mode search failed."""
+    distinct cluster integrand with mode searches started at ``init``, one
+    result per cluster, and the clusters' constants c; raises one
+    ModeSearchError naming every cluster whose mode search failed."""
     c, y_plus, log_mu_plus, _ = _cluster_sums(dataset, params.beta)
-    g, derivatives = _integrand(y_plus, log_mu_plus, params)
-    out, failed, b_hat = reduce(g, derivatives, rule, init)
+    first, inverse = _distinct(y_plus, log_mu_plus)
+    g, derivatives = _integrand(y_plus[first], log_mu_plus[first], params)
+    out, failed, b_hat = reduce(g, derivatives, rule, init[first])
+    failed, b_hat = failed[inverse], b_hat[inverse]
     if failed.any():
         bad = [cid for cid, f in zip(dataset.ids, failed) if f]
         raise ModeSearchError(
             f"quadrature mode search failed for cluster(s) {bad}", last_iterate=b_hat[failed]
         )
-    return out, c
+    return out[inverse], c
 
 
 def cluster_log_marginal(c, params, rule=None):
@@ -187,15 +209,15 @@ _ORDER_TOL_PER_CLUSTER = 1e-6  # log-likelihood change allowed at twice the orde
 
 
 def _posterior_mean(weights, values):
-    # nodes of weight 0 may sit where ``values`` overflows; they add nothing
-    with np.errstate(invalid="ignore"):
-        return np.where(weights > 0, weights * values, 0.0).sum(axis=1)
+    """Posterior means of ``values`` on the nodes.  Nodes of weight 0 may
+    sit where ``values`` overflows; they add nothing (the caller ignores
+    the invalid products there)."""
+    return np.where(weights > 0, weights * values, 0.0).sum(axis=1)
 
 
 def _centred(weights, values, means):
     """``values`` minus their posterior means, 0 at nodes of weight 0."""
-    with np.errstate(invalid="ignore"):
-        return np.where(weights > 0, values - means[:, None], 0.0)
+    return np.where(weights > 0, values - means[:, None], 0.0)
 
 
 class _Objective:
@@ -249,45 +271,49 @@ class _Objective:
             return None
         ds = self.dataset
         c, y_plus, log_mu_plus, mu = _cluster_sums(ds, params.beta)
-        g, derivatives = _integrand(y_plus, log_mu_plus, params)
+        # the nodes of each distinct integrand; [inverse] gives every
+        # cluster its own row again before anything is summed over clusters
+        first, inverse = _distinct(y_plus, log_mu_plus)
+        g, derivatives = _integrand(y_plus[first], log_mu_plus[first], params)
         prior = GlgParams(mu=0.0, sigma=params.sigma, lam=params.lam)
-        for init in (self.modes, np.zeros(self.modes.size)):  # warm, then cold
+        for init in (self.modes[first], np.zeros(first.size)):  # warm, then cold
             values, points, weights, failed, modes = adaptive_nodes(g, derivatives, self.rule, init)
             if not failed.any() and np.all(np.isfinite(values)):
                 break
         else:
             return None
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             exp_b = np.exp(points)
-        e_b = _posterior_mean(weights, exp_b)
-        d, h = self._scale_derivatives(points, prior)
-        d_means = [_posterior_mean(weights, dk) for dk in d]
-        u_beta = ds.X.T @ (ds.y - ds.per_obs(e_b) * mu)
-        score = np.concatenate([u_beta, [mean.sum() for mean in d_means]])
-        if not np.all(np.isfinite(score)):
-            return None
+            e_b = _posterior_mean(weights, exp_b)
+            d, h = self._scale_derivatives(points, prior)
+            d_means = [_posterior_mean(weights, dk) for dk in d]
+            e_b_obs = ds.per_obs(e_b[inverse]) * mu
+            u_beta = ds.X.T @ (ds.y - e_b_obs)
+            score = np.concatenate([u_beta, [mean[inverse].sum() for mean in d_means]])
+            if not np.all(np.isfinite(score)):
+                return None
 
-        # cross moments of the centred complete-data scores
-        c_b = _centred(weights, exp_b, e_b)
-        c_d = [_centred(weights, dk, mean) for dk, mean in zip(d, d_means)]
-        m = ds.cluster_sums(mu[:, None] * ds.X)  # X_i' mu_i, one row per cluster
-        p, k = ds.p, len(d)
-        hess = np.empty((p + k, p + k))
-        beta_beta = (m.T * (weights * c_b * c_b).sum(axis=1)) @ m - (
-            ds.X.T * (ds.per_obs(e_b) * mu)
-        ) @ ds.X
-        hess[:p, :p] = 0.5 * (beta_beta + beta_beta.T)  # exactly symmetric
-        for a in range(k):
-            cross = -m.T @ (weights * c_b * c_d[a]).sum(axis=1)
-            hess[:p, p + a] = hess[p + a, :p] = cross
-            for b in range(a + 1):
-                hess[p + a, p + b] = hess[p + b, p + a] = (
-                    _posterior_mean(weights, h[a][b]) + (weights * c_d[a] * c_d[b]).sum(axis=1)
-                ).sum()
-        if not np.all(np.isfinite(hess)):
-            return None
-        self.modes = modes
-        return float((values + c).sum()), score, hess
+            # cross moments of the centred complete-data scores
+            c_b = _centred(weights, exp_b, e_b)
+            c_d = [_centred(weights, dk, mean) for dk, mean in zip(d, d_means)]
+            m = ds.cluster_sums(mu[:, None] * ds.X)  # X_i' mu_i, one row per cluster
+            p, k = ds.p, len(d)
+            hess = np.empty((p + k, p + k))
+            beta_beta = (m.T * (weights * c_b * c_b).sum(axis=1)[inverse]) @ m - (
+                ds.X.T * e_b_obs
+            ) @ ds.X
+            hess[:p, :p] = 0.5 * (beta_beta + beta_beta.T)  # exactly symmetric
+            for a in range(k):
+                cross = -m.T @ (weights * c_b * c_d[a]).sum(axis=1)[inverse]
+                hess[:p, p + a] = hess[p + a, :p] = cross
+                for b in range(a + 1):
+                    hess[p + a, p + b] = hess[p + b, p + a] = (
+                        _posterior_mean(weights, h[a][b]) + (weights * c_d[a] * c_d[b]).sum(axis=1)
+                    )[inverse].sum()
+            if not np.all(np.isfinite(hess)):
+                return None
+        self.modes = modes[inverse]
+        return float((values[inverse] + c).sum()), score, hess
 
     def stacked(self, theta, rows):
         """The objective at a stack of one point, in the form

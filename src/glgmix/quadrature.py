@@ -10,7 +10,10 @@ integrand mass sits near 0 with unit width, so one batched engine,
 Newton on the closed-form derivatives the caller supplies, rescales by
 the curvature there, and only then lays out the rule (Liu & Pierce 1994);
 the other integrals reduce its nodes and normalised weights.  The
-integrand itself is evaluated on the nodes only.
+integrand itself is evaluated on the nodes only.  Components are
+independent, so a caller passes each distinct integrand once:
+:mod:`~glgmix.pglg_model` integrates once per distinct cluster total
+(y+, mu+) and maps the results back to the clusters that share it.
 
 Rules come from NumPy's ``hermgauss`` and are built once per order and
 process; the log-sum-exp of the nodes is the row-maximum shift below.

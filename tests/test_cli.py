@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from glgmix import cli
+from glgmix import cli, diagnostics, mnb_model
+from glgmix.data_io import ModelSpec, read_csv
 from glgmix.results import FitResult
 
 
@@ -308,6 +310,66 @@ class TestDiagnose:
         lines = open(out).read().splitlines()[1:]
         blanks = [line for line in lines if line.split(",")[5] == ""]
         assert blanks  # undefined deviance residuals stay empty, not NaN text
+
+    @staticmethod
+    def library_residuals(report_path, data):
+        with open(report_path, encoding="utf-8") as fh:
+            report = json.load(fh)
+        dataset = read_csv(data, ModelSpec.from_mapping(report["spec"]))
+        return dataset, cli._params_from_report(report)
+
+    def test_every_cell_round_trips(self, tmp_path):
+        # the spiky data of the test above: some deviance residuals are NaN
+        data = tmp_path / "spiky.csv"
+        rows = ["cluster,y,x"]
+        for i in range(1, 13):
+            a, b = (40, 0) if i == 1 else (1, 2)
+            rows += [f"c{i},{a},{0.1 * i}", f"c{i},{b},-0.3"]
+        data.write_text("\n".join(rows) + "\n")
+        rpath = tmp_path / "fit.json"
+        rpath.write_text(json.dumps({
+            "model": "mnb",
+            "params": [{"name": "(intercept)", "estimate": 0.1},
+                       {"name": "x", "estimate": -0.2}, {"name": "phi", "estimate": 1.0}],
+            "spec": {"response": "y", "cluster": "cluster", "covariates": ["x"]},
+        }))
+        out = str(tmp_path / "resid.csv")
+        assert run(["diagnose", "--fit", str(rpath), "--data", str(data), "--out", out]) == 0
+        dataset, params = self.library_residuals(rpath, str(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = mnb_model.residuals(dataset, params)
+        lines = open(out).read().splitlines()
+        assert len(lines) == 1 + res.fitted.size
+        assert np.isnan(res.dev_resid).any()
+        for i, line in enumerate(lines[1:]):
+            cells = line.split(",")
+            assert cells[:2] == [res.cluster_ids[i], str(res.obs_index[i])]
+            for cell, col in zip(cells[2:], ("fitted", "leverage", "dev_comp", "dev_resid",
+                                             "pearson")):
+                value = getattr(res, col)[i]
+                if np.isnan(value):
+                    assert cell == ""
+                else:
+                    assert float(cell) == value
+
+    def test_envelope_cells_round_trip(self, mnb_csv, tmp_path):
+        report = self.fit_report(mnb_csv, tmp_path)
+        out = str(tmp_path / "resid.csv")
+        assert run(["diagnose", "--fit", report, "--data", mnb_csv, "--residual", "pearson",
+                    "--envelope", "19", "--seed", "4", "--out", out]) == 0
+        dataset, params = self.library_residuals(report, mnb_csv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            env = diagnostics.simulated_envelope(dataset, params, residual="pearson",
+                                                 n_replicates=19, seed=4)
+        lines = open(str(tmp_path / "resid_envelope.csv")).read().splitlines()[1:]
+        assert len(lines) == env.observed_sorted.size
+        for k, line in enumerate(lines):
+            cells = line.split(",")
+            assert cells[0] == str(k + 1)
+            assert [float(c) for c in cells[1:]] == [
+                env.observed_sorted[k], env.lower[k], env.median[k], env.upper[k]]
 
     def test_pglg_report_rejected(self, mnb_csv, tmp_path, capsys):
         out = str(tmp_path / "pg.json")

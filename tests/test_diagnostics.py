@@ -233,6 +233,32 @@ class TestSimulatedEnvelope:
             "dropped 1 of 39 envelope replicates (not converged: 1)"
         )
 
+    def test_leverages_only_for_rows_with_defined_components(self, monkeypatch):
+        # singletons and two larger clusters: the even split of a larger
+        # cluster's term gives some replicates a negative component
+        def x_builder(rng, m):
+            return np.column_stack([np.ones(m), rng.normal(size=m)])
+
+        d = SimDesign(n_clusters=16, cluster_sizes=[1] * 14 + [2, 3], x_builder=x_builder, seed=1)
+        pars = MnbParams(beta=np.array([1.0, -0.3]), phi=2.0)
+        ds = simulate_mnb(d, pars)
+        seeds = np.random.SeedSequence(3).spawn(60)
+        [(_, y)] = diagnostics._count_blocks(ds, pars, "deviance", seeds)
+        real = mnb_model._leverages
+        rows = []
+
+        def counted(dataset, mu, *rest):
+            rows.append(len(mu))
+            return real(dataset, mu, *rest)
+
+        monkeypatch.setattr(mnb_model, "_leverages", counted)
+        resid, reasons = diagnostics._block_residuals(ds, pars, "deviance", y)
+        assert rows == [reasons.count(None)]  # no dropped row reached the leverages
+        kept, dropped = reference_envelope(ds, pars, "deviance", 60, 3)
+        assert 0 < len(kept) < 60 and {r for _, r in dropped} == {diagnostics.NON_FINITE}
+        assert [(i, r) for i, r in enumerate(reasons) if r is not None] == list(dropped)
+        np.testing.assert_allclose(resid[[r is None for r in reasons]], kept, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("which", ["pearson", "deviance"])
     def test_blocks_give_the_same_bands(self, monkeypatch, which):
         ds, pars = fitted_singletons(2, 8, 1.0, 20.0)

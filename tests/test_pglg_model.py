@@ -558,3 +558,99 @@ class TestFitConvergence:
             b = pglg_model.fit(rev, options=options)
             assert a.converged and b.converged
             np.testing.assert_allclose(a.estimates, b.estimates, rtol=0, atol=1e-7)
+
+
+@st.composite
+def repeated_clusters(draw):
+    """1-4 base clusters of 1-3 counts, zero-heavy, each repeated 1-4 times
+    under its own id, in a shuffled order: the duplicates share (y+, mu+)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = []
+    for _ in range(int(rng.integers(1, 5))):
+        m = int(rng.integers(1, 4))
+        X = np.column_stack([np.ones(m), rng.uniform(-1.0, 1.0, m)])
+        base.append((rng.poisson(rng.choice([0.0, 0.5, 4.0]), m), X, rng.normal(scale=0.3, size=m)))
+    copies = [k for k in range(len(base)) for _ in range(int(rng.integers(1, 5)))]
+    rng.shuffle(copies)
+    clusters = [one_cluster(*base[k], cid=f"c{i}") for i, k in enumerate(copies)]
+    theta = np.array([draw(st.floats(-1.0, 1.5)), draw(st.floats(-1.0, 1.0)),
+                      math.log(draw(st.floats(0.2, 1.2))), draw(st.floats(-1.5, 1.5))])
+    return wrap(clusters, ("a", "b")), theta
+
+
+class TestDistinctClusters:
+    """The quadrature runs once per distinct cluster total (y+, log mu+) and
+    every cluster gets the result of its pair."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3),
+                              st.sampled_from([0.0, -1.5, 2.0, -np.inf, np.nan])),
+                    min_size=1, max_size=30))
+    def test_distinct_round_trips(self, pairs):
+        y_plus = np.array([y for y, _ in pairs], dtype=float)
+        log_mu_plus = np.array([v for _, v in pairs])
+        first, inverse = pglg_model._distinct(y_plus, log_mu_plus)
+        np.testing.assert_array_equal(y_plus[first][inverse], y_plus)
+        np.testing.assert_array_equal(log_mu_plus[first][inverse], log_mu_plus)  # NaN == NaN here
+        np.testing.assert_array_equal(np.sort(first), np.unique(first))
+        assert np.all(first[inverse] <= np.arange(len(pairs)))  # the lowest index stands for all
+        keys = {(y, v) for y, v in zip(y_plus[first], log_mu_plus[first]) if not np.isnan(v)}
+        n_nan = int(np.isnan(log_mu_plus).sum())
+        assert first.size == len(keys) + n_nan  # every NaN is a pair of its own
+
+    @settings(max_examples=40, deadline=None)
+    @given(repeated_clusters())
+    def test_objective_sums_one_cluster_objectives(self, case):
+        ds, theta = case
+        options = PglgFitOptions()
+        whole = pglg_model._Objective(ds, options)(theta)
+        parts = [pglg_model._Objective(wrap([c], ds.column_names), options)(theta)
+                 for c in ds.clusters]
+        assert whole is not None and all(part is not None for part in parts)
+        for got, want in zip(whole, (sum(part[k] for part in parts) for k in range(3))):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.max(np.abs(want)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(repeated_clusters())
+    def test_duplicates_get_bit_equal_predictions(self, case):
+        ds, theta = case
+        params = pglg_model._Objective(ds, PglgFitOptions()).to_params(theta)
+        got = dict(pglg_model.predict_random_effects(ds, params))
+        for c in ds.clusters:
+            alone = dict(pglg_model.predict_random_effects(wrap([c], ds.column_names), params))
+            assert got[c.id] == pytest.approx(alone[c.id], rel=1e-12, abs=1e-12)
+        for a in ds.clusters:
+            for b in ds.clusters:
+                if np.array_equal(a.y, b.y) and np.array_equal(a.X, b.X) and np.array_equal(
+                        a.offset, b.offset):
+                    assert got[a.id] == got[b.id]
+
+    def test_balanced_design_integrates_each_total_once(self, monkeypatch):
+        X = np.column_stack([np.ones(3), [-1.0, 0.0, 1.0]])
+        truth = PglgParams(beta=np.array([1.0, -0.3]), sigma=0.5, lam=-1.2)
+        ds = simulate_pglg(SimDesign(n_clusters=200, cluster_sizes=3, x_builder=X, seed=4), truth)
+        n_distinct = np.unique(ds.cluster_sums(ds.y)).size  # one design: mu+ is shared
+        assert n_distinct < ds.n_clusters // 4
+        rows = []
+        engine = pglg_model.adaptive_nodes
+
+        def counted(g, derivatives, rule, init):
+            rows.append(len(init))
+            return engine(g, derivatives, rule, init)
+
+        monkeypatch.setattr(pglg_model, "adaptive_nodes", counted)
+        pglg_model._Objective(ds, PglgFitOptions())(np.array([1.0, -0.3, math.log(0.5), -1.2]))
+        assert rows == [n_distinct]
+
+    def test_failure_names_every_duplicate(self):
+        ds = wrap([
+            one_cluster([5], offset=[-2000.0], cid="far1"),
+            one_cluster([2, 1], cid="near"),
+            one_cluster([5], offset=[-2000.0], cid="far2"),
+        ])
+        p = PglgParams(beta=np.array([0.0]), sigma=1e4, lam=0.0)
+        with pytest.raises(ModeSearchError, match=r"\['far1', 'far2'\]") as info:
+            pglg_model.predict_random_effects(ds, p)
+        assert "near" not in str(info.value)
+        assert info.value.last_iterate.shape == (2,)
+        assert info.value.last_iterate[0] == info.value.last_iterate[1]
