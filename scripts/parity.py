@@ -1,0 +1,137 @@
+"""Output parity between two checkouts, on the benchmark's own inputs.
+
+Record mode runs every command of each benchmark workload on its pool
+datasets (drawn by ``perfbench/workloads.py`` from each seed, exactly as
+``perfbench/run.py`` draws them) with the program of one checkout, and
+writes a JSON file of SHA-256 hashes: per command and dataset, the exit
+code, standard error and every file in the dataset's directory (its input
+CSV and each output written so far), and the values
+``predict_random_effects`` returns.  It also keeps the benchmark's own
+verdict per workload and seed (attempted, failed, correct), from the
+checks of ``perfbench/run.py``.
+
+    python3 scripts/parity.py --root . --seeds 1-3 --out new.json
+    python3 scripts/parity.py --root ../parent --seeds 1-3 --out old.json
+    python3 scripts/parity.py --compare old.json new.json
+
+Compare mode lists every key whose hash, exit code or verdict differs,
+and every key present in one file only; it exits 1 when there is any.
+The program, ``perfbench/run.py`` and the workloads are all imported from
+``--root`` and used read-only; the scratch files go to a temporary
+directory that is removed at exit.  One checkout per process, because
+Python imports a package once.  ``--workloads`` picks a comma-separated
+subset; all three workloads on seeds 1-24 take about a minute on one core.
+"""
+
+import argparse
+import hashlib
+import importlib.util
+import json
+import os
+import sys
+import tempfile
+
+
+def seed_range(text):
+    """Seeds from "1-3,7": ranges are inclusive."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def load_harness(root):
+    """``perfbench/run.py`` of ``root`` as a module, and the program it
+    imports from ``root/src``."""
+    path = os.path.join(os.path.abspath(root), "perfbench", "run.py")
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)  # pins BLAS to one thread before NumPy loads
+    return run, run.import_program()
+
+
+def digest(data):
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def record(root, seeds, names):
+    run, glgmix = load_harness(root)
+    workloads = run.workloads
+    hashes, verdicts = {}, {}
+    for name in names:
+        workload = workloads.WORKLOADS[name]
+        for seed in seeds:
+            runner = run.Runner(glgmix)
+            with tempfile.TemporaryDirectory() as work:
+                for k in range(workload.pool_size):
+                    ds = workloads.make_dataset(work, seed, k, workload.law, workload.n_clusters)
+                    for step in workload.steps:
+                        runner.execute(step, ds)
+                        _, _, outcome, content = runner.records[-1]
+                        key = f"{name}/s{seed}/d{k}/{step.name}"
+                        if outcome[0] == "raised":
+                            hashes[key] = {"raised": outcome[1]}
+                        elif step.kind == "cli":
+                            hashes[key] = {"exit": outcome[0],
+                                           "stderr": digest(outcome[1].replace(work, "<work>"))}
+                        else:
+                            hashes[key] = {"exit": outcome[0], "values": digest(repr(content[0]))}
+                    stem = os.path.basename(ds.csv_path)[:-len(".csv")]
+                    for fname in sorted(os.listdir(work)):
+                        if fname.startswith(stem):
+                            with open(os.path.join(work, fname), "rb") as fh:
+                                hashes[f"{name}/s{seed}/d{k}/{fname}"] = {"sha256": digest(fh.read())}
+                attempted, failed, incorrect, problems = runner.check_all()
+            verdicts[f"{name}/s{seed}"] = {"attempted": attempted, "failed": failed,
+                                           "correct": not incorrect, "problems": problems}
+            print(f"{name} seed {seed}: {attempted} attempted, {failed} failed, "
+                  f"correct {not incorrect}", file=sys.stderr)
+    return {"root": os.path.abspath(root), "seeds": seeds, "workloads": names,
+            "outputs": hashes, "verdicts": verdicts}
+
+
+def compare(old, new):
+    """Lines naming each difference between two hash files."""
+    lines = []
+    for part in ("outputs", "verdicts"):
+        a, b = old[part], new[part]
+        for key in sorted(a.keys() | b.keys()):
+            if key not in b:
+                lines.append(f"only in the first: {key}")
+            elif key not in a:
+                lines.append(f"only in the second: {key}")
+            elif a[key] != b[key]:
+                lines.append(f"differs: {key}: {json.dumps(a[key])} -> {json.dumps(b[key])}")
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", help="checkout whose program is run")
+    parser.add_argument("--seeds", default="1-3", help='e.g. "1-3" or "1-24" (default 1-3)')
+    parser.add_argument("--workloads", default="mnb-fits,pglg-fits,mnb-envelope",
+                        help="comma-separated workload names (default all three)")
+    parser.add_argument("--out", help="hash file to write (record mode)")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two hash files instead of recording")
+    args = parser.parse_args(argv)
+    if args.compare:
+        with open(args.compare[0], encoding="utf-8") as fa, \
+                open(args.compare[1], encoding="utf-8") as fb:
+            lines = compare(json.load(fa), json.load(fb))
+        print("\n".join(lines) if lines else "identical")
+        return 1 if lines else 0
+    if not (args.root and args.out):
+        parser.error("record mode needs --root and --out")
+    found = record(args.root, seed_range(args.seeds), args.workloads.split(","))
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(found, indent=1, sort_keys=True) + "\n")
+    print(f"{len(found['outputs'])} hashes written to {args.out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,6 +10,7 @@ optional SVG), ``compare`` (AIC ranking of fit reports), and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -29,7 +30,10 @@ _EXIT_INPUT = 1
 _EXIT_NOT_CONVERGED = 2
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and shared by every
+    later :func:`main` call in the process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="glgmix",
         description="Random-intercept Poisson models with generalized "
@@ -140,13 +144,19 @@ def _cmd_fit(args):
     report = result.as_dict()
     report["model"] = args.model
     report["spec"] = spec.to_mapping()
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(args.out, report)
     if not result.converged:
         print("warning: fit did not converge", file=sys.stderr)
         return _EXIT_NOT_CONVERGED
     return _EXIT_OK
+
+
+def _write_json(path, obj):
+    """``obj`` as indented JSON and a newline, encoded in full before the
+    file is opened, so a failing encode leaves no partial file."""
+    text = json.dumps(obj, indent=2) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _load_json_arg(text):
@@ -194,9 +204,7 @@ def _cmd_simulate(args):
         )
         dataset = simulate.simulate_pglg(design, params)
     spec = write_csv(dataset, args.out)
-    with open(args.out + ".spec.json", "w", encoding="utf-8") as fh:
-        json.dump(spec.to_mapping(), fh, indent=2)
-        fh.write("\n")
+    _write_json(args.out + ".spec.json", spec.to_mapping())
     return _EXIT_OK
 
 

@@ -23,7 +23,10 @@ log-gamma, digamma and trigamma differences at phi + y+ and phi are
 finite sums over j < y+ read off one cumulative table per call
 (:func:`_lgamma_spans`, :func:`_digamma_spans`, :func:`_trigamma_spans`;
 one table per replicate's phi), and the data's own log y! sums are cached
-on the dataset.
+on the dataset.  The Fisher information for phi has no closed form either;
+it is a series over the tail probabilities of a cluster's total y+, which
+depends on the cluster only through mu+, so :func:`_k_phi` runs it once
+per distinct mu+: clusters with the same design rows share one.
 """
 
 from __future__ import annotations
@@ -265,14 +268,23 @@ def _scores(dataset, phi, sums, layout=None):
 def _k_phi(mu_plus, phi):
     # sum over clusters of sum_{j>=0} (j + phi)^-2 P(Y+ >= j + 1)
     # - mu+/(phi (mu+ + phi)), with Y+ negative binomial of mean mu+ and
-    # dispersion phi.  A cluster's series stops after its first term whose
-    # tail probability is below _KPHI_TAIL.  All clusters step through the
-    # terms together, _KPHI_BLOCK at a time: log P(Y+ = j) and the tail run
-    # as cumulative sums along the block, and finished clusters leave the
-    # working arrays.  Logs, because P(Y+ = 0) = (phi/(phi + mu+))^phi
-    # underflows when phi log1p(mu+/phi) is large.
-    log_ratio = np.log(mu_plus / (phi + mu_plus))
-    log_p = phi * np.log(phi / (phi + mu_plus))  # log P(Y+ = 0)
+    # dispersion phi.  The series depends on a cluster only through mu+, so
+    # it runs once per distinct mu+ (clusters with the same design rows
+    # share it); ``rows`` maps each running cluster to its distinct row,
+    # and is the identity when no mu+ repeats.  A series stops after its
+    # first term whose tail probability is below _KPHI_TAIL.  All series
+    # step through the terms together, _KPHI_BLOCK at a time: log P(Y+ = j)
+    # and the tail run as cumulative sums along the block, and finished
+    # rows leave the working arrays.  Each block's terms are gathered back
+    # to one row per running cluster before the sum, so the sum adds the
+    # same numbers in the same order as one series per cluster would.
+    # Logs, because P(Y+ = 0) = (phi/(phi + mu+))^phi underflows when
+    # phi log1p(mu+/phi) is large.
+    distinct, rows = np.unique(mu_plus, return_inverse=True)
+    if distinct.size == mu_plus.size:  # no repeats: no gather copies
+        distinct, rows = mu_plus, slice(None)
+    log_ratio = np.log(distinct / (phi + distinct))
+    log_p = phi * np.log(phi / (phi + distinct))  # log P(Y+ = 0)
     tail = 1.0 - np.exp(log_p)  # P(Y+ >= 1)
     total = 0.0
     for j0 in range(0, _KPHI_MAX_TERMS, _KPHI_BLOCK):
@@ -287,11 +299,19 @@ def _k_phi(mu_plus, phi):
         steps[:, 1:] = -probs[:, 1:]
         tails = np.maximum(np.cumsum(steps, axis=1), 0.0)  # P(Y+ >= j0 + c + 1)
         below = tails[:, :-1] < _KPHI_TAIL
-        taken = np.cumsum(below, axis=1) - below == 0  # up to the first term below
-        total += float(np.sum(np.where(taken, tails[:, :-1], 0.0) / (j + phi) ** 2))
+        # the tails never rise along a row, so once below stays below:
+        # a term is taken up to the first one below
+        taken = np.empty_like(below)
+        taken[:, 0] = True
+        taken[:, 1:] = ~below[:, :-1]
+        # summed as a temporary: holding the term array into the next block
+        # made all-distinct stacks of 900 clusters about 15% slower
+        total += float(np.sum((np.where(taken, tails[:, :-1], 0.0) / (j + phi) ** 2)[rows]))
         going = ~below.any(axis=1)
         if not going.any():
             break
+        if not isinstance(rows, slice):
+            rows = (np.cumsum(going) - 1)[rows[going[rows]]]
         log_p, tail, log_ratio = log_probs[going, -1], tails[going, -1], log_ratio[going]
     return total - float(np.sum(mu_plus / (phi * (mu_plus + phi))))
 

@@ -208,16 +208,18 @@ class PglgFitOptions:
 _ORDER_TOL_PER_CLUSTER = 1e-6  # log-likelihood change allowed at twice the order
 
 
-def _posterior_mean(weights, values):
-    """Posterior means of ``values`` on the nodes.  Nodes of weight 0 may
-    sit where ``values`` overflows; they add nothing (the caller ignores
-    the invalid products there)."""
-    return np.where(weights > 0, weights * values, 0.0).sum(axis=1)
+def _posterior_mean(weights, live, values):
+    """Posterior means of ``values`` on the nodes; ``live`` is the mask
+    ``weights > 0``.  Nodes of weight 0 may sit where ``values``
+    overflows; they add nothing (the caller ignores the invalid products
+    there)."""
+    return np.where(live, weights * values, 0.0).sum(axis=1)
 
 
-def _centred(weights, values, means):
-    """``values`` minus their posterior means, 0 at nodes of weight 0."""
-    return np.where(weights > 0, values - means[:, None], 0.0)
+def _centred(live, values, means):
+    """``values`` minus their posterior means, 0 at nodes of weight 0
+    (where ``live`` is False)."""
+    return np.where(live, values - means[:, None], 0.0)
 
 
 class _Objective:
@@ -283,10 +285,11 @@ class _Objective:
         else:
             return None
         with np.errstate(over="ignore", invalid="ignore"):
+            live = weights > 0  # the nodes that count, one mask for every moment
             exp_b = np.exp(points)
-            e_b = _posterior_mean(weights, exp_b)
+            e_b = _posterior_mean(weights, live, exp_b)
             d, h = self._scale_derivatives(points, prior)
-            d_means = [_posterior_mean(weights, dk) for dk in d]
+            d_means = [_posterior_mean(weights, live, dk) for dk in d]
             e_b_obs = ds.per_obs(e_b[inverse]) * mu
             u_beta = ds.X.T @ (ds.y - e_b_obs)
             score = np.concatenate([u_beta, [mean[inverse].sum() for mean in d_means]])
@@ -294,8 +297,8 @@ class _Objective:
                 return None
 
             # cross moments of the centred complete-data scores
-            c_b = _centred(weights, exp_b, e_b)
-            c_d = [_centred(weights, dk, mean) for dk, mean in zip(d, d_means)]
+            c_b = _centred(live, exp_b, e_b)
+            c_d = [_centred(live, dk, mean) for dk, mean in zip(d, d_means)]
             m = ds.cluster_sums(mu[:, None] * ds.X)  # X_i' mu_i, one row per cluster
             p, k = ds.p, len(d)
             hess = np.empty((p + k, p + k))
@@ -308,7 +311,8 @@ class _Objective:
                 hess[:p, p + a] = hess[p + a, :p] = cross
                 for b in range(a + 1):
                     hess[p + a, p + b] = hess[p + b, p + a] = (
-                        _posterior_mean(weights, h[a][b]) + (weights * c_d[a] * c_d[b]).sum(axis=1)
+                        _posterior_mean(weights, live, h[a][b])
+                        + (weights * c_d[a] * c_d[b]).sum(axis=1)
                     )[inverse].sum()
             if not np.all(np.isfinite(hess)):
                 return None

@@ -540,3 +540,68 @@ print("clean")
                     "--out", str(tmp_path / "x.csv")])
         assert code == 1
         capsys.readouterr()
+
+
+class TestReentrant:
+    """Many ``main`` calls in one process share one parser; each call's
+    outputs equal those of the same call alone in a fresh interpreter."""
+
+    CALLS = [
+        ["fit", "--model", "pglg", "--data", "data.csv", "--spec", "data.csv.spec.json",
+         "--order", "20", "--out", "pglg20.json"],
+        ["fit", "--model", "bogus", "--data", "data.csv", "--out", "never.json"],
+        ["fit", "--model", "pglg", "--data", "data.csv", "--spec", "data.csv.spec.json",
+         "--out", "pglg.json"],
+        ["fit", "--model", "nb", "--data", "data.csv", "--response", "y", "--cluster", "cluster",
+         "--covariates", "x", "--no-intercept", "--out", "nb.json"],
+        ["fit", "--model", "mnb", "--data", "data.csv", "--spec", "data.csv.spec.json",
+         "--out", "mnb.json"],
+        ["diagnose", "--fit", "mnb.json", "--data", "data.csv", "--residual", "pearson",
+         "--envelope", "19", "--seed", "4", "--out", "resid.csv"],
+        ["diagnose", "--fit", "mnb.json", "--data", "data.csv", "--out", "resid_dev.csv"],
+        ["compare", "--fits", "pglg20.json", "pglg.json", "mnb.json", "--out", "cmp.json"],
+        ["simulate", "--model", "mnb", "--params", '{"beta": [0.2], "phi": 2.0}',
+         "--design", '{"n_clusters": 6, "cluster_sizes": 2, "seed": 3}', "--seed", "9",
+         "--out", "sim9.csv"],
+        ["simulate", "--model", "mnb", "--params", '{"beta": [0.2], "phi": 2.0}',
+         "--design", '{"n_clusters": 6, "cluster_sizes": 2, "seed": 3}', "--out", "sim3.csv"],
+    ]
+
+    @staticmethod
+    def outputs(work):
+        names = sorted(n for n in os.listdir(work) if not n.startswith("data.csv"))
+        return {n: open(os.path.join(work, n), "rb").read() for n in names}
+
+    def test_each_call_as_if_alone(self, mnb_csv, tmp_path, monkeypatch, capsys):
+        together, alone = tmp_path / "together", tmp_path / "alone"
+        for work in (together, alone):
+            work.mkdir()
+            for suffix in ("", ".spec.json"):
+                (work / ("data.csv" + suffix)).write_bytes(open(mnb_csv + suffix, "rb").read())
+
+        monkeypatch.chdir(together)
+        codes = []
+        for argv in self.CALLS:
+            try:
+                codes.append(cli.main(argv))
+            except SystemExit as exc:  # argparse rejects the call
+                codes.append(exc.code)
+        capsys.readouterr()
+
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        boot = "import sys; from glgmix.cli import main; sys.exit(main(sys.argv[1:]))"
+        codes_alone = [
+            subprocess.run([sys.executable, "-c", boot, *argv], cwd=alone, env=env,
+                           capture_output=True, timeout=300).returncode
+            for argv in self.CALLS
+        ]
+        assert codes == codes_alone
+        assert codes[1] == 2 and codes[3:] == [0] * 7
+        got, want = self.outputs(together), self.outputs(alone)
+        assert sorted(got) == sorted(want)
+        assert len(got) == 12  # 5 reports, 3 residual tables, 2 simulated CSVs and their specs
+        for name in want:
+            assert got[name] == want[name], name
+        # --order 20 did not stay on for the later fit without it
+        assert json.loads(got["pglg20.json"]) != json.loads(got["pglg.json"])

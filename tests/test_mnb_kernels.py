@@ -6,6 +6,7 @@ at a time with the textbook formulas; the two orders of summation agree
 to a few ulps.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -20,7 +21,7 @@ from scipy.stats import nbinom
 from glgmix import mnb_model
 from glgmix.data_io import ClusterData, Dataset
 from glgmix.errors import NegativeDevianceWarning, NonPsdWeightWarning
-from glgmix.mnb_model import MnbParams
+from glgmix.mnb_model import _KPHI_BLOCK, _KPHI_MAX_TERMS, _KPHI_TAIL, MnbParams
 
 
 def ref_cluster_mu(c, params):
@@ -52,6 +53,42 @@ def ref_score(dataset, params):
         xm = c.X.T @ mu
         k_beta += (c.X.T * mu) @ c.X - np.outer(xm, xm) / (phi + mu_plus)
     return u_beta, u_phi, k_beta
+
+
+def ref_k_phi(mu_plus, phi):
+    """The dispersion information with one series per cluster, as computed
+    before the series ran once per distinct mu+ (kept verbatim)."""
+    # sum over clusters of sum_{j>=0} (j + phi)^-2 P(Y+ >= j + 1)
+    # - mu+/(phi (mu+ + phi)), with Y+ negative binomial of mean mu+ and
+    # dispersion phi.  A cluster's series stops after its first term whose
+    # tail probability is below _KPHI_TAIL.  All clusters step through the
+    # terms together, _KPHI_BLOCK at a time: log P(Y+ = j) and the tail run
+    # as cumulative sums along the block, and finished clusters leave the
+    # working arrays.  Logs, because P(Y+ = 0) = (phi/(phi + mu+))^phi
+    # underflows when phi log1p(mu+/phi) is large.
+    log_ratio = np.log(mu_plus / (phi + mu_plus))
+    log_p = phi * np.log(phi / (phi + mu_plus))  # log P(Y+ = 0)
+    tail = 1.0 - np.exp(log_p)  # P(Y+ >= 1)
+    total = 0.0
+    for j0 in range(0, _KPHI_MAX_TERMS, _KPHI_BLOCK):
+        j = j0 + np.arange(_KPHI_BLOCK)
+        # column c holds the state at term j0 + c; column 0 is carried in
+        steps = np.empty((log_p.size, _KPHI_BLOCK + 1))
+        steps[:, 0] = log_p
+        steps[:, 1:] = np.log((phi + j) / (j + 1.0)) + log_ratio[:, None]
+        log_probs = np.cumsum(steps, axis=1)
+        probs = np.exp(log_probs)  # P(Y+ = j0 + c)
+        steps[:, 0] = tail
+        steps[:, 1:] = -probs[:, 1:]
+        tails = np.maximum(np.cumsum(steps, axis=1), 0.0)  # P(Y+ >= j0 + c + 1)
+        below = tails[:, :-1] < _KPHI_TAIL
+        taken = np.cumsum(below, axis=1) - below == 0  # up to the first term below
+        total += float(np.sum(np.where(taken, tails[:, :-1], 0.0) / (j + phi) ** 2))
+        going = ~below.any(axis=1)
+        if not going.any():
+            break
+        log_p, tail, log_ratio = log_probs[going, -1], tails[going, -1], log_ratio[going]
+    return total - float(np.sum(mu_plus / (phi * (mu_plus + phi))))
 
 
 def ref_deviance_components(dataset, fitted):
@@ -305,3 +342,76 @@ class TestResidualBatching:
         psd = [w for w in caught if issubclass(w.category, NonPsdWeightWarning)]
         assert len(psd) == 1
         assert f"eigenvalue {min(lowest):.3e} below" in str(psd[0].message)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def mu_plus_stacks(draw, means=log_uniform(1e-2, 1e3)):
+    """Cluster totals mu+: copies of a few distinct values (a balanced
+    design), all distinct (a continuous covariate) or one cluster; zero
+    totals among them at times."""
+    kind = draw(st.sampled_from(["repeats", "distinct", "one"]))
+    values = st.one_of(means, st.just(0.0)) if draw(st.booleans()) else means
+    if kind == "one":
+        return np.array([draw(values)])
+    if kind == "distinct":
+        return np.array(draw(st.lists(values, min_size=2, max_size=60, unique=True)))
+    pool = draw(st.lists(values, min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=120))
+    return np.array(pool)[picks]
+
+
+def k_phi_pair(mu_plus, phi):
+    with np.errstate(divide="ignore"):  # log(0) for a zero total, in both
+        return mnb_model._k_phi(mu_plus, phi), ref_k_phi(mu_plus, phi)
+
+
+class TestKPhiOncePerDistinctTotal:
+    """The dispersion series runs once per distinct mu+ and is bit-equal to
+    one series per cluster."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mu_plus_stacks(), log_uniform(0.2, 50.0))
+    def test_bit_equal_to_one_series_per_cluster(self, mu_plus, phi):
+        got, want = k_phi_pair(mu_plus, phi)
+        assert got == want
+
+    @settings(max_examples=10, deadline=None)
+    @given(mu_plus_stacks(means=log_uniform(1e-2, 1e4)), st.floats(1e3, 3e3),
+           st.integers(0, 200), st.floats(0.5, 3.0))
+    def test_bit_equal_when_series_end_in_different_blocks(self, mu_plus, long, at, phi):
+        # small phi and totals over six decades, with one long series always
+        # among them: series of one block up to hundreds, so distinct rows
+        # leave the working arrays at different blocks
+        mu_plus = np.insert(mu_plus, min(at, mu_plus.size), long)
+        got, want = k_phi_pair(mu_plus, phi)
+        assert got == want
+
+    @settings(max_examples=10, deadline=None)
+    @given(mu_plus_stacks(means=st.floats(1800.0, 2200.0)), st.floats(900.0, 1100.0))
+    def test_bit_equal_when_p_zero_underflows(self, mu_plus, phi):
+        # phi log1p(mu+/phi) > 745, as in test_k_phi_when_p_zero_underflows
+        got, want = k_phi_pair(mu_plus, phi)
+        assert got == want
+
+    def test_duplicated_clusters_fit_standard_errors(self):
+        # 120 clusters on 4 design patterns: 4 distinct mu+ at any beta
+        rng = np.random.default_rng(8)
+        patterns = [np.array([[1.0, -1.0], [1.0, 0.0], [1.0, 1.0]]), np.array([[1.0, 0.5]]),
+                    np.array([[1.0, 2.0], [1.0, -2.0]]), np.array([[1.0, 0.0], [1.0, 0.0]])]
+        clusters = []
+        for i in range(120):
+            X = patterns[i % 4]
+            mu = np.exp(X @ [0.6, -0.3]) * rng.gamma(2.0, 0.5)
+            clusters.append(ClusterData(id=f"c{i}", y=rng.poisson(mu), X=X, offset=np.zeros(len(X))))
+        ds = Dataset(clusters=clusters, column_names=("a", "b"))
+        result = mnb_model.fit(ds)
+        params = MnbParams(beta=result.estimates[:-1], phi=result.estimates[-1])
+        mu_plus = mnb_model._means(ds, params.beta)[1]
+        assert np.unique(mu_plus).size == 4
+        info = mnb_model.score(ds, params)
+        reference = dataclasses.replace(info, k_phi=ref_k_phi(mu_plus, params.phi))
+        np.testing.assert_array_equal(result.std_errors, mnb_model._standard_errors(reference))
