@@ -3,73 +3,65 @@ effects, and its closed-form multivariate negative binomial special case.
 
 Fitting, random-effect prediction, simulation, residual diagnostics with
 simulated envelopes, and AIC model comparison, as a library and a CLI.
+
+Submodules and the public names below load on first access (PEP 562), so
+``import glgmix`` itself loads none of them and a caller pays only for
+the modules it uses.
 """
 
-from . import cli, data_io, diagnostics, glg_dist, mnb_model, pglg_model, simulate
-from .data_io import ClusterData, Dataset, ModelSpec, read_csv, ungroup, write_csv
-from .diagnostics import EnvelopeResult, compare_aic, qq_points, simulated_envelope
-from .errors import (
-    CollinearDesignError,
-    DataFormatError,
-    DomainError,
-    EnvelopeError,
-    EnvelopeReplicateWarning,
-    GlgmixError,
-    LeverageError,
-    ModeSearchError,
-    MomentExistenceError,
-    NegativeDevianceWarning,
-    NonPsdWeightWarning,
-)
-from .glg_dist import GlgParams
-from .mnb_model import MnbParams, ResidualReport
-from .pglg_model import PglgFitOptions, PglgParams
-from .quadrature import QuadratureRule, gauss_hermite
-from .results import FitResult, TraceRecord
-from .simulate import SimDesign, simulate_mnb, simulate_pglg
+import importlib
 
 __version__ = "0.1.0"
 
+# home module of each public name
+_HOMES = {
+    "data_io": ("ClusterData", "Dataset", "ModelSpec", "read_csv", "ungroup", "write_csv"),
+    "diagnostics": ("EnvelopeResult", "compare_aic", "qq_points", "simulated_envelope"),
+    "errors": (
+        "CollinearDesignError",
+        "DataFormatError",
+        "DomainError",
+        "EnvelopeError",
+        "EnvelopeReplicateWarning",
+        "GlgmixError",
+        "LeverageError",
+        "ModeSearchError",
+        "MomentExistenceError",
+        "NegativeDevianceWarning",
+        "NonPsdWeightWarning",
+    ),
+    "glg_dist": ("GlgParams",),
+    "mnb_model": ("MnbParams", "ResidualReport"),
+    "pglg_model": ("PglgFitOptions", "PglgParams"),
+    "quadrature": ("QuadratureRule", "gauss_hermite"),
+    "results": ("FitResult", "TraceRecord"),
+    "simulate": ("SimDesign", "simulate_mnb", "simulate_pglg"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+_SUBMODULES = frozenset(("_newton", "_special", "cli", *_HOMES))
+
 __all__ = [
-    "CollinearDesignError",
-    "ClusterData",
-    "DataFormatError",
-    "Dataset",
-    "DomainError",
-    "EnvelopeError",
-    "EnvelopeReplicateWarning",
-    "EnvelopeResult",
-    "FitResult",
-    "GlgParams",
-    "GlgmixError",
-    "LeverageError",
-    "MnbParams",
-    "ModeSearchError",
-    "ModelSpec",
-    "MomentExistenceError",
-    "NegativeDevianceWarning",
-    "NonPsdWeightWarning",
-    "PglgFitOptions",
-    "PglgParams",
-    "QuadratureRule",
-    "ResidualReport",
-    "SimDesign",
-    "TraceRecord",
     "__version__",
     "cli",
-    "compare_aic",
     "data_io",
     "diagnostics",
-    "gauss_hermite",
     "glg_dist",
     "mnb_model",
     "pglg_model",
-    "qq_points",
-    "read_csv",
     "simulate",
-    "simulate_mnb",
-    "simulate_pglg",
-    "simulated_envelope",
-    "ungroup",
-    "write_csv",
+    *_HOME_OF,
 ]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME_OF:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME_OF[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

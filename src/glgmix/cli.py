@@ -18,12 +18,14 @@ import warnings
 
 import numpy as np
 
-from . import diagnostics, glg_dist, mnb_model, pglg_model, simulate
+from . import mnb_model
 from .data_io import ModelSpec, read_csv, ungroup, write_csv
 from .errors import DataFormatError, DomainError, GlgmixError
-from .glg_dist import GlgParams
 from .mnb_model import MnbParams
-from .pglg_model import PglgFitOptions, PglgParams
+
+# A command imports the modules that only it runs (PGLG fitting, simulation,
+# envelopes, the GLG density) inside its own function, so that a start-up
+# pays only for the modules of the one command it serves.
 
 _EXIT_OK = 0
 _EXIT_INPUT = 1
@@ -134,12 +136,14 @@ def _cmd_fit(args):
     elif args.model == "mnb":
         result = mnb_model.fit(dataset)
     else:
+        from . import pglg_model
+
         opts = {}
         if args.order is not None:
             opts["order"] = args.order
         if args.model == "pglg-normal":
             opts["fix_lambda"] = 0.0
-        result = pglg_model.fit(dataset, options=PglgFitOptions(**opts))
+        result = pglg_model.fit(dataset, options=pglg_model.PglgFitOptions(**opts))
 
     report = result.as_dict()
     report["model"] = args.model
@@ -168,6 +172,8 @@ def _load_json_arg(text):
 
 
 def _design_from_mapping(obj, seed_override):
+    from .simulate import SimDesign
+
     known = {"n_clusters", "cluster_sizes", "x", "offsets", "seed",
              "column_names"}
     extra = set(obj) - known
@@ -177,7 +183,7 @@ def _design_from_mapping(obj, seed_override):
         raise DataFormatError("design requires n_clusters")
     x = obj.get("x")
     names = obj.get("column_names")
-    return simulate.SimDesign(
+    return SimDesign(
         n_clusters=int(obj["n_clusters"]),
         cluster_sizes=obj.get("cluster_sizes", 1),
         x_builder=np.asarray(x, dtype=float) if x is not None else None,
@@ -188,6 +194,8 @@ def _design_from_mapping(obj, seed_override):
 
 
 def _cmd_simulate(args):
+    from . import simulate
+
     params_obj = _load_json_arg(args.params)
     design = _design_from_mapping(_load_json_arg(args.design), args.seed)
     if args.model == "mnb":
@@ -197,6 +205,8 @@ def _cmd_simulate(args):
         )
         dataset = simulate.simulate_mnb(design, params)
     else:
+        from .pglg_model import PglgParams
+
         params = PglgParams(
             beta=np.asarray(params_obj["beta"], dtype=float),
             sigma=float(params_obj["sigma"]),
@@ -270,6 +280,8 @@ def _cmd_diagnose(args):
 
     envelope = None
     if args.envelope:
+        from . import diagnostics
+
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             envelope = diagnostics.simulated_envelope(
@@ -349,6 +361,8 @@ class _ReportRow:
 
 
 def _cmd_compare(args):
+    from . import diagnostics
+
     rows = []
     for path in args.fits:
         with open(path, encoding="utf-8") as fh:
@@ -364,6 +378,8 @@ def _cmd_compare(args):
 
 
 def _cmd_glg_curve(args):
+    from . import glg_dist
+
     lams = []
     for part in args.lam.split(","):
         part = part.strip()
@@ -376,7 +392,7 @@ def _cmd_glg_curve(args):
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("lambda,y,pdf\n")
         for lam in lams:
-            params = GlgParams(mu=args.mu, sigma=args.sigma, lam=lam)
+            params = glg_dist.GlgParams(mu=args.mu, sigma=args.sigma, lam=lam)
             lo, hi = glg_dist.support_interval(params)
             grid = np.linspace(lo, hi, args.points)
             dens = glg_dist.pdf(grid, params)

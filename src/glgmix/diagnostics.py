@@ -2,7 +2,8 @@
 envelopes, and AIC comparison tables.
 
 Normal quantiles come from :class:`statistics.NormalDist` (Wichura's
-AS241 algorithm), one plotting position at a time.
+AS241 algorithm), one plotting position at a time; ``statistics`` loads
+only when positions are computed.
 
 A simulated envelope (Atkinson 1981) refits every replicate together: the
 replicates' counts form one stack on the observed design, the damped
@@ -21,7 +22,6 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -41,12 +41,19 @@ NON_FINITE = "non-finite residuals"
 SINGULAR = "singular pooled information"
 
 
-_ndtri = NormalDist().inv_cdf  # standard normal quantile of one probability
+def _ndtri(p):
+    """Standard normal quantile of one probability."""
+    from statistics import NormalDist
+
+    return NormalDist().inv_cdf(p)
 
 
 def _normal_positions(n):
     """Standard normal quantiles at the plotting positions (k - 3/8) / (n + 1/4)."""
-    return np.array([_ndtri((k - 0.375) / (n + 0.25)) for k in range(1, n + 1)])
+    from statistics import NormalDist
+
+    ndtri = NormalDist().inv_cdf
+    return np.array([ndtri((k - 0.375) / (n + 0.25)) for k in range(1, n + 1)])
 
 
 def qq_points(values):

@@ -608,7 +608,7 @@ def _leverages(dataset, mu, mu_plus, phi, pooled_inv):
     square roots from one stacked ``eigh`` per cluster size."""
     lev = np.empty(mu.shape)
     lowest = 0.0
-    for m in np.unique(dataset.sizes).tolist():
+    for m in sorted(set(dataset.sizes.tolist())):  # np.unique here would load numpy.ma
         which = np.flatnonzero(dataset.sizes == m)
         rows = dataset.starts[which][:, None] + np.arange(m)  # (n_m, m)
         mus = mu[..., rows]

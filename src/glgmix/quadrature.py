@@ -23,7 +23,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .errors import DomainError
 
@@ -59,6 +58,8 @@ def gauss_hermite(order):
     order; rules are read-only, so callers share them."""
     if not 1 <= order <= MAX_ORDER:
         raise DomainError(f"order must be in [1, {MAX_ORDER}], got {order}")
+    from numpy.polynomial.hermite import hermgauss  # loads all of numpy.polynomial
+
     nodes, weights = hermgauss(order)
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
 

@@ -13,10 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import glg_dist
 from .data_io import INTERCEPT_NAME, Dataset
 from .errors import DomainError
-from .glg_dist import GlgParams
 
 _ETA_MAX = 30.0  # exp(30) ~ 1e13 counts; anything past this is a design error
 
@@ -132,12 +130,19 @@ def _assemble(design, xs, offs, beta, log_frailty, rng, names):
     )
 
 
+def _glg_intercepts(params, rng, n):
+    """``n`` draws of the GLG(0, sigma, lam) random intercept.  Only the
+    PGLG paths load the GLG density, so the MNB envelope does without it."""
+    from . import glg_dist
+
+    return glg_dist.sample(glg_dist.GlgParams(mu=0.0, sigma=params.sigma, lam=params.lam), rng, n)
+
+
 def simulate_pglg(design, params):
     """Clustered Poisson counts with GLG(0, sigma, lam) random intercepts."""
     rng = np.random.default_rng(design.seed)
     xs, offs, names = design._materialize(rng)
-    prior = GlgParams(mu=0.0, sigma=params.sigma, lam=params.lam)
-    b = glg_dist.sample(prior, rng, design.n_clusters)
+    b = _glg_intercepts(params, rng, design.n_clusters)
     return _assemble(design, xs, offs, params.beta, b, rng, names)
 
 
@@ -192,6 +197,5 @@ def resample_mnb(dataset, params, rng):
 def resample_pglg(dataset, params, rng):
     """New responses from the fitted law, on the dataset's own design."""
     rng = np.random.default_rng(rng)
-    prior = GlgParams(mu=0.0, sigma=params.sigma, lam=params.lam)
-    b = glg_dist.sample(prior, rng, dataset.n_clusters)
+    b = _glg_intercepts(params, rng, dataset.n_clusters)
     return _redraw(dataset, _poisson_counts(dataset, params.beta, b[None], [rng])[0])

@@ -527,6 +527,87 @@ print("clean")
                              text=True, check=True, timeout=120)
         assert out.stdout.strip() == "False"
 
+    # modules a command must leave unloaded; a name covers its submodules
+    MNB_FIT_SKIPS = ("glgmix.pglg_model", "glgmix.quadrature", "glgmix.glg_dist",
+                     "glgmix.simulate", "glgmix.diagnostics", "statistics",
+                     "numpy.polynomial", "numpy.ma", "numpy.random")
+    PGLG_FIT_SKIPS = ("glgmix.diagnostics", "glgmix.simulate", "statistics")
+    DIAGNOSE_SKIPS = ("glgmix.diagnostics", "glgmix.simulate", "numpy.ma", "numpy.random")
+
+    @pytest.mark.parametrize("command, skips", [
+        ("fit mnb", MNB_FIT_SKIPS),
+        ("fit nb", MNB_FIT_SKIPS),
+        ("fit pglg", PGLG_FIT_SKIPS),
+        ("fit pglg-normal", PGLG_FIT_SKIPS),
+        ("diagnose", DIAGNOSE_SKIPS),
+        ("import", ("glgmix.cli", "glgmix.data_io", "glgmix.diagnostics", "glgmix.glg_dist",
+                    "glgmix.mnb_model", "glgmix.pglg_model", "glgmix.quadrature",
+                    "glgmix.simulate", "numpy")),
+    ])
+    def test_each_command_loads_only_its_modules(self, mnb_csv, tmp_path, command, skips):
+        # each command starts in a fresh interpreter, as the CLI does
+        report = str(tmp_path / "mnb.json")
+        assert run(["fit", "--model", "mnb", "--data", mnb_csv, "--spec", mnb_csv + ".spec.json",
+                    "--out", report]) == 0
+        if command == "import":
+            code = "import json, sys, glgmix; print(json.dumps([0, sorted(sys.modules)]))"
+            argv = []
+        else:
+            code = ("import json, sys\nfrom glgmix.cli import main\n"
+                    "print(json.dumps([main(sys.argv[1:]), sorted(sys.modules)]))")
+            verb, _, model = command.partition(" ")
+            if verb == "fit":
+                argv = ["fit", "--model", model, "--spec", mnb_csv + ".spec.json",
+                        "--out", str(tmp_path / "out.json")]
+            else:
+                argv = ["diagnose", "--fit", report, "--envelope", "0",
+                        "--out", str(tmp_path / "r.csv")]
+            argv += ["--data", mnb_csv]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        exit_code, modules = json.loads(out.stdout.splitlines()[-1])
+        assert exit_code in (0, 2)
+        loaded = [m for m in modules if any(m == s or m.startswith(s + ".") for s in skips)]
+        assert not loaded, (command, loaded)
+
+    def test_package_surface(self):
+        # a fresh interpreter, so that each name resolves on first access
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = """
+import importlib, sys, types
+import glgmix
+
+for name in ("quadrature", "results", "errors", "_newton", "cli", "data_io", "diagnostics",
+             "glg_dist", "mnb_model", "pglg_model", "simulate"):
+    assert getattr(glgmix, name) is importlib.import_module("glgmix." + name), name
+for name in glgmix.__all__:
+    value = getattr(glgmix, name)
+    if name == "__version__":
+        assert isinstance(value, str)
+    elif isinstance(value, types.ModuleType):
+        assert value is sys.modules["glgmix." + name], name
+    else:
+        assert value.__module__.startswith("glgmix."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+assert set(glgmix.__all__) <= set(dir(glgmix))
+namespace = {}
+exec("from glgmix import *", namespace)
+assert all(namespace[name] is getattr(glgmix, name) for name in glgmix.__all__)
+try:
+    glgmix.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("unknown name resolved")
+print("ok")
+"""
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "ok"
+
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code = run(["fit", "--model", "mnb", "--data", str(tmp_path / "no.csv"),
                     "--response", "y", "--cluster", "g",
