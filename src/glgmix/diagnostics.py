@@ -28,7 +28,6 @@ import numpy as np
 from .errors import DomainError, EnvelopeError, EnvelopeReplicateWarning
 from .mnb_model import _SUM_TERMS_MAX, _check_design_rank, _climb, _replicate_residuals
 from .mnb_model import residuals as mnb_residuals
-from .simulate import _mnb_counts
 
 _MIN_REPLICATES = 19  # fewer cannot bracket a 95% band
 _MAX_DROP_FRACTION = 0.2
@@ -39,13 +38,6 @@ NOT_CONVERGED = "not converged"
 NOT_STARTED = "objective not finite at the start"
 NON_FINITE = "non-finite residuals"
 SINGULAR = "singular pooled information"
-
-
-def _ndtri(p):
-    """Standard normal quantile of one probability."""
-    from statistics import NormalDist
-
-    return NormalDist().inv_cdf(p)
 
 
 def _normal_positions(n):
@@ -116,6 +108,8 @@ def _count_blocks(dataset, params, which, seeds):
     it is sized by :func:`_replicate_elements`, and once drawn it is cut
     again where its gamma-function tables, one row of up to the largest
     cluster total per replicate, would pass the bound."""
+    from .simulate import _mnb_counts  # only the envelope loads the simulator
+
     block = max(1, _BLOCK_ELEMENTS // _replicate_elements(dataset, which))
     for first in range(0, len(seeds), block):
         y = _mnb_counts(dataset, params, [np.random.default_rng(s) for s in seeds[first:first + block]])

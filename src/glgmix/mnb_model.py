@@ -63,6 +63,11 @@ _KPHI_BLOCK = 64  # terms per vectorised step; divides _KPHI_MAX_TERMS
 _SCORE_TOL = 1e-6
 _MAX_ITER = 100
 
+# The independence Poisson start converges once its relative step is below
+# _IRLS_TOL, and falls back to zeros after _IRLS_MAX_ITER steps.
+_IRLS_TOL = 1e-10
+_IRLS_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class MnbParams:
@@ -391,7 +396,7 @@ def _check_design_rank(dataset):
         )
 
 
-def _poisson_irls(dataset, max_iter=100, tol=1e-10):
+def _poisson_irls(dataset):
     """Independence Poisson fit (the phi -> infinity limit); returns beta.
 
     Standard iteratively reweighted least squares on the stacked data.
@@ -402,7 +407,7 @@ def _poisson_irls(dataset, max_iter=100, tol=1e-10):
     zeros = np.zeros(X.shape[1])
     beta = zeros
     eta = X @ beta + offset
-    for _ in range(max_iter):
+    for _ in range(_IRLS_MAX_ITER):
         mu = np.exp(np.clip(eta, -30.0, 30.0))
         z = (eta - offset) + (y - mu) / mu
         xtw = X.T * mu
@@ -415,7 +420,7 @@ def _poisson_irls(dataset, max_iter=100, tol=1e-10):
         change = np.max(np.abs(beta_new - beta)) / max(1.0, np.max(np.abs(beta_new)))
         beta = beta_new
         eta = X @ beta + offset
-        if change < tol:
+        if change < _IRLS_TOL:
             return beta
     return zeros
 

@@ -31,14 +31,7 @@ from .data_io import Dataset
 from .errors import DomainError, ModeSearchError
 from .glg_dist import GlgParams
 from .mnb_model import _check_design_rank, _poisson_irls
-from .quadrature import (
-    DEFAULT_ORDER,
-    MAX_ORDER,
-    adaptive_nodes,
-    gauss_hermite,
-    log_integrate_adaptive_batch,
-    posterior_mean_batch,
-)
+from .quadrature import DEFAULT_ORDER, MAX_ORDER, adaptive_nodes, gauss_hermite
 from .results import FitResult
 
 
@@ -113,22 +106,37 @@ def _distinct(y_plus, log_mu_plus):
     return order[new], inverse
 
 
-def _reduce_clusters(reduce, dataset, params, rule, init):
-    """``reduce`` (a batch quadrature of :mod:`quadrature`) over every
-    distinct cluster integrand with mode searches started at ``init``, one
-    result per cluster, and the clusters' constants c; raises one
-    ModeSearchError naming every cluster whose mode search failed."""
-    c, y_plus, log_mu_plus, _ = _cluster_sums(dataset, params.beta)
+def _nodes(dataset, params, rule, init):
+    """The nodes of every distinct cluster integrand, with mode searches
+    started at ``init`` (one per cluster): the (values, points, weights,
+    failed, modes) of :func:`adaptive_nodes`, one row per distinct pair;
+    ``inverse``, whose rows give every cluster its own row again; the
+    clusters' constants c; and the means mu per observation."""
+    c, y_plus, log_mu_plus, mu = _cluster_sums(dataset, params.beta)
     first, inverse = _distinct(y_plus, log_mu_plus)
     g, derivatives = _integrand(y_plus[first], log_mu_plus[first], params)
-    out, failed, b_hat = reduce(g, derivatives, rule, init[first])
+    return adaptive_nodes(g, derivatives, rule, init[first]), inverse, c, mu
+
+
+def _checked_nodes(dataset, params, rule, init):
+    """:func:`_nodes`, raising one ModeSearchError naming every cluster
+    whose mode search failed."""
+    nodes, inverse, c, mu = _nodes(dataset, params, rule, init)
+    *_, failed, b_hat = nodes
     failed, b_hat = failed[inverse], b_hat[inverse]
     if failed.any():
         bad = [cid for cid, f in zip(dataset.ids, failed) if f]
         raise ModeSearchError(
             f"quadrature mode search failed for cluster(s) {bad}", last_iterate=b_hat[failed]
         )
-    return out[inverse], c
+    return nodes, inverse, c, mu
+
+
+def _log_likelihood(dataset, params, rule, init):
+    """Sum of cluster log marginals, in dataset order, with mode searches
+    started at ``init``."""
+    (values, *_), inverse, c, _ = _checked_nodes(dataset, params, rule, init)
+    return float((values[inverse] + c).sum())
 
 
 def cluster_log_marginal(c, params, rule=None):
@@ -139,9 +147,7 @@ def cluster_log_marginal(c, params, rule=None):
 def log_likelihood(dataset, params, rule=None):
     """Sum of cluster log marginals, in dataset order."""
     rule = rule or gauss_hermite(DEFAULT_ORDER)
-    init = np.zeros(dataset.n_clusters)
-    values, c = _reduce_clusters(log_integrate_adaptive_batch, dataset, params, rule, init)
-    return float((values + c).sum())
+    return _log_likelihood(dataset, params, rule, np.zeros(dataset.n_clusters))
 
 
 def predict_random_effects(dataset, params, rule=None):
@@ -155,7 +161,8 @@ def predict_random_effects(dataset, params, rule=None):
     """
     rule = rule or gauss_hermite(MAX_ORDER)
     init = np.zeros(dataset.n_clusters)
-    means, _ = _reduce_clusters(posterior_mean_batch, dataset, params, rule, init)
+    (_, points, weights, *_), inverse, _, _ = _checked_nodes(dataset, params, rule, init)
+    means = (weights * points).sum(axis=1)[inverse]
     return [(cid, float(m)) for cid, m in zip(dataset.ids, means)]
 
 
@@ -186,14 +193,13 @@ class PglgFitOptions:
 
     ``fix_lambda`` pins the shape (0.0 gives the Poisson-normal model);
     ``tie_sigma_lambda`` constrains sigma = lam > 0, the closed-form
-    multivariate negative binomial reparameterization.  ``order`` is at
-    most ``MAX_ORDER // 2``, so that the convergence check can compare
-    the fit with the rule of twice its order.
+    multivariate negative binomial reparameterization; the two exclude
+    each other.  ``order`` is at most ``MAX_ORDER // 2``, so that the
+    convergence check can compare the fit with the rule of twice its
+    order.
     """
 
     order: int = DEFAULT_ORDER
-    gtol: float = 1e-5
-    max_iter: int = 200
     fix_lambda: float | None = None
     tie_sigma_lambda: bool = False
 
@@ -203,8 +209,14 @@ class PglgFitOptions:
                 f"order must be at most {MAX_ORDER // 2} (the order check uses twice "
                 f"the order, and rules stop at {MAX_ORDER}), got {self.order}"
             )
+        if self.fix_lambda is not None and self.tie_sigma_lambda:
+            raise DomainError("fix_lambda and tie_sigma_lambda are mutually exclusive")
 
 
+# The fit stops once max |score| is below _SCORE_TOL or after _MAX_ITER
+# Newton steps.
+_SCORE_TOL = 1e-5
+_MAX_ITER = 200
 _ORDER_TOL_PER_CLUSTER = 1e-6  # log-likelihood change allowed at twice the order
 
 
@@ -272,14 +284,12 @@ class _Objective:
         except (DomainError, OverflowError):
             return None
         ds = self.dataset
-        c, y_plus, log_mu_plus, mu = _cluster_sums(ds, params.beta)
-        # the nodes of each distinct integrand; [inverse] gives every
-        # cluster its own row again before anything is summed over clusters
-        first, inverse = _distinct(y_plus, log_mu_plus)
-        g, derivatives = _integrand(y_plus[first], log_mu_plus[first], params)
         prior = GlgParams(mu=0.0, sigma=params.sigma, lam=params.lam)
-        for init in (self.modes[first], np.zeros(first.size)):  # warm, then cold
-            values, points, weights, failed, modes = adaptive_nodes(g, derivatives, self.rule, init)
+        # one row per distinct integrand; [inverse] gives every cluster its
+        # own row again before anything is summed over clusters
+        for init in (self.modes, np.zeros(ds.n_clusters)):  # warm, then cold
+            nodes, inverse, c, mu = _nodes(ds, params, self.rule, init)
+            values, points, weights, failed, modes = nodes
             if not failed.any() and np.all(np.isfinite(values)):
                 break
         else:
@@ -333,12 +343,11 @@ def _order_adequate(dataset, params, loglik, options, init):
     """Whether the log-likelihood at twice the order agrees within
     ``_ORDER_TOL_PER_CLUSTER`` per cluster.  The integrand does not depend
     on the rule, so the fit's last modes ``init`` warm-start its searches."""
-    rule = gauss_hermite(2 * options.order)
     try:
-        values, c = _reduce_clusters(log_integrate_adaptive_batch, dataset, params, rule, init)
+        finer = _log_likelihood(dataset, params, gauss_hermite(2 * options.order), init)
     except ModeSearchError:
         return False
-    return abs(float((values + c).sum()) - loglik) <= _ORDER_TOL_PER_CLUSTER * dataset.n_clusters
+    return abs(finer - loglik) <= _ORDER_TOL_PER_CLUSTER * dataset.n_clusters
 
 
 def fit(dataset, init=None, options=None):
@@ -348,14 +357,12 @@ def fit(dataset, init=None, options=None):
     with Louis' observed information as the Hessian.  A step is halved
     until the log-likelihood does not fall, unless max |score| is below
     1e-3 before or after it; each try costs one batch of nodes.  Converged
-    means max |score| < ``gtol`` and a log-likelihood that moves by at
+    means max |score| < ``_SCORE_TOL`` and a log-likelihood that moves by at
     most 1e-6 per cluster at twice the quadrature order.  Standard errors
     invert the same Hessian at the estimate.  Defaults start beta at the
     independence Poisson fit, sigma at 0.5, and lam at 0.1.
     """
     options = options or PglgFitOptions()
-    if options.fix_lambda is not None and options.tie_sigma_lambda:
-        raise DomainError("fix_lambda and tie_sigma_lambda are mutually exclusive")
     _check_design_rank(dataset)
 
     p = dataset.p
@@ -366,7 +373,7 @@ def fit(dataset, init=None, options=None):
         theta = np.append(theta, start.lam)
 
     objective = _Objective(dataset, options)
-    climb = maximise(objective.stacked, theta[None], options.gtol, options.max_iter)
+    climb = maximise(objective.stacked, theta[None], _SCORE_TOL, _MAX_ITER)
     if not climb.started[0]:  # raises, naming the clusters, when a mode search is the cause
         log_likelihood(dataset, objective.to_params(theta), objective.rule)
         raise ModeSearchError(
@@ -414,8 +421,6 @@ def fit(dataset, init=None, options=None):
 def _pglg_standard_errors(hess, sigma, p):
     """Inverse of minus the Hessian with the log-sigma row ``p`` mapped
     back to sigma by the delta method."""
-    if hess is None:
-        return None
     try:
         cov = np.linalg.inv(-hess)
     except np.linalg.LinAlgError:

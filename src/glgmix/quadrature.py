@@ -8,9 +8,10 @@ Gauss-Hermite rule applied to such an integrand is accurate only if the
 integrand mass sits near 0 with unit width, so one batched engine,
 :func:`adaptive_nodes`, first locates the mode of every ``g_i`` by exact
 Newton on the closed-form derivatives the caller supplies, rescales by
-the curvature there, and only then lays out the rule (Liu & Pierce 1994);
-the other integrals reduce its nodes and normalised weights.  The
-integrand itself is evaluated on the nodes only.  Components are
+the curvature there, and only then lays out the rule (Liu & Pierce 1994).
+It returns the log integrals with the nodes and their normalised
+weights, and a caller reduces those to the posterior means it needs.
+The integrand itself is evaluated on the nodes only.  Components are
 independent, so a caller passes each distinct integrand once:
 :mod:`~glgmix.pglg_model` integrates once per distinct cluster total
 (y+, mu+) and maps the results back to the clusters that share it.
@@ -169,20 +170,3 @@ def adaptive_nodes(log_integrand, derivatives, rule, init):
     values = log_sum + 0.5 * np.log(2.0) + np.log(h_hat)
     return np.where(failed, np.nan, values), points, weights, failed, b_hat
 
-
-def log_integrate_adaptive_batch(log_integrand, derivatives, rule, init):
-    """log of ``int exp(g_i(b)) db`` for every component i: (values,
-    failed_mask, modes) of :func:`adaptive_nodes`."""
-    values, _, _, failed, b_hat = adaptive_nodes(log_integrand, derivatives, rule, init)
-    return values, failed, b_hat
-
-
-def posterior_mean_batch(log_integrand, derivatives, rule, init):
-    """Mean of b under each density proportional to ``exp(g_i(b))``.
-
-    The first-moment and normalizing integrals share one recentring.
-    Returns (means, failed_mask, modes) with NaN means for failed
-    components, as :func:`log_integrate_adaptive_batch` does.
-    """
-    _, points, weights, failed, b_hat = adaptive_nodes(log_integrand, derivatives, rule, init)
-    return np.where(failed, np.nan, (weights * points).sum(axis=1)), failed, b_hat

@@ -543,6 +543,7 @@ print("clean")
         ("import", ("glgmix.cli", "glgmix.data_io", "glgmix.diagnostics", "glgmix.glg_dist",
                     "glgmix.mnb_model", "glgmix.pglg_model", "glgmix.quadrature",
                     "glgmix.simulate", "numpy")),
+        ("compare", ("glgmix.simulate", "numpy.random")),
     ])
     def test_each_command_loads_only_its_modules(self, mnb_csv, tmp_path, command, skips):
         # each command starts in a fresh interpreter, as the CLI does
@@ -558,11 +559,12 @@ print("clean")
             verb, _, model = command.partition(" ")
             if verb == "fit":
                 argv = ["fit", "--model", model, "--spec", mnb_csv + ".spec.json",
-                        "--out", str(tmp_path / "out.json")]
+                        "--out", str(tmp_path / "out.json"), "--data", mnb_csv]
+            elif verb == "compare":
+                argv = ["compare", "--fits", report, report, "--out", str(tmp_path / "c.json")]
             else:
                 argv = ["diagnose", "--fit", report, "--envelope", "0",
-                        "--out", str(tmp_path / "r.csv")]
-            argv += ["--data", mnb_csv]
+                        "--out", str(tmp_path / "r.csv"), "--data", mnb_csv]
         src = os.path.dirname(os.path.dirname(cli.__file__))
         out = subprocess.run([sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=src),
                              capture_output=True, text=True, timeout=120)

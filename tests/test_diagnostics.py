@@ -85,10 +85,11 @@ class TestQqPoints:
         assert pts[:, 1].tolist() == [-1.0, 2.0, 5.0]
 
     def test_quantile_matches_scipy_ndtri(self):
-        tail = np.geomspace(1e-6, 0.5, 3000)
-        probs = np.concatenate([tail, 1.0 - tail, np.linspace(1e-6, 1.0 - 1e-6, 4001)])
-        ours = np.array([diagnostics._ndtri(p) for p in probs.tolist()])
-        np.testing.assert_allclose(ours, ndtri(probs), rtol=0, atol=1e-14)
+        # enough positions that the end ones reach probabilities of about 1e-6
+        n = 625_000
+        probs = (np.arange(1, n + 1) - 0.375) / (n + 0.25)
+        assert probs[0] == pytest.approx(1e-6, rel=1e-6)
+        np.testing.assert_allclose(diagnostics._normal_positions(n), ndtri(probs), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n", [3, 17, 900])
     def test_positions_match_scipy_ndtri(self, n):

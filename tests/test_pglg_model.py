@@ -297,15 +297,53 @@ class TestPlainIntegrand:
                     pglg_model.predict_random_effects(ds, truth))
 
         want = run()
-        for name in ("adaptive_nodes", "log_integrate_adaptive_batch", "posterior_mean_batch"):
-            engine = getattr(pglg_model, name)
-            monkeypatch.setattr(
-                pglg_model, name,
-                lambda g, *rest, engine=engine: engine(lambda b: g(b), *rest))
+        engine = pglg_model.adaptive_nodes
+        monkeypatch.setattr(pglg_model, "adaptive_nodes",
+                            lambda g, *rest: engine(lambda b: g(b), *rest))
         got = run()
         assert got[0].as_dict() == want[0].as_dict()
         assert got[1] == want[1]
         assert got[2] == want[2]
+
+
+class TestOneNodePath:
+    """The objective, the log-likelihood and the order check integrate on
+    the same nodes."""
+
+    X = np.column_stack([np.ones(3), [-1.0, 0.0, 1.0]])
+    THETA = np.array([1.0, -0.3, math.log(0.5), -1.2])
+
+    def dataset(self):
+        truth = PglgParams(beta=self.THETA[:2], sigma=0.5, lam=-1.2)
+        return simulate_pglg(SimDesign(n_clusters=80, cluster_sizes=3, x_builder=self.X, seed=3),
+                             truth)
+
+    def test_fresh_objective_matches_log_likelihood_bit_for_bit(self):
+        ds = self.dataset()
+        objective = pglg_model._Objective(ds, PglgFitOptions())
+        loglik, _, _ = objective(self.THETA)
+        assert loglik == pglg_model.log_likelihood(ds, objective.to_params(self.THETA),
+                                                   objective.rule)
+
+    def test_warm_order_check_matches_cold_log_likelihood(self, monkeypatch):
+        ds = self.dataset()
+        options = PglgFitOptions()
+        objective = pglg_model._Objective(ds, options)
+        loglik, _, _ = objective(self.THETA)
+        params = objective.to_params(self.THETA)
+        sums = []
+        inner = pglg_model._log_likelihood
+
+        def spy(*args):
+            sums.append(inner(*args))
+            return sums[-1]
+
+        monkeypatch.setattr(pglg_model, "_log_likelihood", spy)
+        pglg_model._order_adequate(ds, params, loglik, options, objective.modes)
+        monkeypatch.undo()
+        assert len(sums) == 1
+        cold = pglg_model.log_likelihood(ds, params, gauss_hermite(2 * options.order))
+        assert abs(sums[0] - cold) <= 1e-10 * ds.n_clusters
 
 
 class TestMarginalMoments:
@@ -384,11 +422,11 @@ class TestFit:
         assert "lambda" not in fixed.names
 
     def test_conflicting_options_rejected(self):
-        ds, _ = self.overdispersed_dataset(n=10)
-        with pytest.raises(DomainError):
-            pglg_model.fit(
-                ds, options=PglgFitOptions(fix_lambda=0.5, tie_sigma_lambda=True)
-            )
+        # when the options are built, so that no objective can tie sigma = lam
+        # while lam is also fixed
+        for fix_lambda in (0.0, 0.5):
+            with pytest.raises(DomainError, match="mutually exclusive"):
+                PglgFitOptions(fix_lambda=fix_lambda, tie_sigma_lambda=True)
 
     def test_trace_and_aic(self):
         ds, _ = self.overdispersed_dataset(seed=9, n=40)
@@ -513,7 +551,7 @@ class TestFitConvergence:
             assert 2.0 * (free.loglik - normal.loglik) >= 0.0, seed
             for res in (free, normal):
                 assert all(np.isfinite(t.max_grad) for t in res.trace)
-                assert res.trace[-1].max_grad < PglgFitOptions().gtol
+                assert res.trace[-1].max_grad < pglg_model._SCORE_TOL
 
     def test_order_check_flags_a_coarse_rule(self):
         # strongly right-skewed intercepts: at order 40 the score test
@@ -524,7 +562,7 @@ class TestFitConvergence:
         d = SimDesign(n_clusters=300, cluster_sizes=3, x_builder=self.X, seed=9)
         ds = simulate_pglg(d, truth)
         coarse = pglg_model.fit(ds, options=PglgFitOptions(order=40))
-        assert coarse.trace[-1].max_grad < PglgFitOptions().gtol
+        assert coarse.trace[-1].max_grad < pglg_model._SCORE_TOL
         assert not coarse.converged
         fine = pglg_model.fit(ds, options=PglgFitOptions(order=100))
         assert fine.converged
@@ -536,7 +574,7 @@ class TestFitConvergence:
         truth = PglgParams(beta=np.array([1.0, -0.3]), sigma=0.3, lam=-2.3)
         d = SimDesign(n_clusters=300, cluster_sizes=3, x_builder=self.X, seed=21)
         res = pglg_model.fit(simulate_pglg(d, truth), options=PglgFitOptions(order=40))
-        assert res.trace[-1].max_grad < PglgFitOptions().gtol
+        assert res.trace[-1].max_grad < pglg_model._SCORE_TOL
 
     def test_start_survives_diverging_poisson_start(self):
         # one cluster's huge total sends the independence Poisson fit off

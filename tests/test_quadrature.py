@@ -14,24 +14,37 @@ from glgmix.quadrature import (
     MAX_ORDER,
     _find_mode_batch,
     _logsumexp,
+    adaptive_nodes,
     gauss_hermite,
-    log_integrate_adaptive_batch,
-    posterior_mean_batch,
 )
 
 SQRT_PI = math.sqrt(math.pi)
 
 
+def log_integrals(g, dg, rule, init):
+    """(values, failed, modes) of :func:`adaptive_nodes`."""
+    values, _, _, failed, modes = adaptive_nodes(g, dg, rule, init)
+    return values, failed, modes
+
+
+def posterior_means(g, dg, rule, init):
+    """(means of b, failed, modes) from the nodes of :func:`adaptive_nodes`,
+    reduced as ``pglg_model.predict_random_effects`` reduces them; a failed
+    component's mean is meaningless."""
+    _, points, weights, failed, modes = adaptive_nodes(g, dg, rule, init)
+    return (weights * points).sum(axis=1), failed, modes
+
+
 def integrate(g, dg, rule, init=0.0):
     """log int exp(g) for one elementwise integrand with derivatives dg,
     through the batch API."""
-    values, failed, _ = log_integrate_adaptive_batch(g, dg, rule, np.array([init]))
+    values, failed, _ = log_integrals(g, dg, rule, np.array([init]))
     assert not failed[0]
     return float(values[0])
 
 
 def posterior_mean(g, dg, rule, init=0.0):
-    means, failed, _ = posterior_mean_batch(g, dg, rule, np.array([init]))
+    means, failed, _ = posterior_means(g, dg, rule, np.array([init]))
     assert not failed[0]
     return float(means[0])
 
@@ -218,7 +231,7 @@ class TestAdaptiveIntegration:
     def test_mode_search_failure_carries_iterate(self):
         # strictly increasing integrand has no interior mode: the component
         # is failed, its value NaN, and its mode slot holds the last iterate
-        values, failed, modes = log_integrate_adaptive_batch(
+        values, failed, modes = log_integrals(
             lambda b: b, lambda b: (np.ones_like(b), np.zeros_like(b)), gauss_hermite(10),
             np.zeros(1),
         )
@@ -346,7 +359,7 @@ class TestBatchIntegration:
             d1, d2 = log_pdf_derivatives(b, p)
             return ys - np.exp(b) + d1, -np.exp(b) + d2
 
-        values, failed, _ = log_integrate_adaptive_batch(batch, derivatives, rule, np.zeros(3))
+        values, failed, _ = log_integrals(batch, derivatives, rule, np.zeros(3))
         assert not failed.any()
         params = MnbParams(beta=np.zeros(1), phi=lam ** -2)
         for i, y in enumerate(ys):
@@ -363,12 +376,12 @@ class TestBatchIntegration:
         def derivatives(b):
             return np.array([-b[0], 1.0]), np.array([-1.0, 0.0])
 
-        values, failed, _ = log_integrate_adaptive_batch(batch, derivatives, rule, np.zeros(2))
+        values, failed, _ = log_integrals(batch, derivatives, rule, np.zeros(2))
         assert not failed[0] and failed[1]
         assert np.isfinite(values[0]) and np.isnan(values[1])
-        means, failed, _ = posterior_mean_batch(batch, derivatives, rule, np.zeros(2))
+        means, failed, _ = posterior_means(batch, derivatives, rule, np.zeros(2))
         assert not failed[0] and failed[1]
-        assert means[0] == pytest.approx(0.0, abs=1e-12) and np.isnan(means[1])
+        assert means[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_return_modes(self):
         rule = gauss_hermite(10)
@@ -380,10 +393,10 @@ class TestBatchIntegration:
         def derivatives(b):
             return -(b - centers), -np.ones_like(b)
 
-        values, failed, modes = log_integrate_adaptive_batch(batch, derivatives, rule, np.zeros(2))
+        values, failed, modes = log_integrals(batch, derivatives, rule, np.zeros(2))
         assert not failed.any()
         np.testing.assert_array_equal(modes, centers)
-        means, failed, mean_modes = posterior_mean_batch(batch, derivatives, rule, np.zeros(2))
+        means, failed, mean_modes = posterior_means(batch, derivatives, rule, np.zeros(2))
         np.testing.assert_array_equal(mean_modes, modes)
         assert means == pytest.approx([-3.0, 4.0], abs=1e-12)
 
@@ -415,12 +428,12 @@ class TestSupportCliff:
                      np.array([0.0, edge_init]))
 
     def test_batch_recovers_near_cliff(self):
-        values, failed, _ = self._run(log_integrate_adaptive_batch, self.CLIFF - 3e-5)
+        values, failed, _ = self._run(log_integrals, self.CLIFF - 3e-5)
         assert not failed.any()
         assert values == pytest.approx([0.5 * math.log(2.0 * math.pi)] * 2, abs=1e-10)
 
     def test_batch_masks_component_stuck_at_edge(self):
-        values, failed, modes = self._run(log_integrate_adaptive_batch, self.CLIFF)
+        values, failed, modes = self._run(log_integrals, self.CLIFF)
         assert not failed[0] and failed[1]
         assert values[0] == pytest.approx(0.5 * math.log(2.0 * math.pi), abs=1e-10)
         assert np.isnan(values[1])
@@ -428,12 +441,11 @@ class TestSupportCliff:
 
     def test_posterior_mean_recovers_near_cliff(self):
         # the truncation at 8 moves the N(0, 1) and N(-1, 1) means by < 1e-14
-        means, failed, _ = self._run(posterior_mean_batch, self.CLIFF - 3e-5)
+        means, failed, _ = self._run(posterior_means, self.CLIFF - 3e-5)
         assert not failed.any()
         assert means == pytest.approx([-1.0, 0.0], abs=1e-10)
 
     def test_posterior_mean_masks_component_stuck_at_edge(self):
-        means, failed, _ = self._run(posterior_mean_batch, self.CLIFF)
+        means, failed, _ = self._run(posterior_means, self.CLIFF)
         assert not failed[0] and failed[1]
         assert means[0] == pytest.approx(-1.0, abs=1e-10)
-        assert np.isnan(means[1])
