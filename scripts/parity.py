@@ -8,7 +8,11 @@ code, standard error and every file in the dataset's directory (its input
 CSV and each output written so far), and the values
 ``predict_random_effects`` returns.  It also keeps the benchmark's own
 verdict per workload and seed (attempted, failed, correct), from the
-checks of ``perfbench/run.py``.
+checks of ``perfbench/run.py``.  Record mode also runs ``glgmix simulate``
+through ``cli.main`` on four fixed cases (both laws, on a balanced design
+with a covariate array and per-observation offsets, and on an unbalanced
+intercept-only design with a scalar offset) and keeps the exit code,
+standard error, CSV and ``.spec.json`` of each under ``simulate/<case>``.
 
     python3 scripts/parity.py --root . --seeds 1-3 --out new.json
     python3 scripts/parity.py --root ../parent --seeds 1-3 --out old.json
@@ -24,12 +28,24 @@ subset; all three workloads on seeds 1-24 take about a minute on one core.
 """
 
 import argparse
+import contextlib
 import hashlib
+import importlib
 import importlib.util
+import io
 import json
 import os
 import sys
 import tempfile
+
+# ``glgmix simulate`` cases: design JSON and beta per design, shape per law
+SIMULATE_DESIGNS = {
+    "balanced": ({"n_clusters": 40, "cluster_sizes": 3, "x": [[1, -1], [1, 0], [1, 1]],
+                  "offsets": [0.0, 0.2, -0.1], "seed": 11}, [0.8, -0.4]),
+    "unbalanced": ({"n_clusters": 30, "cluster_sizes": [1, 2, 3, 4, 5] * 6, "offsets": 0.3,
+                    "seed": 12}, [0.5]),
+}
+SIMULATE_LAWS = {"mnb": {"phi": 1.5}, "pglg": {"sigma": 0.5, "lambda": -1.2}}
 
 
 def seed_range(text):
@@ -55,6 +71,30 @@ def digest(data):
     if isinstance(data, str):
         data = data.encode("utf-8")
     return hashlib.sha256(data).hexdigest()
+
+
+def record_simulate(cli):
+    """Hashes of ``glgmix simulate`` on each fixed design and law."""
+    hashes = {}
+    with tempfile.TemporaryDirectory() as work:
+        for law, shape in SIMULATE_LAWS.items():
+            for design_name, (design, beta) in SIMULATE_DESIGNS.items():
+                case = f"{law}-{design_name}"
+                os.mkdir(os.path.join(work, case))
+                argv = ["simulate", "--model", law, "--params", json.dumps({"beta": beta, **shape}),
+                        "--design", json.dumps(design), "--out", os.path.join(work, case, "sim.csv")]
+                err = io.StringIO()
+                try:
+                    with contextlib.redirect_stderr(err):
+                        code = cli.main(argv)
+                    hashes[f"simulate/{case}/run"] = {
+                        "exit": code, "stderr": digest(err.getvalue().replace(work, "<work>"))}
+                except (Exception, SystemExit) as exc:
+                    hashes[f"simulate/{case}/run"] = {"raised": repr(exc)}
+                for fname in sorted(os.listdir(os.path.join(work, case))):
+                    with open(os.path.join(work, case, fname), "rb") as fh:
+                        hashes[f"simulate/{case}/{fname}"] = {"sha256": digest(fh.read())}
+    return hashes
 
 
 def record(root, seeds, names):
@@ -89,6 +129,7 @@ def record(root, seeds, names):
                                            "correct": not incorrect, "problems": problems}
             print(f"{name} seed {seed}: {attempted} attempted, {failed} failed, "
                   f"correct {not incorrect}", file=sys.stderr)
+    hashes.update(record_simulate(importlib.import_module("glgmix.cli")))
     return {"root": os.path.abspath(root), "seeds": seeds, "workloads": names,
             "outputs": hashes, "verdicts": verdicts}
 

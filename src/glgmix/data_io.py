@@ -107,18 +107,32 @@ class ModelSpec:
         for key in ("response", "cluster"):
             if not isinstance(obj.get(key), str) or not obj[key]:
                 raise DataFormatError(f"model spec key {key!r} must be a nonempty string")
+
+        def column_names(value, n=None):
+            # a JSON list (of n entries, when given) of strings
+            return (isinstance(value, (list, tuple)) and n in (None, len(value))
+                    and all(isinstance(v, str) for v in value))
+
+        covariates = obj.get("covariates", ())
+        if not column_names(covariates):
+            raise DataFormatError("model spec key 'covariates' must be a list of column names")
         interactions = obj.get("interactions", ())
-        try:
-            interactions = tuple((a, b) for a, b in interactions)
-        except (TypeError, ValueError):
-            raise DataFormatError("interactions must be a list of column-name pairs") from None
+        if not (isinstance(interactions, (list, tuple))
+                and all(column_names(pair, 2) for pair in interactions)):
+            raise DataFormatError("model spec key 'interactions' must be a list of column-name pairs")
+        offset = obj.get("offset")
+        if not (offset is None or isinstance(offset, str)):
+            raise DataFormatError("model spec key 'offset' must be a column name or null")
+        intercept = obj.get("intercept", True)
+        if not isinstance(intercept, bool):
+            raise DataFormatError("model spec key 'intercept' must be true or false")
         return cls(
             response=obj["response"],
             cluster=obj["cluster"],
-            covariates=tuple(obj.get("covariates", ())),
+            covariates=covariates,
             interactions=interactions,
-            offset=obj.get("offset"),
-            add_intercept=bool(obj.get("intercept", True)),
+            offset=offset,
+            add_intercept=intercept,
         )
 
     @classmethod

@@ -1,10 +1,13 @@
 """Synthetic clustered count data for both model families.
 
 One shared ``SimDesign`` describes cluster layout, covariates, and
-offsets; ``simulate_pglg`` draws latent intercepts from a generalized
-log-gamma law, ``simulate_mnb`` draws multiplicative gamma frailties.
-The ``resample_*`` variants keep an existing dataset's design and redraw
-only the responses, which is what the simulated-envelope machinery needs.
+offsets.  Counts are drawn on one path: ``resample_mnb`` draws
+multiplicative gamma frailties and ``resample_pglg`` generalized
+log-gamma random intercepts, then Poisson counts, on an existing
+dataset's design; this is what the simulated-envelope machinery needs.
+``simulate_mnb`` and ``simulate_pglg`` build the design as a dataset and
+draw through that same path.  Every draw rejects a linear predictor
+above 30 and names the first cluster that has one.
 """
 
 from __future__ import annotations
@@ -63,87 +66,61 @@ class SimDesign:
                     "matching size"
                 )
             object.__setattr__(self, "x_builder", x)
+        if not (self.offsets is None or np.isscalar(self.offsets)):
+            o = np.asarray(self.offsets, dtype=float)
+            if len(set(sizes)) != 1 or o.shape != (sizes[0],):
+                raise DomainError(
+                    "per-observation offsets require balanced clusters of "
+                    "matching size"
+                )
+            object.__setattr__(self, "offsets", o)
 
     def _materialize(self, rng):
-        """Draw covariates and offsets for each cluster."""
-        xs = []
-        for m in self.cluster_sizes:
-            if self.x_builder is None:
-                xs.append(np.ones((m, 1)))
-            elif isinstance(self.x_builder, np.ndarray):
-                xs.append(self.x_builder.copy())
-            else:
+        """The design as a dataset of zero counts, with ids ``c00001``...
+        A callable ``x_builder`` draws from ``rng`` one cluster at a time."""
+        n_obs = sum(self.cluster_sizes)
+        if self.x_builder is None:
+            X = np.ones((n_obs, 1))
+        elif isinstance(self.x_builder, np.ndarray):
+            X = np.tile(self.x_builder, (self.n_clusters, 1))
+        else:
+            xs = []
+            for m in self.cluster_sizes:
                 x = np.asarray(self.x_builder(rng, m), dtype=float)
                 if x.ndim != 2 or x.shape[0] != m:
                     raise DomainError(
                         f"x_builder returned shape {x.shape}, expected ({m}, p)"
                     )
                 xs.append(x)
-        p = xs[0].shape[1]
-        if any(x.shape[1] != p for x in xs):
-            raise DomainError("x_builder returned inconsistent column counts")
-
-        offs = []
-        for m in self.cluster_sizes:
-            if self.offsets is None:
-                offs.append(np.zeros(m))
-            elif np.isscalar(self.offsets):
-                offs.append(np.full(m, float(self.offsets)))
-            else:
-                o = np.asarray(self.offsets, dtype=float)
-                if o.shape != (m,):
-                    raise DomainError(
-                        "per-observation offsets require balanced clusters of "
-                        "matching size"
-                    )
-                offs.append(o.copy())
-
+            if any(x.shape[1] != xs[0].shape[1] for x in xs):
+                raise DomainError("x_builder returned inconsistent column counts")
+            X = np.vstack(xs)
+        if self.offsets is None:
+            offset = np.zeros(n_obs)
+        elif np.isscalar(self.offsets):
+            offset = np.full(n_obs, float(self.offsets))
+        else:
+            offset = np.tile(self.offsets, self.n_clusters)
         names = self.column_names
         if names is None:
             if self.x_builder is None:
                 names = (INTERCEPT_NAME,)
             else:
-                names = tuple(f"x{j + 1}" for j in range(p))
-        elif len(names) != p:
-            raise DomainError(
-                f"column_names has {len(names)} entries for {p} columns"
-            )
-        return xs, offs, tuple(names)
-
-
-def _assemble(design, xs, offs, beta, log_frailty, rng, names):
-    """Poisson draws around exp(X beta + offset + log frailty)."""
-    X = np.vstack(xs)
-    offset = np.concatenate(offs)
-    eta = X @ beta + offset + np.repeat(log_frailty, design.cluster_sizes)
-    if np.any(eta > _ETA_MAX):
-        raise DomainError(
-            f"linear predictor exceeds {_ETA_MAX}; rescale the design"
+                names = tuple(f"x{j + 1}" for j in range(X.shape[1]))
+        return Dataset._from_flat(
+            ids=[f"c{i + 1:05d}" for i in range(self.n_clusters)],
+            sizes=self.cluster_sizes,
+            y=np.zeros(n_obs, dtype=np.int64),
+            X=X,
+            offset=offset,
+            column_names=names,
         )
-    return Dataset._from_flat(
-        ids=[f"c{i + 1:05d}" for i in range(design.n_clusters)],
-        sizes=design.cluster_sizes,
-        y=rng.poisson(np.exp(eta)),
-        X=X,
-        offset=offset,
-        column_names=names,
-    )
-
-
-def _glg_intercepts(params, rng, n):
-    """``n`` draws of the GLG(0, sigma, lam) random intercept.  Only the
-    PGLG paths load the GLG density, so the MNB envelope does without it."""
-    from . import glg_dist
-
-    return glg_dist.sample(glg_dist.GlgParams(mu=0.0, sigma=params.sigma, lam=params.lam), rng, n)
 
 
 def simulate_pglg(design, params):
     """Clustered Poisson counts with GLG(0, sigma, lam) random intercepts."""
     rng = np.random.default_rng(design.seed)
-    xs, offs, names = design._materialize(rng)
-    b = _glg_intercepts(params, rng, design.n_clusters)
-    return _assemble(design, xs, offs, params.beta, b, rng, names)
+    return resample_pglg(design._materialize(rng), params, rng)
 
 
 def simulate_mnb(design, params):
@@ -152,9 +129,7 @@ def simulate_mnb(design, params):
     Marginally multivariate negative binomial with dispersion phi.
     """
     rng = np.random.default_rng(design.seed)
-    xs, offs, names = design._materialize(rng)
-    w = rng.gamma(params.phi, 1.0 / params.phi, size=design.n_clusters)
-    return _assemble(design, xs, offs, params.beta, np.log(w), rng, names)
+    return resample_mnb(design._materialize(rng), params, rng)
 
 
 def _poisson_counts(dataset, beta, log_frailty, rngs):
@@ -162,13 +137,13 @@ def _poisson_counts(dataset, beta, log_frailty, rngs):
     dataset's design, one row (n_obs,) per generator and row of
     ``log_frailty`` (R, n_clusters)."""
     eta = dataset.X @ beta + dataset.offset + dataset.per_obs(log_frailty, axis=-1)
-    with np.errstate(over="ignore"):
-        mu = np.exp(eta)
-    overflow = np.isinf(mu)
-    if overflow.any():
-        bad = dataset.obs_ids()[np.argmax(overflow.any(axis=0))]
-        raise DomainError(f"cluster {bad!r}: linear predictor overflows")
-    return np.stack([rng.poisson(m) for rng, m in zip(rngs, mu)])
+    too_big = eta > _ETA_MAX
+    if too_big.any():
+        bad = dataset.obs_ids()[np.argmax(too_big.any(axis=0))]
+        raise DomainError(
+            f"cluster {bad!r}: linear predictor exceeds {_ETA_MAX}; rescale the design"
+        )
+    return np.stack([rng.poisson(m) for rng, m in zip(rngs, np.exp(eta))])
 
 
 def _redraw(dataset, y):
@@ -196,6 +171,9 @@ def resample_mnb(dataset, params, rng):
 
 def resample_pglg(dataset, params, rng):
     """New responses from the fitted law, on the dataset's own design."""
+    from . import glg_dist  # only the PGLG paths load the GLG density
+
     rng = np.random.default_rng(rng)
-    b = _glg_intercepts(params, rng, dataset.n_clusters)
+    b = glg_dist.sample(glg_dist.GlgParams(mu=0.0, sigma=params.sigma, lam=params.lam), rng,
+                        dataset.n_clusters)
     return _redraw(dataset, _poisson_counts(dataset, params.beta, b[None], [rng])[0])

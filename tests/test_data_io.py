@@ -78,6 +78,21 @@ class TestModelSpec:
                 {"response": "y", "cluster": "c", "weights": "w"}
             )
 
+    @pytest.mark.parametrize("key, value", [
+        ("intercept", "false"),
+        ("intercept", 0),
+        ("covariates", "age"),
+        ("covariates", ["age", 3]),
+        ("interactions", [["ab"]]),
+        ("interactions", [["a", "b", "c"]]),
+        ("interactions", "a:b"),
+        ("offset", 1.5),
+        ("offset", ["exposure"]),
+    ])
+    def test_malformed_values_name_their_key(self, key, value):
+        with pytest.raises(DataFormatError, match=repr(key)):
+            ModelSpec.from_mapping({"response": "y", "cluster": "c", key: value})
+
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from glgmix.data_io import INTERCEPT_NAME
+from glgmix import glg_dist
+from glgmix.data_io import INTERCEPT_NAME, ClusterData, Dataset
 from glgmix.errors import DomainError
 from glgmix.mnb_model import MnbParams
 from glgmix.pglg_model import PglgParams
@@ -30,6 +31,11 @@ class TestSimDesign:
         with pytest.raises(DomainError):
             # fixed array needs balanced clusters of matching size
             SimDesign(n_clusters=2, cluster_sizes=(2, 3), x_builder=np.ones((2, 1)))
+        with pytest.raises(DomainError):
+            # so do fixed per-observation offsets, checked when the design is built
+            SimDesign(n_clusters=2, cluster_sizes=3, offsets=np.zeros(2))
+        with pytest.raises(DomainError):
+            SimDesign(n_clusters=2, cluster_sizes=(2, 3), offsets=[0.0, 0.5])
 
     def test_unbalanced_sizes(self):
         d = SimDesign(n_clusters=3, cluster_sizes=(1, 2, 3), seed=1)
@@ -73,6 +79,55 @@ class TestSimDesign:
         d = SimDesign(n_clusters=3, seed=0)
         ds = simulate_pglg(d, PglgParams(beta=np.array([0.0]), sigma=0.5, lam=0.0))
         assert [c.id for c in ds.clusters] == ["c00001", "c00002", "c00003"]
+
+
+_X_ARRAY = np.array([[1.0, -0.5], [1.0, 0.0], [1.0, 0.7]])
+_OFFSETS = np.array([0.1, -0.2, 0.4])
+
+
+class TestSimulateReference:
+    """Simulated data against the per-cluster algorithm written out: the
+    covariates of every cluster, then one frailty or intercept per
+    cluster, then one ``rng.poisson`` per cluster, all in cluster order
+    from ``default_rng(seed)``."""
+
+    @pytest.mark.parametrize("law", ["mnb", "pglg"])
+    @pytest.mark.parametrize("offsets", ["none", "scalar", "array"])
+    @pytest.mark.parametrize("x", ["none", "array", "callable"])
+    def test_counts_match_reference(self, x, offsets, law):
+        balanced = x == "array" or offsets == "array"
+        sizes = (3,) * 5 if balanced else (1, 3, 2, 4, 1)
+        builder = {"none": None, "array": _X_ARRAY,
+                   "callable": lambda rng, m: rng.normal(size=(m, 2))}[x]
+        fixed_offsets = {"none": None, "scalar": 0.3, "array": _OFFSETS}[offsets]
+        beta = np.array([0.4]) if x == "none" else np.array([0.4, -0.6])
+        design = SimDesign(n_clusters=len(sizes), cluster_sizes=sizes, x_builder=builder,
+                           offsets=fixed_offsets, seed=13)
+
+        rng = np.random.default_rng(13)
+        if x == "none":
+            xs = [np.ones((m, 1)) for m in sizes]
+        elif x == "array":
+            xs = [_X_ARRAY for m in sizes]
+        else:
+            xs = [rng.normal(size=(m, 2)) for m in sizes]
+        offs = [np.zeros(m) if fixed_offsets is None else np.full(m, 0.3) if offsets == "scalar"
+                else _OFFSETS for m in sizes]
+        if law == "mnb":
+            params = MnbParams(beta=beta, phi=1.7)
+            effects = np.log(rng.gamma(1.7, 1.0 / 1.7, size=len(sizes)))
+            dataset = simulate_mnb(design, params)
+        else:
+            params = PglgParams(beta=beta, sigma=0.6, lam=-0.8)
+            effects = glg_dist.sample(glg_dist.GlgParams(mu=0.0, sigma=0.6, lam=-0.8), rng, len(sizes))
+            dataset = simulate_pglg(design, params)
+        expect = [rng.poisson(np.exp(xi @ beta + oi + e)) for xi, oi, e in zip(xs, offs, effects)]
+
+        np.testing.assert_array_equal(dataset.y, np.concatenate(expect))
+        np.testing.assert_array_equal(dataset.X, np.vstack(xs))
+        np.testing.assert_array_equal(dataset.offset, np.concatenate(offs))
+        assert list(dataset.sizes) == list(sizes)
+        assert dataset.ids == tuple(f"c{i:05d}" for i in range(1, len(sizes) + 1))
 
 
 class TestDeterminism:
@@ -173,22 +228,14 @@ class TestResample:
             assert np.array_equal(ca.y, cb.y)
 
     def test_one_poisson_call_keeps_the_stream(self):
-        # the counts equal those of one rng.poisson call per cluster, in order
-        sizes = (1, 3, 2, 4)
-        d = SimDesign(n_clusters=4, cluster_sizes=sizes, x_builder=lambda rng, m: rng.normal(size=(m, 2)),
-                      offsets=0.2, seed=9)
-        truth = MnbParams(beta=np.array([0.3, -0.5]), phi=1.4)
-        rng = np.random.default_rng(d.seed)
-        xs, offs, _ = d._materialize(rng)
-        w = rng.gamma(truth.phi, 1.0 / truth.phi, size=d.n_clusters)
-        expect = [rng.poisson(np.exp(x @ truth.beta + o + math.log(wi))) for x, o, wi in zip(xs, offs, w)]
+        # resampled counts equal those of one rng.poisson call per cluster,
+        # in order; TestSimulateReference checks the simulators the same way
+        d = SimDesign(n_clusters=4, cluster_sizes=(1, 3, 2, 4), seed=9)
+        truth = MnbParams(beta=np.array([0.3]), phi=1.4)
         ds = simulate_mnb(d, truth)
-        np.testing.assert_array_equal(ds.y, np.concatenate(expect))
-
         rng = np.random.default_rng(5)
-        w = rng.gamma(truth.phi, 1.0 / truth.phi, size=ds.n_clusters)
-        expect = [rng.poisson(np.exp(c.X @ truth.beta + c.offset + math.log(wi)))
-                  for c, wi in zip(ds.clusters, w)]
+        w = np.log(rng.gamma(truth.phi, 1.0 / truth.phi, size=ds.n_clusters))
+        expect = [rng.poisson(np.exp(c.X @ truth.beta + c.offset + wi)) for c, wi in zip(ds.clusters, w)]
         np.testing.assert_array_equal(resample_mnb(ds, truth, rng=5).y, np.concatenate(expect))
 
     def test_overflow_names_cluster(self):
@@ -197,6 +244,18 @@ class TestResample:
         ds = simulate_pglg(d, PglgParams(beta=np.array([0.1]), sigma=0.5, lam=0.0))
         with pytest.raises(DomainError, match="c00001"):
             resample_mnb(ds, MnbParams(beta=np.array([300.0]), phi=1.0), rng=0)
+
+    def test_linear_predictor_bound_names_cluster(self):
+        # eta ~ 50 sits past the bound of 30 and past NumPy's own limit for
+        # Poisson means, in cluster 'b' only
+        ds = Dataset([ClusterData("a", [0], [[0.0]], [0.0]),
+                      ClusterData("b", [0, 0], [[1.0], [1.0]], [0.0, 0.0]),
+                      ClusterData("c", [0], [[0.0]], [0.0])], ("x",))
+        beta = np.array([50.0])
+        with pytest.raises(DomainError, match="cluster 'b'"):
+            resample_mnb(ds, MnbParams(beta=beta, phi=50.0), rng=0)
+        with pytest.raises(DomainError, match="cluster 'b'"):
+            resample_pglg(ds, PglgParams(beta=beta, sigma=0.3, lam=0.0), rng=0)
 
     def test_resample_accepts_generator(self):
         d = SimDesign(n_clusters=5, cluster_sizes=2, seed=4)
