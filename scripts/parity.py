@@ -8,11 +8,14 @@ code, standard error and every file in the dataset's directory (its input
 CSV and each output written so far), and the values
 ``predict_random_effects`` returns.  It also keeps the benchmark's own
 verdict per workload and seed (attempted, failed, correct), from the
-checks of ``perfbench/run.py``.  Record mode also runs ``glgmix simulate``
-through ``cli.main`` on four fixed cases (both laws, on a balanced design
-with a covariate array and per-observation offsets, and on an unbalanced
-intercept-only design with a scalar offset) and keeps the exit code,
-standard error, CSV and ``.spec.json`` of each under ``simulate/<case>``.
+checks of ``perfbench/run.py``.  Record mode also runs fixed cases of two
+more commands through ``cli.main`` and keeps the exit code, standard error
+and every file written of each: ``glgmix simulate`` under
+``simulate/<case>`` (both laws, on a balanced design with a covariate
+array and per-observation offsets, and on an unbalanced intercept-only
+design with a scalar offset), and ``glgmix glg-curve --points 512`` under
+``glg-curve/<case>`` (lambda -1.2, 0 and 0.5 one at a time, then all three
+in one table).
 
     python3 scripts/parity.py --root . --seeds 1-3 --out new.json
     python3 scripts/parity.py --root ../parent --seeds 1-3 --out old.json
@@ -46,6 +49,8 @@ SIMULATE_DESIGNS = {
                     "seed": 12}, [0.5]),
 }
 SIMULATE_LAWS = {"mnb": {"phi": 1.5}, "pglg": {"sigma": 0.5, "lambda": -1.2}}
+# ``glgmix glg-curve`` cases: the --lambda argument of each
+GLG_CURVES = {"neg": "-1.2", "zero": "0", "pos": "0.5", "all": "-1.2,0,0.5"}
 
 
 def seed_range(text):
@@ -73,27 +78,38 @@ def digest(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def record_simulate(cli):
-    """Hashes of ``glgmix simulate`` on each fixed design and law."""
+def fixed_cases():
+    """(key, argv) of each fixed command case; the output file is named
+    relative to the case's own directory."""
+    for law, shape in SIMULATE_LAWS.items():
+        for design_name, (design, beta) in SIMULATE_DESIGNS.items():
+            yield f"simulate/{law}-{design_name}", [
+                "simulate", "--model", law, "--params", json.dumps({"beta": beta, **shape}),
+                "--design", json.dumps(design), "--out", "sim.csv"]
+    for name, lams in GLG_CURVES.items():
+        yield f"glg-curve/{name}", ["glg-curve", f"--lambda={lams}", "--points", "512",
+                                    "--out", "curve.csv"]
+
+
+def record_fixed(cli):
+    """Hashes of each fixed command case: its run, and every file it wrote."""
     hashes = {}
     with tempfile.TemporaryDirectory() as work:
-        for law, shape in SIMULATE_LAWS.items():
-            for design_name, (design, beta) in SIMULATE_DESIGNS.items():
-                case = f"{law}-{design_name}"
-                os.mkdir(os.path.join(work, case))
-                argv = ["simulate", "--model", law, "--params", json.dumps({"beta": beta, **shape}),
-                        "--design", json.dumps(design), "--out", os.path.join(work, case, "sim.csv")]
-                err = io.StringIO()
-                try:
-                    with contextlib.redirect_stderr(err):
-                        code = cli.main(argv)
-                    hashes[f"simulate/{case}/run"] = {
-                        "exit": code, "stderr": digest(err.getvalue().replace(work, "<work>"))}
-                except (Exception, SystemExit) as exc:
-                    hashes[f"simulate/{case}/run"] = {"raised": repr(exc)}
-                for fname in sorted(os.listdir(os.path.join(work, case))):
-                    with open(os.path.join(work, case, fname), "rb") as fh:
-                        hashes[f"simulate/{case}/{fname}"] = {"sha256": digest(fh.read())}
+        for key, argv in fixed_cases():
+            case_dir = os.path.join(work, key.replace("/", "-"))
+            os.mkdir(case_dir)
+            argv = argv[:-1] + [os.path.join(case_dir, argv[-1])]
+            err = io.StringIO()
+            try:
+                with contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                hashes[f"{key}/run"] = {
+                    "exit": code, "stderr": digest(err.getvalue().replace(work, "<work>"))}
+            except (Exception, SystemExit) as exc:
+                hashes[f"{key}/run"] = {"raised": repr(exc)}
+            for fname in sorted(os.listdir(case_dir)):
+                with open(os.path.join(case_dir, fname), "rb") as fh:
+                    hashes[f"{key}/{fname}"] = {"sha256": digest(fh.read())}
     return hashes
 
 
@@ -129,7 +145,7 @@ def record(root, seeds, names):
                                            "correct": not incorrect, "problems": problems}
             print(f"{name} seed {seed}: {attempted} attempted, {failed} failed, "
                   f"correct {not incorrect}", file=sys.stderr)
-    hashes.update(record_simulate(importlib.import_module("glgmix.cli")))
+    hashes.update(record_fixed(importlib.import_module("glgmix.cli")))
     return {"root": os.path.abspath(root), "seeds": seeds, "workloads": names,
             "outputs": hashes, "verdicts": verdicts}
 

@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from . import mnb_model
-from .data_io import ModelSpec, read_csv, ungroup, write_csv
+from .data_io import ModelSpec, _column_texts, read_csv, ungroup, write_csv
 from .errors import DataFormatError, DomainError, GlgmixError
 from .mnb_model import MnbParams
 
@@ -181,10 +181,13 @@ def _design_from_mapping(obj, seed_override):
         raise DataFormatError(f"unknown design keys: {sorted(extra)}")
     if "n_clusters" not in obj:
         raise DataFormatError("design requires n_clusters")
+    n_clusters = obj["n_clusters"]
+    if isinstance(n_clusters, float) and n_clusters.is_integer():
+        n_clusters = int(n_clusters)  # a whole number written as 3.0; SimDesign rejects 2.7
     x = obj.get("x")
     names = obj.get("column_names")
     return SimDesign(
-        n_clusters=int(obj["n_clusters"]),
+        n_clusters=n_clusters,
         cluster_sizes=obj.get("cluster_sizes", 1),
         x_builder=np.asarray(x, dtype=float) if x is not None else None,
         offsets=obj.get("offsets"),
@@ -239,9 +242,17 @@ def _format_cell(x):
     return "" if not math.isfinite(x) else repr(x)
 
 
+def _csv_field(text):
+    """``text`` as one CSV field: in double quotes, with its quotes
+    doubled, when it holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_table(path, header, columns):
     """A CSV file of ``header`` and the rows of ``columns`` (iterables of
-    cell strings), written at once."""
+    CSV fields), written at once."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
 
@@ -270,11 +281,11 @@ def _cmd_diagnose(args):
     relay(caught)
 
     columns = [
-        res.cluster_ids,
+        map(_csv_field, res.cluster_ids),
         map(str, res.obs_index.tolist()),
-        *(map(repr, a.tolist()) for a in (res.fitted, res.leverage, res.dev_comp)),
-        map(_format_cell, res.dev_resid.tolist()),
-        map(repr, res.pearson.tolist()),
+        *map(_column_texts, (res.fitted, res.leverage, res.dev_comp)),
+        _column_texts(res.dev_resid, _format_cell),
+        _column_texts(res.pearson),
     ]
     _write_table(args.out, "cluster,obs,fitted,leverage,dev_comp,dev_resid,pearson", columns)
 
@@ -299,7 +310,7 @@ def _cmd_diagnose(args):
         env_path = f"{stem}_envelope{dot}{ext}" if dot else args.out + "_envelope"
         bands = (envelope.observed_sorted, envelope.lower, envelope.median, envelope.upper)
         columns = [map(str, range(1, envelope.observed_sorted.size + 1)),
-                   *(map(repr, a.tolist()) for a in bands)]
+                   *map(_column_texts, bands)]
         _write_table(env_path, "rank,observed,lower,median,upper", columns)
         if args.svg:
             with open(args.svg, "w", encoding="utf-8") as fh:
@@ -389,15 +400,14 @@ def _cmd_glg_curve(args):
         raise DomainError("--lambda needs at least one value")
     if args.points < 2:
         raise DomainError(f"--points must be >= 2, got {args.points}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("lambda,y,pdf\n")
-        for lam in lams:
-            params = glg_dist.GlgParams(mu=args.mu, sigma=args.sigma, lam=lam)
-            lo, hi = glg_dist.support_interval(params)
-            grid = np.linspace(lo, hi, args.points)
-            dens = glg_dist.pdf(grid, params)
-            for y, f in zip(grid, dens):
-                fh.write(f"{lam!r},{float(y)!r},{float(f)!r}\n")
+    grids, densities = [], []
+    for lam in lams:
+        params = glg_dist.GlgParams(mu=args.mu, sigma=args.sigma, lam=lam)
+        lo, hi = glg_dist.support_interval(params)
+        grids.append(np.linspace(lo, hi, args.points))
+        densities.append(glg_dist.pdf(grids[-1], params))
+    columns = [np.repeat(lams, args.points), np.concatenate(grids), np.concatenate(densities)]
+    _write_table(args.out, "lambda,y,pdf", map(_column_texts, columns))
     return _EXIT_OK
 
 

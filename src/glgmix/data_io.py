@@ -477,25 +477,44 @@ _WRITE_CLUSTER = "cluster"
 _WRITE_OFFSET = "offset"
 
 
+def _column_texts(values, fmt=repr):
+    """``fmt`` of each float in the vector ``values``, as a list in row
+    order, with one ``fmt`` call per distinct bit pattern: a column that
+    repeats its values is formatted once per value.  Grouping by bits
+    keeps -0.0 apart from 0.0 and NaNs of different payloads apart."""
+    values = np.ascontiguousarray(values, dtype=float)
+    bits = values.view(np.int64)
+    order = np.argsort(bits)
+    bits = bits[order]
+    new = np.empty(order.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    texts = np.array(list(map(fmt, values[order[new]].tolist())), dtype=object)
+    inverse = np.empty_like(order)
+    inverse[order] = new.cumsum() - 1
+    return texts[inverse].tolist()
+
+
 def write_csv(dataset, path):
     """Write ``dataset`` in the format :func:`read_csv` understands.
 
     Design columns are written verbatim (the intercept column included), so
     the returned :class:`ModelSpec` re-reads the file into a structurally
-    identical dataset: same ids, counts, design, and offsets.
+    identical dataset: same ids, counts, design, and offsets.  Floats are
+    written by ``repr``, which keeps their full precision for exact
+    round-trips.
     """
     reserved = {_WRITE_RESPONSE, _WRITE_CLUSTER, _WRITE_OFFSET}
     clash = sorted(reserved & set(dataset.column_names))
     if clash:
         raise DataFormatError(f"design column names collide with reserved names: {clash}")
 
+    columns = [dataset.obs_ids().tolist(), dataset.y.tolist(),
+               *map(_column_texts, dataset.X.T), _column_texts(dataset.offset)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([_WRITE_CLUSTER, _WRITE_RESPONSE, *dataset.column_names, _WRITE_OFFSET])
-        rows = zip(dataset.obs_ids(), dataset.y.tolist(), dataset.X.tolist(), dataset.offset.tolist())
-        for cid, y, xrow, off in rows:
-            # repr() keeps the full float precision for exact round-trips
-            writer.writerow([cid, y, *(repr(v) for v in xrow), repr(off)])
+        writer.writerows(zip(*columns))
     return ModelSpec(
         response=_WRITE_RESPONSE,
         cluster=_WRITE_CLUSTER,

@@ -135,6 +135,26 @@ def _block_residuals(dataset, params, which, y):
     return np.sort(resid, axis=1), reasons.tolist()
 
 
+def _rank_quantiles(stack, probs):
+    """The quantile of each column of the finite ``stack`` (R >= 2, n) at
+    each of ``probs``, as ``np.quantile(stack, probs, axis=0)`` gives it
+    but without its ``numpy.ma`` import: NumPy's linear rule between the
+    order statistics k = floor(v) and k + 1 at v = (R - 1) q, interpolated
+    from the nearer one.  The bands are equal bit for bit, except that a
+    column holding both 0.0 and -0.0 may give a zero of the other sign
+    (which of the two equal values sits at a rank is up to the sort)."""
+    ordered = np.sort(stack, axis=0)
+    last = len(ordered) - 1
+    bands = []
+    for q in probs:
+        v = last * q
+        k = math.floor(v)
+        t = v - k
+        a, b = ordered[k], ordered[min(k + 1, last)]
+        bands.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return bands
+
+
 def simulated_envelope(
     dataset,
     params,
@@ -192,9 +212,8 @@ def simulated_envelope(
             "would be unreliable"
         )
 
-    stack = np.concatenate(kept)  # (R_kept, n_obs), each row already sorted
     alpha = (1.0 - level) / 2.0
-    lower, median, upper = np.quantile(stack, [alpha, 0.5, 1.0 - alpha], axis=0)
+    lower, median, upper = _rank_quantiles(np.concatenate(kept), (alpha, 0.5, 1.0 - alpha))
 
     return EnvelopeResult(
         theoretical=_normal_positions(n_obs),

@@ -12,6 +12,7 @@ above 30 and names the first cluster that has one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +43,13 @@ class SimDesign:
     column_names: tuple = field(default=None)
 
     def __post_init__(self):
-        if self.n_clusters < 1:
-            raise DomainError(f"n_clusters must be >= 1, got {self.n_clusters}")
+        try:
+            n_clusters = operator.index(self.n_clusters)
+        except TypeError:
+            raise DomainError(f"n_clusters must be an integer, got {self.n_clusters!r}") from None
+        if n_clusters < 1:
+            raise DomainError(f"n_clusters must be >= 1, got {n_clusters}")
+        object.__setattr__(self, "n_clusters", n_clusters)
         if np.isscalar(self.cluster_sizes):
             sizes = (int(self.cluster_sizes),) * self.n_clusters
         else:
@@ -136,6 +142,8 @@ def _poisson_counts(dataset, beta, log_frailty, rngs):
     """Poisson counts around exp(X beta + offset + log frailty) on the
     dataset's design, one row (n_obs,) per generator and row of
     ``log_frailty`` (R, n_clusters)."""
+    if len(beta) != dataset.p:
+        raise DomainError(f"beta has {len(beta)} entries for a design of {dataset.p} columns")
     eta = dataset.X @ beta + dataset.offset + dataset.per_obs(log_frailty, axis=-1)
     too_big = eta > _ETA_MAX
     if too_big.any():

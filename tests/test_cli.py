@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -77,6 +78,31 @@ class TestSimulate:
         code = run(["simulate", "--model", "mnb", "--params", str(pfile),
                     "--design", json.dumps({"n_clusters": 3}), "--out", out])
         assert code == 0
+
+    def test_wrong_length_beta_rejected(self, tmp_path, capsys):
+        for law, shape in (("mnb", {"phi": 1.0}), ("pglg", {"sigma": 0.5, "lambda": 0.3})):
+            code = run(["simulate", "--model", law,
+                        "--params", json.dumps({"beta": [0.1, 0.2], **shape}),
+                        "--design", json.dumps({"n_clusters": 3}),
+                        "--out", str(tmp_path / "x.csv")])
+            assert code == 1
+            assert "design of 1 columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_clusters", [2.7, "3", [3]])
+    def test_non_integer_n_clusters_rejected(self, tmp_path, capsys, n_clusters):
+        code = run(["simulate", "--model", "mnb",
+                    "--params", json.dumps({"beta": [0.1], "phi": 1.0}),
+                    "--design", json.dumps({"n_clusters": n_clusters}),
+                    "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "n_clusters must be an integer" in capsys.readouterr().err
+
+    def test_whole_float_n_clusters_accepted(self, tmp_path):
+        base = ["simulate", "--model", "mnb", "--params", json.dumps({"beta": [0.1], "phi": 1.0})]
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        assert run(base + ["--design", '{"n_clusters": 4.0}', "--out", a]) == 0
+        assert run(base + ["--design", '{"n_clusters": 4}', "--out", b]) == 0
+        assert open(a).read() == open(b).read()
 
     def test_unknown_design_key_rejected(self, tmp_path, capsys):
         code = run(["simulate", "--model", "mnb",
@@ -371,6 +397,39 @@ class TestDiagnose:
             assert [float(c) for c in cells[1:]] == [
                 env.observed_sorted[k], env.lower[k], env.median[k], env.upper[k]]
 
+    @pytest.mark.parametrize("model", ["mnb", "nb"])
+    def test_ids_needing_quotes_are_quoted(self, tmp_path, model):
+        # ids holding a comma, a quote or a line break are quoted; the others are written bare
+        ids = ["a,b", 'say "hi"', "plain", "line\rbreak", "two\nlines"]
+        data = tmp_path / "ids.csv"
+        with open(data, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["cluster", "y", "x"])
+            for i, cid in enumerate(ids):
+                writer.writerows([cid, y, 0.5 * i - x] for y, x in ((i, 0.0), (2, 1.0), (5 - i, 2.0)))
+        rpath = tmp_path / "fit.json"
+        rpath.write_text(json.dumps({
+            "model": model,
+            "params": [{"name": "(intercept)", "estimate": 0.4},
+                       {"name": "x", "estimate": 0.1}, {"name": "phi", "estimate": 2.0}],
+            "spec": {"response": "y", "cluster": "cluster", "covariates": ["x"]},
+        }))
+        out = str(tmp_path / "resid.csv")
+        assert run(["diagnose", "--fit", str(rpath), "--data", str(data), "--out", out]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 16
+        assert all(len(row) == 7 for row in rows)
+        if model == "mnb":
+            assert [row[0] for row in rows[1:]] == [cid for cid in ids for _ in range(3)]
+        else:
+            assert [row[0] for row in rows[1:]] == [f"{cid}#{k}" for k, cid in
+                                                    enumerate((c for c in ids for _ in range(3)), 1)]
+        lines = open(out, encoding="utf-8", newline="").read().split("\n")
+        assert lines[1].startswith('"a,b')
+        assert lines[4].startswith('"say ""hi""')
+        assert lines[7].startswith("plain")
+
     def test_pglg_report_rejected(self, mnb_csv, tmp_path, capsys):
         out = str(tmp_path / "pg.json")
         assert run(["fit", "--model", "pglg-normal", "--order", "30",
@@ -533,6 +592,8 @@ print("clean")
                      "numpy.polynomial", "numpy.ma", "numpy.random")
     PGLG_FIT_SKIPS = ("glgmix.diagnostics", "glgmix.simulate", "statistics")
     DIAGNOSE_SKIPS = ("glgmix.diagnostics", "glgmix.simulate", "numpy.ma", "numpy.random")
+    ENVELOPE_SKIPS = ("glgmix.pglg_model", "glgmix.quadrature", "glgmix.glg_dist",
+                      "numpy.polynomial", "numpy.ma")
 
     @pytest.mark.parametrize("command, skips", [
         ("fit mnb", MNB_FIT_SKIPS),
@@ -544,6 +605,7 @@ print("clean")
                     "glgmix.mnb_model", "glgmix.pglg_model", "glgmix.quadrature",
                     "glgmix.simulate", "numpy")),
         ("compare", ("glgmix.simulate", "numpy.random")),
+        ("diagnose --envelope 19 --residual pearson", ENVELOPE_SKIPS),
     ])
     def test_each_command_loads_only_its_modules(self, mnb_csv, tmp_path, command, skips):
         # each command starts in a fresh interpreter, as the CLI does
@@ -563,8 +625,8 @@ print("clean")
             elif verb == "compare":
                 argv = ["compare", "--fits", report, report, "--out", str(tmp_path / "c.json")]
             else:
-                argv = ["diagnose", "--fit", report, "--envelope", "0",
-                        "--out", str(tmp_path / "r.csv"), "--data", mnb_csv]
+                argv = ["diagnose", "--fit", report, "--out", str(tmp_path / "r.csv"),
+                        "--data", mnb_csv, *(model.split() or ["--envelope", "0"])]
         src = os.path.dirname(os.path.dirname(cli.__file__))
         out = subprocess.run([sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=src),
                              capture_output=True, text=True, timeout=120)

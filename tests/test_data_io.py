@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pickle
+import struct
 import tempfile
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glgmix import data_io
+from glgmix.cli import _format_cell
 from glgmix.data_io import (
     INTERCEPT_NAME,
     ClusterData,
@@ -382,6 +384,55 @@ class TestWriteCsv:
         ds = Dataset(clusters=(c,), column_names=("cluster",))
         with pytest.raises(DataFormatError):
             write_csv(ds, str(tmp_path / "bad.csv"))
+
+
+def _bits_text(x):
+    # a format that tells every bit pattern apart, NaN payloads included
+    return struct.pack("<d", x).hex()
+
+
+# quiet NaNs with three payloads, -0.0, +-inf and the extreme subnormals
+_SPECIAL_FLOATS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000abc],
+                           dtype=np.uint64).view(float).tolist() + [
+    0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.225073858507201e-308]
+
+
+class TestColumnTexts:
+    @settings(max_examples=200, deadline=None)
+    @given(specials=st.lists(st.sampled_from(_SPECIAL_FLOATS), max_size=10),
+           others=st.lists(st.floats(), min_size=1, max_size=6),
+           picks=st.lists(st.integers(0, 15), min_size=1, max_size=60))
+    def test_equals_per_cell_format(self, specials, others, picks):
+        # a column of repeats drawn from a small pool of values
+        pool = specials + others
+        v = np.array([pool[i % len(pool)] for i in picks])
+        assert data_io._column_texts(v) == list(map(repr, v.tolist()))
+        assert data_io._column_texts(v, _format_cell) == list(map(_format_cell, v.tolist()))
+        assert data_io._column_texts(v, _bits_text) == list(map(_bits_text, v.tolist()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=40, unique_by=_bits_text))
+    def test_all_distinct_column(self, values):
+        v = np.array(values)
+        assert data_io._column_texts(v) == list(map(repr, values))
+        assert data_io._column_texts(v, _bits_text) == list(map(_bits_text, values))
+
+    def test_one_call_per_distinct_bit_pattern(self):
+        calls = []
+
+        def fmt(x):
+            calls.append(x)
+            return repr(x)
+
+        v = np.array([1.5, -0.0, 1.5, 0.0, -0.0, 1.5, np.nan, 2.0])
+        assert data_io._column_texts(v, fmt) == list(map(repr, v.tolist()))
+        assert len(calls) == 5  # 1.5, -0.0, 0.0, nan, 2.0
+        assert data_io._column_texts(np.array([3.25]), fmt) == ["3.25"]
+        assert data_io._column_texts(np.empty(0)) == []
+
+    def test_strided_column(self):
+        X = np.arange(12.0).reshape(4, 3)
+        assert data_io._column_texts(X[:, 1]) == ["1.0", "4.0", "7.0", "10.0"]
 
 
 class TestUngroup:

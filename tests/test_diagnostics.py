@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from glgmix import diagnostics, mnb_model
@@ -334,6 +336,35 @@ class TestSimulatedEnvelope:
             simulated_envelope(ds, pars, n_replicates=19, level=1.5)
         with pytest.raises(DomainError):
             simulated_envelope(ds, pars, residual="anscombe", n_replicates=19)
+
+
+class TestRankQuantiles:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           level=st.one_of(st.just(1.0), st.just(0.95), st.floats(1e-3, 1.0)))
+    def test_matches_numpy_quantile_bit_for_bit(self, data, level):
+        # ties come from a small pool; + 0.0 leaves no -0.0 to tie with 0.0
+        pool = data.draw(st.lists(st.floats(-1e6, 1e6).map(lambda x: x + 0.0), min_size=1,
+                                  max_size=6))
+        r = data.draw(st.integers(16, 99))
+        n = data.draw(st.integers(1, 4))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=r * n,
+                                   max_size=r * n))
+        stack = np.array(pool)[picks].reshape(r, n)
+        alpha = (1.0 - level) / 2.0
+        probs = (alpha, 0.5, 1.0 - alpha)
+        got = np.array(diagnostics._rank_quantiles(stack, probs))
+        assert got.tobytes() == np.quantile(stack, probs, axis=0).tobytes()
+
+    @pytest.mark.parametrize("r", [16, 20, 39, 99])
+    @pytest.mark.parametrize("level", [0.95, 0.9, 1.0])
+    def test_matches_numpy_on_full_mantissas(self, r, level):
+        # differences b - a that round, so the two interpolation forms differ
+        rng = np.random.default_rng(r)
+        stack = rng.normal(size=(r, 300)) * 10.0 ** rng.uniform(-3, 3, size=300)
+        probs = ((1.0 - level) / 2.0, 0.5, 1.0 - (1.0 - level) / 2.0)
+        got = np.array(diagnostics._rank_quantiles(stack, probs))
+        assert got.tobytes() == np.quantile(stack, probs, axis=0).tobytes()
 
 
 class TestCompareAic:

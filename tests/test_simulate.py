@@ -36,6 +36,13 @@ class TestSimDesign:
             SimDesign(n_clusters=2, cluster_sizes=3, offsets=np.zeros(2))
         with pytest.raises(DomainError):
             SimDesign(n_clusters=2, cluster_sizes=(2, 3), offsets=[0.0, 0.5])
+        for n in (2.7, 3.0, "3", None):
+            with pytest.raises(DomainError, match="n_clusters must be an integer"):
+                SimDesign(n_clusters=n)
+
+    def test_integer_like_n_clusters_becomes_int(self):
+        d = SimDesign(n_clusters=np.int64(3), cluster_sizes=2)
+        assert type(d.n_clusters) is int and d.cluster_sizes == (2, 2, 2)
 
     def test_unbalanced_sizes(self):
         d = SimDesign(n_clusters=3, cluster_sizes=(1, 2, 3), seed=1)
@@ -256,6 +263,16 @@ class TestResample:
             resample_mnb(ds, MnbParams(beta=beta, phi=50.0), rng=0)
         with pytest.raises(DomainError, match="cluster 'b'"):
             resample_pglg(ds, PglgParams(beta=beta, sigma=0.3, lam=0.0), rng=0)
+
+    def test_wrong_length_beta_names_design_width(self):
+        d = SimDesign(n_clusters=4, cluster_sizes=2, x_builder=np.ones((2, 2)), seed=1)
+        ds = simulate_mnb(d, MnbParams(beta=np.array([0.1, 0.2]), phi=1.0))
+        for beta in ([0.1], [0.1, 0.2, 0.3]):
+            mnb, pglg = MnbParams(beta=beta, phi=1.0), PglgParams(beta=beta, sigma=0.5, lam=0.2)
+            for draw in (lambda: simulate_mnb(d, mnb), lambda: simulate_pglg(d, pglg),
+                         lambda: resample_mnb(ds, mnb, rng=0), lambda: resample_pglg(ds, pglg, rng=0)):
+                with pytest.raises(DomainError, match=f"beta has {len(beta)} entries for a design of 2"):
+                    draw()
 
     def test_resample_accepts_generator(self):
         d = SimDesign(n_clusters=5, cluster_sizes=2, seed=4)
