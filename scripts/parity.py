@@ -8,14 +8,17 @@ code, standard error and every file in the dataset's directory (its input
 CSV and each output written so far), and the values
 ``predict_random_effects`` returns.  It also keeps the benchmark's own
 verdict per workload and seed (attempted, failed, correct), from the
-checks of ``perfbench/run.py``.  Record mode also runs fixed cases of two
-more commands through ``cli.main`` and keeps the exit code, standard error
-and every file written of each: ``glgmix simulate`` under
-``simulate/<case>`` (both laws, on a balanced design with a covariate
-array and per-observation offsets, and on an unbalanced intercept-only
-design with a scalar offset), and ``glgmix glg-curve --points 512`` under
-``glg-curve/<case>`` (lambda -1.2, 0 and 0.5 one at a time, then all three
-in one table).
+checks of ``perfbench/run.py``.  Record mode also runs fixed cases through
+``cli.main``, each in a directory of its own, and keeps the exit code and
+standard error of each command and every file the case wrote:
+``glgmix simulate`` under ``simulate/<case>`` (both laws, on a balanced
+design with a covariate array and per-observation offsets, and on an
+unbalanced intercept-only design with a scalar offset), ``glgmix glg-curve
+--points 512`` under ``glg-curve/<case>`` (lambda -1.2, 0 and 0.5 one at a
+time, then all three in one table), and ``glgmix diagnose --envelope 19``
+under ``envelope/<kind>`` for both residual kinds, on an ``nb`` fit to the
+MNB draw on the balanced design (its clusters are ungrouped into
+singletons, whose deviance residuals are defined).
 
     python3 scripts/parity.py --root . --seeds 1-3 --out new.json
     python3 scripts/parity.py --root ../parent --seeds 1-3 --out old.json
@@ -78,39 +81,61 @@ def digest(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def simulate_argv(law, design_name):
+    design, beta = SIMULATE_DESIGNS[design_name]
+    return ["simulate", "--model", law, "--params",
+            json.dumps({"beta": beta, **SIMULATE_LAWS[law]}), "--design", json.dumps(design),
+            "--out", "sim.csv"]
+
+
 def fixed_cases():
-    """(key, argv) of each fixed command case; the output file is named
-    relative to the case's own directory."""
-    for law, shape in SIMULATE_LAWS.items():
-        for design_name, (design, beta) in SIMULATE_DESIGNS.items():
-            yield f"simulate/{law}-{design_name}", [
-                "simulate", "--model", law, "--params", json.dumps({"beta": beta, **shape}),
-                "--design", json.dumps(design), "--out", "sim.csv"]
+    """(key, steps) of each fixed case, where a step is (label, argv); the
+    steps run in order in the case's own directory, so files are named
+    relative to it."""
+    for law in SIMULATE_LAWS:
+        for design_name in SIMULATE_DESIGNS:
+            yield f"simulate/{law}-{design_name}", [("run", simulate_argv(law, design_name))]
     for name, lams in GLG_CURVES.items():
-        yield f"glg-curve/{name}", ["glg-curve", f"--lambda={lams}", "--points", "512",
-                                    "--out", "curve.csv"]
+        yield f"glg-curve/{name}", [("run", ["glg-curve", f"--lambda={lams}", "--points", "512",
+                                             "--out", "curve.csv"])]
+    for kind in ("deviance", "pearson"):
+        yield f"envelope/{kind}", [
+            ("simulate", simulate_argv("mnb", "balanced")),
+            ("fit", ["fit", "--model", "nb", "--data", "sim.csv", "--spec", "sim.csv.spec.json",
+                     "--out", "fit.json"]),
+            ("run", ["diagnose", "--fit", "fit.json", "--data", "sim.csv", "--envelope", "19",
+                     "--residual", kind, "--out", "resid.csv"])]
 
 
 def record_fixed(cli):
-    """Hashes of each fixed command case: its run, and every file it wrote."""
+    """Hashes of each fixed case: each of its runs, and every file it wrote."""
     hashes = {}
+    home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
-        for key, argv in fixed_cases():
+        for key, steps in fixed_cases():
             case_dir = os.path.join(work, key.replace("/", "-"))
             os.mkdir(case_dir)
-            argv = argv[:-1] + [os.path.join(case_dir, argv[-1])]
-            err = io.StringIO()
+            os.chdir(case_dir)
             try:
-                with contextlib.redirect_stderr(err):
-                    code = cli.main(argv)
-                hashes[f"{key}/run"] = {
-                    "exit": code, "stderr": digest(err.getvalue().replace(work, "<work>"))}
-            except (Exception, SystemExit) as exc:
-                hashes[f"{key}/run"] = {"raised": repr(exc)}
+                for label, argv in steps:
+                    hashes[f"{key}/{label}"] = run_fixed(cli, argv, work)
+            finally:
+                os.chdir(home)
             for fname in sorted(os.listdir(case_dir)):
                 with open(os.path.join(case_dir, fname), "rb") as fh:
                     hashes[f"{key}/{fname}"] = {"sha256": digest(fh.read())}
     return hashes
+
+
+def run_fixed(cli, argv, work):
+    """Exit code and standard-error hash of one command, or what it raised."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except (Exception, SystemExit) as exc:
+        return {"raised": repr(exc)}
+    return {"exit": code, "stderr": digest(err.getvalue().replace(work, "<work>"))}
 
 
 def record(root, seeds, names):

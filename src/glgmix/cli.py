@@ -75,7 +75,7 @@ def _build_parser():
     p_diag.add_argument("--fit", required=True, help="fit report JSON path")
     p_diag.add_argument("--data", required=True, help="input CSV path")
     p_diag.add_argument("--residual", default="deviance",
-                        choices=["deviance", "pearson"])
+                        choices=mnb_model.RESIDUAL_KINDS)
     p_diag.add_argument("--envelope", type=int, default=0, metavar="R",
                         help="number of envelope replicates (0 skips)")
     p_diag.add_argument("--level", type=float, default=0.95)
@@ -93,7 +93,8 @@ def _build_parser():
     p_curve.add_argument("--mu", type=float, default=0.0)
     p_curve.add_argument("--sigma", type=float, default=1.0)
     p_curve.add_argument("--lambda", dest="lam", required=True,
-                         help="comma-separated shape values")
+                         help="comma-separated shape values; a list that starts "
+                         "with a minus sign is written --lambda=-1.2,0,0.5")
     p_curve.add_argument("--points", type=int, default=512)
     p_curve.add_argument("--out", required=True, help="output CSV path")
     return parser
@@ -171,6 +172,11 @@ def _load_json_arg(text):
         return json.load(fh)
 
 
+def _whole(value):
+    """A whole JSON number written as 3.0 becomes 3; SimDesign rejects 2.7."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
 def _design_from_mapping(obj, seed_override):
     from .simulate import SimDesign
 
@@ -181,14 +187,12 @@ def _design_from_mapping(obj, seed_override):
         raise DataFormatError(f"unknown design keys: {sorted(extra)}")
     if "n_clusters" not in obj:
         raise DataFormatError("design requires n_clusters")
-    n_clusters = obj["n_clusters"]
-    if isinstance(n_clusters, float) and n_clusters.is_integer():
-        n_clusters = int(n_clusters)  # a whole number written as 3.0; SimDesign rejects 2.7
+    sizes = obj.get("cluster_sizes", 1)
     x = obj.get("x")
     names = obj.get("column_names")
     return SimDesign(
-        n_clusters=n_clusters,
-        cluster_sizes=obj.get("cluster_sizes", 1),
+        n_clusters=_whole(obj["n_clusters"]),
+        cluster_sizes=[_whole(m) for m in sizes] if isinstance(sizes, list) else _whole(sizes),
         x_builder=np.asarray(x, dtype=float) if x is not None else None,
         offsets=obj.get("offsets"),
         seed=seed_override if seed_override is not None else obj.get("seed", 0),
@@ -335,16 +339,10 @@ def _envelope_svg(env, width=640, height=480, margin=50):
     def sy(v):
         return height - margin - (v - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
 
-    def path(values):
-        return " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, values))
+    def path(xs, values):
+        return " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(xs, values))
 
-    band = (
-        " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, env.upper))
-        + " "
-        + " ".join(
-            f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x[::-1], env.lower[::-1])
-        )
-    )
+    band = f"{path(x, env.upper)} {path(x[::-1], env.lower[::-1])}"
     dots = "".join(
         f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="2.5" fill="#1f3d7a"/>'
         for a, b in zip(x, env.observed_sorted)
@@ -352,9 +350,9 @@ def _envelope_svg(env, width=640, height=480, margin=50):
     return f"""<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" viewBox="0 0 {width} {height}">
 <rect width="{width}" height="{height}" fill="white"/>
 <polygon points="{band}" fill="#c9d6ef" stroke="none" opacity="0.7"/>
-<polyline points="{path(env.median)}" fill="none" stroke="#5b7bb5" stroke-dasharray="4 3"/>
-<polyline points="{path(env.lower)}" fill="none" stroke="#3a5a9b"/>
-<polyline points="{path(env.upper)}" fill="none" stroke="#3a5a9b"/>
+<polyline points="{path(x, env.median)}" fill="none" stroke="#5b7bb5" stroke-dasharray="4 3"/>
+<polyline points="{path(x, env.lower)}" fill="none" stroke="#3a5a9b"/>
+<polyline points="{path(x, env.upper)}" fill="none" stroke="#3a5a9b"/>
 {dots}
 <line x1="{margin}" y1="{height - margin}" x2="{width - margin}" y2="{height - margin}" stroke="black"/>
 <line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>
@@ -379,23 +377,17 @@ def _cmd_compare(args):
         with open(path, encoding="utf-8") as fh:
             rows.append(_ReportRow(json.load(fh)))
     table = diagnostics.compare_aic(rows)
-    text = json.dumps(table, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_json(args.out, table)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(json.dumps(table, indent=2) + "\n")
     return _EXIT_OK
 
 
 def _cmd_glg_curve(args):
     from . import glg_dist
 
-    lams = []
-    for part in args.lam.split(","):
-        part = part.strip()
-        if part:
-            lams.append(float(part))
+    lams = [float(part) for part in map(str.strip, args.lam.split(",")) if part]
     if not lams:
         raise DomainError("--lambda needs at least one value")
     if args.points < 2:

@@ -7,13 +7,15 @@ only when positions are computed.
 
 A simulated envelope (Atkinson 1981) refits every replicate together: the
 replicates' counts form one stack on the observed design, the damped
-Newton climbs all their fits at once and the residuals come out for the
-whole stack.  Replicates go through in blocks whose largest working
-arrays hold at most ``_BLOCK_ELEMENTS`` numbers between them: per
-replicate, the (n_obs, p) products of the information, the m x m weight
-matrices of every cluster (deviance residuals only) and the cumulative
-gamma-function tables, one entry per unit of the largest cluster total.
-So the working memory does not grow with the number of replicates.
+Newton climbs all their fits at once and the residuals of the one kind
+asked for come out for the whole stack; the observed residuals come out
+of the same path, as a stack of one row.  Replicates go through in
+blocks whose largest working arrays hold at most ``_BLOCK_ELEMENTS``
+numbers between them: per replicate, the (n_obs, p) products of the
+information, the m x m weight matrices of every cluster (deviance
+residuals only) and the cumulative gamma-function tables, one entry per
+unit of the largest cluster total.  So the working memory does not grow
+with the number of replicates.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EnvelopeError, EnvelopeReplicateWarning
-from .mnb_model import _SUM_TERMS_MAX, _check_design_rank, _climb, _replicate_residuals
-from .mnb_model import residuals as mnb_residuals
+from .errors import DomainError, EnvelopeError, EnvelopeReplicateWarning, LeverageError
+from .mnb_model import _SUM_TERMS_MAX, RESIDUAL_KINDS, _check_design_rank, _climb
+from .mnb_model import _replicate_residuals, deviance_components
 
 _MIN_REPLICATES = 19  # fewer cannot bracket a 95% band
 _MAX_DROP_FRACTION = 0.2
@@ -83,14 +85,6 @@ class EnvelopeResult:
     dropped: tuple = ()
 
 
-def _pick_residual(report, which):
-    if which == "deviance":
-        return report.dev_resid
-    if which == "pearson":
-        return report.pearson
-    raise DomainError(f"residual must be 'deviance' or 'pearson', got {which!r}")
-
-
 def _replicate_elements(dataset, which):
     """Elements of one replicate's largest working arrays that do not
     depend on its counts: the (n_obs, p) products of the information and,
@@ -126,7 +120,8 @@ def _block_residuals(dataset, params, which, y):
     start = np.append(params.beta, math.log(params.phi))
     climb = _climb(dataset, np.tile(start, (len(y), 1)), y)
     with np.errstate(all="ignore"):  # non-finite residuals drop their row below
-        resid, singular = _replicate_residuals(dataset, climb.theta, y, which)
+        resid, singular = _replicate_residuals(
+            dataset, climb.theta[:, :-1], np.exp(climb.theta[:, -1]), y, which)
     reasons = np.select(
         [~climb.started, ~climb.converged, singular, ~np.isfinite(resid).all(axis=1)],
         [NOT_STARTED, NOT_CONVERGED, SINGULAR, NON_FINITE],
@@ -178,17 +173,23 @@ def simulated_envelope(
         )
     if not 0.0 < level <= 1.0:
         raise DomainError(f"level must be in (0, 1], got {level}")
+    if residual not in RESIDUAL_KINDS:
+        raise DomainError(f"residual must be one of {', '.join(RESIDUAL_KINDS)}, got {residual!r}")
+    _check_design_rank(dataset)  # once: every replicate shares the design
 
-    base_report = mnb_residuals(dataset, params)
-    base = _pick_residual(base_report, residual)
+    # the observed counts at ``params`` are a stack of one row
+    base, singular = _replicate_residuals(
+        dataset, params.beta[None], np.array([params.phi]), dataset.y[None], residual)
+    if singular[0]:
+        raise LeverageError("pooled weighted cross-product matrix is singular")
     if not np.all(np.isfinite(base)):
+        if residual == "deviance":
+            deviance_components(dataset, params)  # warns how many components are negative
         raise EnvelopeError(
             "observed deviance residuals are undefined for some observations "
             "(negative deviance components); use residual='pearson'"
         )
-    observed = np.sort(base)
-    n_obs = observed.size
-    _check_design_rank(dataset)  # once: every replicate shares the design
+    observed = np.sort(base[0])
 
     seeds = np.random.SeedSequence(seed).spawn(n_replicates)
     kept, dropped = [], []
@@ -216,7 +217,7 @@ def simulated_envelope(
     lower, median, upper = _rank_quantiles(np.concatenate(kept), (alpha, 0.5, 1.0 - alpha))
 
     return EnvelopeResult(
-        theoretical=_normal_positions(n_obs),
+        theoretical=_normal_positions(observed.size),
         observed_sorted=observed,
         lower=lower,
         median=median,

@@ -68,6 +68,9 @@ _MAX_ITER = 100
 _IRLS_TOL = 1e-10
 _IRLS_MAX_ITER = 100
 
+# The residual kinds a simulated envelope can band; ``residuals`` reports both.
+RESIDUAL_KINDS = ("deviance", "pearson")
+
 
 @dataclass(frozen=True)
 class MnbParams:
@@ -585,15 +588,20 @@ def deviance_components(dataset, fitted):
     negative, which is reported as-is with a warning.
     """
     comps = _components(dataset, fitted.phi, _means(dataset, fitted.beta))
-    n_neg = int(np.sum(comps < 0))
+    _warn_negative(comps)
+    return comps
+
+
+def _warn_negative(dev_comp):
+    """Warn the public function's caller of any negative components."""
+    n_neg = int(np.sum(dev_comp < 0))
     if n_neg:
         warnings.warn(
             f"{n_neg} squared deviance component(s) are negative; the matching "
-            "deviance residuals are undefined (NaN)",
+            "deviance residuals are reported as NaN",
             NegativeDevianceWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return comps
 
 
 def _pooled_inverse(dataset, mu, mu_plus, phi):
@@ -673,15 +681,7 @@ def residuals(dataset, fitted):
         raise LeverageError("pooled weighted cross-product matrix is singular")
     leverage = _leverages(dataset, mu, mu_plus, phi, pooled_inv)
     dev_comp = _components(dataset, phi, sums)
-
-    n_neg = int(np.sum(dev_comp < 0))
-    if n_neg:
-        warnings.warn(
-            f"{n_neg} squared deviance component(s) are negative; the matching "
-            "deviance residuals are reported as NaN",
-            NegativeDevianceWarning,
-            stacklevel=2,
-        )
+    _warn_negative(dev_comp)
     return ResidualReport(
         cluster_ids=tuple(dataset.obs_ids()),
         obs_index=np.arange(1, dataset.n_obs + 1) - dataset.per_obs(dataset.starts),
@@ -693,17 +693,16 @@ def residuals(dataset, fitted):
     )
 
 
-def _replicate_residuals(dataset, theta, y, which):
+def _replicate_residuals(dataset, beta, phis, y, which):
     """One kind of residual, ``"pearson"`` or ``"deviance"``, for each fit
-    theta = (beta, log phi) (R, p + 1) to its row of the count stack ``y``
-    (R, n_obs), as :func:`residuals` reports it; and the mask of rows whose
-    pooled information is singular, which have no deviance residuals.  A
-    Pearson residual needs only the means and phi.  Leverages are computed
-    only for rows whose deviance components are all non-negative; every
+    (beta (R, p), phi (R,)) to its row of the count stack ``y`` (R, n_obs),
+    as :func:`residuals` reports it; and the mask of rows whose pooled
+    information is singular, which have no deviance residuals.  A Pearson
+    residual needs only the means and phi.  Leverages are computed only
+    for rows whose deviance components are all non-negative; every
     residual of the other rows is NaN."""
-    phis = np.exp(theta[:, -1])
     phi = _col(phis)
-    sums = _means(dataset, theta[:, :-1], y.astype(float))
+    sums = _means(dataset, beta, y.astype(float))
     mu, mu_plus, y, _ = sums
     if which == "pearson":
         return _pearson(y, mu, phi), np.zeros(len(y), dtype=bool)

@@ -23,6 +23,14 @@ from .errors import DomainError
 _ETA_MAX = 30.0  # exp(30) ~ 1e13 counts; anything past this is a design error
 
 
+def _integer(name, value):
+    # 2.7, 3.0 and "3" are not integers; np.int64(3) is
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SimDesign:
     """Layout of a simulated dataset.
@@ -43,17 +51,14 @@ class SimDesign:
     column_names: tuple = field(default=None)
 
     def __post_init__(self):
-        try:
-            n_clusters = operator.index(self.n_clusters)
-        except TypeError:
-            raise DomainError(f"n_clusters must be an integer, got {self.n_clusters!r}") from None
+        n_clusters = _integer("n_clusters", self.n_clusters)
         if n_clusters < 1:
             raise DomainError(f"n_clusters must be >= 1, got {n_clusters}")
         object.__setattr__(self, "n_clusters", n_clusters)
         if np.isscalar(self.cluster_sizes):
-            sizes = (int(self.cluster_sizes),) * self.n_clusters
+            sizes = (_integer("cluster_sizes", self.cluster_sizes),) * n_clusters
         else:
-            sizes = tuple(int(m) for m in self.cluster_sizes)
+            sizes = tuple(_integer("each cluster size", m) for m in self.cluster_sizes)
             if len(sizes) != self.n_clusters:
                 raise DomainError(
                     f"cluster_sizes has {len(sizes)} entries for "

@@ -104,6 +104,25 @@ class TestSimulate:
         assert run(base + ["--design", '{"n_clusters": 4}', "--out", b]) == 0
         assert open(a).read() == open(b).read()
 
+    @pytest.mark.parametrize("sizes", [2.7, [1.9, 3]])
+    def test_non_integer_cluster_sizes_rejected(self, tmp_path, capsys, sizes):
+        code = run(["simulate", "--model", "mnb",
+                    "--params", json.dumps({"beta": [0.1], "phi": 1.0}),
+                    "--design", json.dumps({"n_clusters": 2, "cluster_sizes": sizes}),
+                    "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "must be an integer" in capsys.readouterr().err
+
+    def test_whole_float_cluster_sizes_accepted(self, tmp_path):
+        base = ["simulate", "--model", "mnb", "--params", json.dumps({"beta": [0.1], "phi": 1.0})]
+        outs = [str(tmp_path / f"{k}.csv") for k in range(4)]
+        for sizes, out in zip(("3.0", "3", "[3.0, 2]", "[3, 2]"), outs):
+            assert run(base + ["--design", f'{{"n_clusters": 2, "cluster_sizes": {sizes}}}',
+                               "--out", out]) == 0
+        assert open(outs[0]).read() == open(outs[1]).read()
+        assert len(open(outs[0]).read().splitlines()) == 7  # header + 2 clusters of 3
+        assert open(outs[2]).read() == open(outs[3]).read()
+
     def test_unknown_design_key_rejected(self, tmp_path, capsys):
         code = run(["simulate", "--model", "mnb",
                     "--params", json.dumps({"beta": [0.1], "phi": 1.0}),
@@ -470,6 +489,18 @@ class TestCompare:
         assert run(["compare", "--fits", mnb_out, pn_out, "--out", ranked]) == 0
         assert json.load(open(ranked)) == table
 
+    def test_file_holds_the_stdout_bytes(self, tmp_path, capsys):
+        fits = []
+        for name, loglik in (("mnb", -100.0), ("nb", -104.5)):
+            fits.append(str(tmp_path / f"{name}.json"))
+            with open(fits[-1], "w") as fh:
+                json.dump({"model": name, "loglik": loglik, "aic": -2 * loglik + 6}, fh)
+        assert run(["compare", "--fits", *fits]) == 0
+        shown = capsys.readouterr().out
+        ranked = tmp_path / "rank.json"
+        assert run(["compare", "--fits", *fits, "--out", str(ranked)]) == 0
+        assert ranked.read_bytes() == shown.encode("utf-8") and capsys.readouterr().out == ""
+
     def test_single_fit_rejected(self, mnb_csv, tmp_path, capsys):
         out = str(tmp_path / "fit.json")
         assert run(["fit", "--model", "mnb", "--data", mnb_csv,
@@ -512,6 +543,12 @@ class TestGlgCurve:
         peak = arr[np.argmax(arr[:, 1])]
         assert abs(peak[0]) < 0.01
         assert peak[1] == pytest.approx(math.exp(-1.0), abs=1e-3)
+
+    def test_list_starting_with_a_minus_sign(self, tmp_path):
+        out = str(tmp_path / "curve.csv")
+        assert run(["glg-curve", "--lambda=-1.2,0,0.5", "--points", "5", "--out", out]) == 0
+        assert set(self.read_groups(out)) == {-1.2, 0.0, 0.5}
+        assert len(open(out).read().splitlines()) == 1 + 3 * 5
 
     def test_validation_errors(self, tmp_path, capsys):
         out = str(tmp_path / "c.csv")

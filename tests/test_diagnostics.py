@@ -10,6 +10,7 @@ from scipy.special import ndtri
 from glgmix import diagnostics, mnb_model
 from glgmix.diagnostics import compare_aic, qq_points, simulated_envelope
 from glgmix.errors import (
+    CollinearDesignError,
     DomainError,
     EnvelopeError,
     EnvelopeReplicateWarning,
@@ -165,7 +166,8 @@ class TestSimulatedEnvelope:
         )
         assert inside > 0.8
 
-    def test_undefined_deviance_residuals_rejected(self):
+    @staticmethod
+    def negative_components():
         # a huge count next to zeros guarantees negative components
         from glgmix.data_io import ClusterData, Dataset
 
@@ -179,11 +181,37 @@ class TestSimulatedEnvelope:
             for i in range(12)
         )
         ds = Dataset(clusters=clusters, column_names=("x",))
-        pars = MnbParams(beta=np.array([0.1]), phi=1.0)
+        return ds, MnbParams(beta=np.array([0.1]), phi=1.0)
+
+    def test_undefined_deviance_residuals_rejected(self):
+        ds, pars = self.negative_components()
         with pytest.warns(NegativeDevianceWarning):
             with pytest.raises(EnvelopeError) as info:
                 simulated_envelope(ds, pars, residual="deviance", n_replicates=19)
         assert "pearson" in str(info.value)
+
+    def test_pearson_envelope_gives_no_deviance_warning(self):
+        ds, pars = self.negative_components()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # over the module's ignore filter
+            env = simulated_envelope(ds, pars, residual="pearson", n_replicates=19, seed=1)
+        assert not [w for w in caught if issubclass(w.category, NegativeDevianceWarning)]
+        assert env.observed_sorted.size == ds.n_obs
+
+    def test_pearson_observed_row_needs_no_leverages(self, monkeypatch):
+        ds, pars = fitted_singletons(0, 40, 1.0, 1.5)
+        real = mnb_model._leverages
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return real(*args)
+
+        monkeypatch.setattr(mnb_model, "_leverages", counted)
+        simulated_envelope(ds, pars, residual="pearson", n_replicates=19, seed=1)
+        assert calls == []
+        simulated_envelope(ds, pars, residual="deviance", n_replicates=19, seed=1)
+        assert calls[0] == 1 and len(calls) == 2  # the observed row, then one block of replicates
 
     def test_replicate_drop_warning_and_failure_cap(self, monkeypatch):
         ds, pars = fitted_mnb(seed=8)
@@ -222,6 +250,9 @@ class TestSimulatedEnvelope:
             warnings.simplefilter("ignore", EnvelopeReplicateWarning)
             env = simulated_envelope(ds, pars, residual=which, n_replicates=39, level=0.9, seed=seed)
         kept, dropped = reference_envelope(ds, pars, which, 39, seed)
+        report = mnb_model.residuals(ds, pars)
+        observed = report.pearson if which == "pearson" else report.dev_resid
+        assert env.observed_sorted.tobytes() == np.sort(observed).tobytes()
         assert env.dropped == dropped
         assert env.n_dropped == len(dropped) and env.n_replicates == 39 - len(dropped)
         want = np.quantile(kept, [0.05, 0.5, 0.95], axis=0)
@@ -336,6 +367,19 @@ class TestSimulatedEnvelope:
             simulated_envelope(ds, pars, n_replicates=19, level=1.5)
         with pytest.raises(DomainError):
             simulated_envelope(ds, pars, residual="anscombe", n_replicates=19)
+        # a design with two equal columns is named before any residual is formed
+        def twins(rng, m):
+            x = rng.normal(size=m)
+            return np.column_stack([np.ones(m), x, x])
+
+        d = SimDesign(n_clusters=20, cluster_sizes=3, x_builder=twins, seed=1,
+                      column_names=("(intercept)", "a", "b"))
+        pars = MnbParams(beta=np.array([0.5, 0.1, 0.1]), phi=2.0)
+        ds = simulate_mnb(d, pars)
+        for which in ("deviance", "pearson"):
+            with pytest.raises(CollinearDesignError) as info:
+                simulated_envelope(ds, pars, residual=which, n_replicates=19)
+            assert info.value.columns == ("a", "b")
 
 
 class TestRankQuantiles:

@@ -40,6 +40,17 @@ class TestSimDesign:
             with pytest.raises(DomainError, match="n_clusters must be an integer"):
                 SimDesign(n_clusters=n)
 
+    @pytest.mark.parametrize("sizes, bad", [(2.7, 2.7), ([1.9, 3], 1.9), ("2", "2"), ([2, "3"], "3")])
+    def test_non_integer_cluster_sizes_rejected(self, sizes, bad):
+        with pytest.raises(DomainError, match="must be an integer, got") as info:
+            SimDesign(n_clusters=2, cluster_sizes=sizes)
+        assert str(info.value).endswith(repr(bad))
+
+    def test_integer_like_cluster_sizes_become_int(self):
+        for sizes in (np.int64(3), [np.int64(3), 3]):
+            d = SimDesign(n_clusters=2, cluster_sizes=sizes)
+            assert d.cluster_sizes == (3, 3) and all(type(m) is int for m in d.cluster_sizes)
+
     def test_integer_like_n_clusters_becomes_int(self):
         d = SimDesign(n_clusters=np.int64(3), cluster_sizes=2)
         assert type(d.n_clusters) is int and d.cluster_sizes == (2, 2, 2)
