@@ -18,7 +18,13 @@ unbalanced intercept-only design with a scalar offset), ``glgmix glg-curve
 time, then all three in one table), and ``glgmix diagnose --envelope 19``
 under ``envelope/<kind>`` for both residual kinds, on an ``nb`` fit to the
 MNB draw on the balanced design (its clusters are ungrouped into
-singletons, whose deviance residuals are defined).
+singletons, whose deviance residuals are defined).  Library cases under
+``pglg-lib/<case>`` cover the PGLG branches the workloads never run: a
+``tie_sigma_lambda`` fit and a ``fix_lambda=0.5`` fit on a balanced
+design, and a free fit on 300 clusters with a continuous covariate, where
+no two clusters share mu+.  Each keeps the hashes of its ``FitResult``
+(estimates, standard errors, log-likelihood, trace),
+``predict_random_effects`` and ``log_likelihood`` at the estimates.
 
     python3 scripts/parity.py --root . --seeds 1-3 --out new.json
     python3 scripts/parity.py --root ../parent --seeds 1-3 --out old.json
@@ -54,6 +60,12 @@ SIMULATE_DESIGNS = {
 SIMULATE_LAWS = {"mnb": {"phi": 1.5}, "pglg": {"sigma": 0.5, "lambda": -1.2}}
 # ``glgmix glg-curve`` cases: the --lambda argument of each
 GLG_CURVES = {"neg": "-1.2", "zero": "0", "pos": "0.5", "all": "-1.2,0,0.5"}
+# ``pglg-lib`` cases: fit options, law (beta, sigma, lambda) and design of each
+PGLG_LIB_CASES = {
+    "tie_sigma_lambda": ({"tie_sigma_lambda": True}, ([0.8, -0.4], 0.5, 0.5), "balanced"),
+    "fix_lambda": ({"fix_lambda": 0.5}, ([0.8, -0.4], 0.5, 0.5), "balanced"),
+    "continuous": ({}, ([1.0, -0.3], 0.5, -1.2), "continuous"),
+}
 
 
 def seed_range(text):
@@ -138,6 +150,52 @@ def run_fixed(cli, argv, work):
     return {"exit": code, "stderr": digest(err.getvalue().replace(work, "<work>"))}
 
 
+def normal_covariate(rng, m):
+    """An intercept and a standard normal covariate for a cluster of m."""
+    import numpy as np
+
+    return np.column_stack([np.ones(m), rng.normal(size=m)])
+
+
+def record_pglg_lib(glgmix):
+    """Hashes of each ``pglg-lib`` case: its fit, and the random-effect
+    predictions and log-likelihood at the estimates."""
+    import numpy as np
+
+    designs = {
+        "balanced": glgmix.SimDesign(
+            n_clusters=100, cluster_sizes=3, seed=21,
+            x_builder=np.array([[1.0, -1.0], [1.0, 0.0], [1.0, 1.0]])),
+        "continuous": glgmix.SimDesign(
+            n_clusters=300, cluster_sizes=3, seed=22, x_builder=normal_covariate),
+    }
+    hashes = {}
+    for name, (options, (beta, sigma, lam), design) in PGLG_LIB_CASES.items():
+        key = f"pglg-lib/{name}"
+        dataset = glgmix.simulate_pglg(designs[design], glgmix.PglgParams(beta, sigma, lam))
+        try:
+            fit = glgmix.pglg_model.fit(dataset, options=glgmix.PglgFitOptions(**options))
+        except Exception as exc:
+            hashes[f"{key}/fit"] = {"raised": repr(exc)}
+            continue
+        se = fit.std_errors
+        hashes[f"{key}/fit"] = {
+            "model": fit.model, "converged": fit.converged, "n_iterations": fit.n_iterations,
+            "estimates": digest(fit.estimates.tobytes()),
+            "std_errors": digest(b"none" if se is None else se.tobytes()),
+            "loglik": repr(fit.loglik), "trace": digest(repr(fit.trace))}
+        est, p = fit.estimates, dataset.p
+        shape = est[p] if options.get("tie_sigma_lambda") else options.get("fix_lambda", est[-1])
+        params = glgmix.PglgParams(beta=est[:p], sigma=est[p], lam=shape)
+        for label, call in (("predict", glgmix.pglg_model.predict_random_effects),
+                            ("loglik", glgmix.pglg_model.log_likelihood)):
+            try:
+                hashes[f"{key}/{label}"] = {"values": digest(repr(call(dataset, params)))}
+            except Exception as exc:
+                hashes[f"{key}/{label}"] = {"raised": repr(exc)}
+    return hashes
+
+
 def record(root, seeds, names):
     run, glgmix = load_harness(root)
     workloads = run.workloads
@@ -171,6 +229,7 @@ def record(root, seeds, names):
             print(f"{name} seed {seed}: {attempted} attempted, {failed} failed, "
                   f"correct {not incorrect}", file=sys.stderr)
     hashes.update(record_fixed(importlib.import_module("glgmix.cli")))
+    hashes.update(record_pglg_lib(glgmix))
     return {"root": os.path.abspath(root), "seeds": seeds, "workloads": names,
             "outputs": hashes, "verdicts": verdicts}
 

@@ -30,9 +30,9 @@ _HOMES = {
         "NegativeDevianceWarning",
         "NonPsdWeightWarning",
     ),
-    "glg_dist": ("GlgParams",),
+    "glg_dist": ("GlgParams", "PglgParams"),
     "mnb_model": ("MnbParams", "ResidualReport"),
-    "pglg_model": ("PglgFitOptions", "PglgParams"),
+    "pglg_model": ("PglgFitOptions",),
     "quadrature": ("QuadratureRule", "gauss_hermite"),
     "results": ("FitResult", "TraceRecord"),
     "simulate": ("SimDesign", "simulate_mnb", "simulate_pglg"),

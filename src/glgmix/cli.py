@@ -212,7 +212,7 @@ def _cmd_simulate(args):
         )
         dataset = simulate.simulate_mnb(design, params)
     else:
-        from .pglg_model import PglgParams
+        from .glg_dist import PglgParams  # not pglg_model: simulating fits nothing
 
         params = PglgParams(
             beta=np.asarray(params_obj["beta"], dtype=float),

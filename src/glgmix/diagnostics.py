@@ -177,14 +177,20 @@ def simulated_envelope(
         raise DomainError(f"residual must be one of {', '.join(RESIDUAL_KINDS)}, got {residual!r}")
     _check_design_rank(dataset)  # once: every replicate shares the design
 
-    # the observed counts at ``params`` are a stack of one row
-    base, singular = _replicate_residuals(
-        dataset, params.beta[None], np.array([params.phi]), dataset.y[None], residual)
+    # the observed counts at ``params`` are a stack of one row; its
+    # non-finite residuals are reported below, not warned about
+    with np.errstate(divide="ignore", invalid="ignore"):
+        base, singular = _replicate_residuals(
+            dataset, params.beta[None], np.array([params.phi]), dataset.y[None], residual)
     if singular[0]:
         raise LeverageError("pooled weighted cross-product matrix is singular")
     if not np.all(np.isfinite(base)):
-        if residual == "deviance":
-            deviance_components(dataset, params)  # warns how many components are negative
+        if residual == "pearson":
+            raise EnvelopeError(
+                "observed Pearson residuals are undefined for some observations "
+                "(fitted means that are zero or not finite)"
+            )
+        deviance_components(dataset, params)  # warns how many components are negative
         raise EnvelopeError(
             "observed deviance residuals are undefined for some observations "
             "(negative deviance components); use residual='pearson'"

@@ -56,10 +56,114 @@ class GlgParams:
         return abs(self.lam) < LAMBDA_EPS
 
 
+@dataclass(frozen=True)
+class PglgParams:
+    """Coefficients, random-effect scale, and shape of a Poisson-GLG model
+    (:mod:`glgmix.pglg_model`); defined here, next to the law of its
+    random effect, so that simulating from it loads no fitting code."""
+
+    beta: np.ndarray
+    sigma: float
+    lam: float
+
+    def __post_init__(self):
+        beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
+        if beta.ndim != 1 or not np.all(np.isfinite(beta)):
+            raise DomainError("beta must be a finite vector")
+        if not np.isfinite(self.sigma) or self.sigma <= 0:
+            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
+        if not np.isfinite(self.lam):
+            raise DomainError("lam must be finite")
+        beta.setflags(write=False)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "lam", float(self.lam))
+
+
 def _log_c(lam):
     # log of the normalizing constant |lam| (lam^-2)^(lam^-2) / Gamma(lam^-2)
     q = lam ** -2.0
     return math.log(abs(lam)) + q * math.log(q) - math.lgamma(q)
+
+
+# Taylor coefficients in u of the small-|u| parts of log_pdf_hess:
+# (u e^u - expm1 u)/u^2 = sum_{n>=2} (n - 1) u^(n-2) / n! and
+# (6 expm1 u - 3u expm1 u - 6u - u expm1 u + u^2 e^u)/u^4
+#   = -sum_{n>=4} (n - 2)(n - 3) u^(n-4) / n!, through u^8.
+_SERIES_S_LAM = tuple((n - 1) / math.factorial(n) for n in range(10, 1, -1))
+_SERIES_LAM_LAM = tuple(-(n - 2) * (n - 3) / math.factorial(n) for n in range(12, 3, -1))
+# below these |lam z| the direct forms cancel more than the series err:
+# the lam-score's series, and the Hessian's two
+_SERIES_GRAD_U = 0.01
+_SERIES_HESS_U = 0.2
+
+
+def _horner(u, coefs):
+    # sum_k coefs[-1 - k] u^k, highest power first
+    out = np.full_like(u, coefs[0])
+    for c in coefs[1:]:
+        out = out * u + c
+    return out
+
+
+def _terms(y, params, derivatives=True):
+    """log f at ``y`` (not checked for finiteness) and, unless
+    ``derivatives`` is False, the pair of :func:`log_pdf_grad` and the
+    triple of :func:`log_pdf_hess`: one pass of the formulas there, from
+    one z, u = lam z, e^u and expm1(u).  Each Taylor series is evaluated
+    only at the points under its switch and written over the direct form
+    there."""
+    z = (np.asarray(y, dtype=float) - params.mu) / params.sigma
+    if params.is_normal:
+        log_f = -_LOG_SQRT_2PI - np.log(params.sigma) - 0.5 * z * z
+        if not derivatives:
+            return log_f
+        z2 = z * z
+        return (log_f, (-1.0 + z2, -(z2 * z) / 6.0),
+                (-2.0 * z2, 0.5 * z2 * z, -1.0 / 6.0 - z2 * z2 / 12.0))
+    lam = params.lam
+    # exp may overflow far in the heavy tail; -inf is the correct limit of log f
+    with np.errstate(over="ignore"):
+        u = lam * z
+        z_lam = z / lam
+        e_u = np.exp(u)
+        log_f = _log_c(lam) - np.log(params.sigma) + z_lam - lam ** -2.0 * e_u
+    if not derivatives:
+        return log_f
+
+    if abs(lam) < 0.1:
+        a = -lam / 6.0 + lam ** 5 / 60.0 - lam ** 9 / 126.0
+        a_prime = -1.0 / 6.0 + lam ** 4 / 12.0 - lam ** 8 / 14.0
+    else:
+        q = lam ** -2.0
+        a = 1.0 / lam - 2.0 * lam ** -3.0 * (math.log(q) - digamma(q))
+        a_prime = (-q + 6.0 * q * q * (math.log(q) - digamma(q))
+                   + 4.0 * q * q * q * (lam * lam - trigamma(q)))
+    # far in the heavy tail e^u and expm1 overflow; such points carry no weight
+    with np.errstate(over="ignore", invalid="ignore"):
+        em1 = np.expm1(u)
+        z2 = z * z
+        z_lam_em1 = z_lam * em1
+        two_em1 = 2.0 * em1
+        u_e_u = u * e_u
+        # arrays even for a scalar y, so that the series below can be written in
+        d_lam = np.asarray((two_em1 - u * (em1 + 2.0)) / lam ** 3)
+        h_s_lam = np.asarray((z / (lam * lam)) * (u_e_u - em1))
+        h_lam_lam = np.asarray((u * (em1 - u_e_u) - 3.0 * (two_em1 - u * em1 - 2.0 * u)) / lam ** 4)
+        d_s = -1.0 + z_lam_em1
+        h_ss = -z_lam_em1 - z2 * e_u
+    abs_u = np.abs(u)
+    near = abs_u < _SERIES_GRAD_U
+    z_near, u_near = z[near], u[near]
+    # -z^3 sum_{n>=3} (n - 2) u^(n-3) / n!
+    d_lam[near] = -(z_near * z_near * z_near) * (
+        1 / 6 + u_near * (1 / 12 + u_near * (1 / 40 + u_near * (1 / 180 + u_near / 1008))))
+    near = abs_u < _SERIES_HESS_U
+    z_near, u_near = z[near], u[near]
+    z2_near = z_near * z_near
+    h_s_lam[near] = z2_near * z_near * _horner(u_near, _SERIES_S_LAM)
+    h_lam_lam[near] = z2_near * z2_near * _horner(u_near, _SERIES_LAM_LAM)
+    return log_f, (d_s, a + d_lam), (h_ss, h_s_lam, a_prime + h_lam_lam)
 
 
 def log_pdf(y, params):
@@ -73,14 +177,7 @@ def log_pdf(y, params):
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise DomainError("log_pdf requires finite y")
-    z = (y - params.mu) / params.sigma
-    if params.is_normal:
-        out = -_LOG_SQRT_2PI - np.log(params.sigma) - 0.5 * z * z
-    else:
-        lam = params.lam
-        # exp may overflow far in the heavy tail; -inf is the correct limit
-        with np.errstate(over="ignore"):
-            out = _log_c(lam) - np.log(params.sigma) + z / lam - lam ** -2.0 * np.exp(lam * z)
+    out = _terms(y, params, derivatives=False)
     return out if out.ndim else float(out)
 
 
@@ -110,40 +207,7 @@ def log_pdf_grad(y, params):
     terms of the second cancel, so below |lam| = 0.1 and |u| = 0.01 its
     parts come from series (digamma's asymptotic one, and Taylor in u).
     """
-    z = (np.asarray(y, dtype=float) - params.mu) / params.sigma
-    if params.is_normal:
-        return -1.0 + z * z, -(z * z * z) / 6.0
-    lam = params.lam
-    if abs(lam) < 0.1:
-        a = -lam / 6.0 + lam ** 5 / 60.0 - lam ** 9 / 126.0
-    else:
-        a = 1.0 / lam - 2.0 * lam ** -3.0 * (math.log(lam ** -2.0) - digamma(lam ** -2.0))
-    u = lam * z
-    # far in the heavy tail expm1 overflows; such points carry no weight
-    with np.errstate(over="ignore", invalid="ignore"):
-        em1 = np.expm1(u)
-        d_log_sigma = -1.0 + (z / lam) * em1
-        direct = (2.0 * em1 - u * (em1 + 2.0)) / lam ** 3
-    # -z^3 sum_{n>=3} (n - 2) u^(n-3) / n!
-    series = -(z * z * z) * (1 / 6 + u * (1 / 12 + u * (1 / 40 + u * (1 / 180 + u / 1008))))
-    return d_log_sigma, a + np.where(np.abs(u) < 0.01, series, direct)
-
-
-# Taylor coefficients in u of the small-|u| parts of log_pdf_hess:
-# (u e^u - expm1 u)/u^2 = sum_{n>=2} (n - 1) u^(n-2) / n! and
-# (6 expm1 u - 3u expm1 u - 6u - u expm1 u + u^2 e^u)/u^4
-#   = -sum_{n>=4} (n - 2)(n - 3) u^(n-4) / n!, through u^8.
-_SERIES_S_LAM = tuple((n - 1) / math.factorial(n) for n in range(10, 1, -1))
-_SERIES_LAM_LAM = tuple(-(n - 2) * (n - 3) / math.factorial(n) for n in range(12, 3, -1))
-_SERIES_U = 0.2  # below this |lam z| the direct forms cancel more than the series errs
-
-
-def _horner(u, coefs):
-    # sum_k coefs[-1 - k] u^k, highest power first
-    out = np.full_like(u, coefs[0])
-    for c in coefs[1:]:
-        out = out * u + c
-    return out
+    return _terms(y, params)[1]
 
 
 def log_pdf_hess(y, params):
@@ -163,29 +227,7 @@ def log_pdf_hess(y, params):
     comes from digamma's asymptotic series and below |u| = 0.2 the
     bracketed parts from their Taylor series.
     """
-    z = (np.asarray(y, dtype=float) - params.mu) / params.sigma
-    z2 = z * z
-    if params.is_normal:
-        return -2.0 * z2, 0.5 * z2 * z, -1.0 / 6.0 - z2 * z2 / 12.0
-    lam = params.lam
-    if abs(lam) < 0.1:
-        a_prime = -1.0 / 6.0 + lam ** 4 / 12.0 - lam ** 8 / 14.0
-    else:
-        q = lam ** -2.0
-        a_prime = (-q + 6.0 * q * q * (math.log(q) - digamma(q))
-                   + 4.0 * q * q * q * (lam * lam - trigamma(q)))
-    u = lam * z
-    # far in the heavy tail e^u overflows; such points carry no weight
-    with np.errstate(over="ignore", invalid="ignore"):
-        e_u = np.exp(u)
-        em1 = np.expm1(u)
-        h_ss = -(z / lam) * em1 - z2 * e_u
-        s_lam = (z / (lam * lam)) * (u * e_u - em1)
-        lam_lam = (u * (em1 - u * e_u) - 3.0 * (2.0 * em1 - u * em1 - 2.0 * u)) / lam ** 4
-    small = np.abs(u) < _SERIES_U
-    h_s_lam = np.where(small, z2 * z * _horner(u, _SERIES_S_LAM), s_lam)
-    h_lam_lam = np.where(small, z2 * z2 * _horner(u, _SERIES_LAM_LAM), lam_lam)
-    return h_ss, h_s_lam, a_prime + h_lam_lam
+    return _terms(y, params)[2]
 
 
 def pdf(y, params):

@@ -21,6 +21,7 @@ cross-check used throughout the tests.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,92 +30,104 @@ from . import glg_dist
 from ._newton import maximise
 from .data_io import Dataset
 from .errors import DomainError, ModeSearchError
-from .glg_dist import GlgParams
+from .glg_dist import GlgParams, PglgParams  # PglgParams is re-exported
 from .mnb_model import _check_design_rank, _poisson_irls
 from .quadrature import DEFAULT_ORDER, MAX_ORDER, adaptive_nodes, gauss_hermite
 from .results import FitResult
 
 
-@dataclass(frozen=True)
-class PglgParams:
-    """Coefficients, random-effect scale, and shape."""
-
-    beta: np.ndarray
-    sigma: float
-    lam: float
-
-    def __post_init__(self):
-        beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        if beta.ndim != 1 or not np.all(np.isfinite(beta)):
-            raise DomainError("beta must be a finite vector")
-        if not np.isfinite(self.sigma) or self.sigma <= 0:
-            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
-        if not np.isfinite(self.lam):
-            raise DomainError("lam must be finite")
-        beta.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "lam", float(self.lam))
-
-
 def _cluster_sums(dataset, beta):
-    """(c, y+, log mu+) per cluster, and the means mu per observation."""
+    """(c, log mu+) per cluster, and the means mu per observation."""
     eta0 = dataset.X @ beta + dataset.offset
     with np.errstate(over="ignore", divide="ignore"):
         mu = np.exp(eta0)
         log_mu_plus = np.log(dataset.cluster_sums(mu))
     c = dataset.cluster_sums(dataset.y * eta0) - dataset.log_y_factorials
-    return c, dataset.cluster_sums(dataset.y), log_mu_plus, mu
+    return c, log_mu_plus, mu
 
 
-def _integrand(y_plus, log_mu_plus, params):
+def _totals(dataset):
+    """y+ per cluster and a stable argsort of it, which :func:`_distinct`
+    reuses for every beta."""
+    y_plus = dataset.cluster_sums(dataset.y)
+    return y_plus, np.argsort(y_plus, kind="stable")
+
+
+def _integrand(y_plus, log_mu_plus, params, prior_terms=None):
     """g_i(b) = y+_i b - mu+_i e^b + log f(b) for b of shape (n, k), and its
     derivatives (y+_i - mu+_i e^b + (log f)', -mu+_i e^b + (log f)'') for
-    b of shape (n,)."""
+    b of shape (n,).  Given a list ``prior_terms``, g also leaves there the
+    (log sigma, lam) gradient and Hessian of log f at its b, from the same
+    pass as log f."""
     prior = GlgParams(mu=0.0, sigma=params.sigma, lam=params.lam)
 
     def g(b):
         # mu+ e^b as one exp, so that an underflowed mu+ gives 0, not 0 * inf
         with np.errstate(over="ignore"):
-            return (y_plus[:, None] * b - np.exp(b + log_mu_plus[:, None])
-                    + glg_dist.log_pdf(b, prior))
+            if prior_terms is None:
+                log_f = glg_dist.log_pdf(b, prior)
+            else:  # b holds quadrature nodes, finite by construction
+                log_f, *prior_terms[:] = glg_dist._terms(b, prior)
+            return y_plus[:, None] * b - np.exp(b + log_mu_plus[:, None]) + log_f
 
-    def derivatives(b):
-        d1, d2 = glg_dist.log_pdf_y_derivatives(b, prior)
-        # far out an exp overflows to inf; the mode search steps away from it
-        with np.errstate(over="ignore"):
-            mu_e = np.exp(b + log_mu_plus)
-        return y_plus - mu_e + d1, d2 - mu_e
+    # the terms of glg_dist.log_pdf_y_derivatives, with its constants
+    # computed once; far out an exp overflows to inf, and the mode search
+    # steps away from it
+    curv = -prior.sigma ** -2.0
+    if prior.is_normal:
+        def derivatives(b):
+            with np.errstate(over="ignore"):
+                mu_e = np.exp(b + log_mu_plus)
+                return y_plus - mu_e + b * curv, curv - mu_e
+    else:
+        lam_over_sigma, minus_sigma_lam = prior.lam / prior.sigma, -prior.sigma * prior.lam
+
+        def derivatives(b):
+            with np.errstate(over="ignore"):
+                mu_e = np.exp(b + log_mu_plus)
+                em1 = np.expm1(b * lam_over_sigma)
+                return y_plus - mu_e + em1 / minus_sigma_lam, (em1 + 1.0) * curv - mu_e
 
     return g, derivatives
 
 
-def _distinct(y_plus, log_mu_plus):
+def _distinct(y_plus, log_mu_plus, by_y):
     """(first, inverse): the index of one cluster per distinct pair (y+,
     log mu+), the lowest, and each cluster's position in ``first``, so that
     ``y_plus[first][inverse]`` is ``y_plus``.  Every NaN is a pair of its
-    own."""
-    order = np.lexsort((log_mu_plus, y_plus))
-    y_sorted, l_sorted = y_plus[order], log_mu_plus[order]
+    own.  ``by_y``, a stable argsort of ``y_plus``, orders the pairs as the
+    lexsort on (y+, log mu+) does unless log mu+ splits a run of equal y+,
+    and only then does that lexsort run."""
+    def neighbours_differ(order):
+        y_sorted, l_sorted = y_plus[order], log_mu_plus[order]
+        return y_sorted[1:] != y_sorted[:-1], l_sorted[1:] != l_sorted[:-1]
+
+    order = by_y
+    new_y, new_l = neighbours_differ(order)
+    if (new_l & ~new_y).any():  # log mu+ splits a run of equal y+
+        order = np.lexsort((log_mu_plus, y_plus))
+        new_y, new_l = neighbours_differ(order)
     new = np.empty(order.size, dtype=bool)
     new[0] = True
-    np.not_equal(y_sorted[1:], y_sorted[:-1], out=new[1:])
-    new[1:] |= l_sorted[1:] != l_sorted[:-1]
+    np.logical_or(new_y, new_l, out=new[1:])
     inverse = np.empty_like(order)
     inverse[order] = new.cumsum()
     inverse -= 1
     return order[new], inverse
 
 
-def _nodes(dataset, params, rule, init):
+def _nodes(dataset, params, rule, init, totals=None, prior_terms=None):
     """The nodes of every distinct cluster integrand, with mode searches
     started at ``init`` (one per cluster): the (values, points, weights,
     failed, modes) of :func:`adaptive_nodes`, one row per distinct pair;
     ``inverse``, whose rows give every cluster its own row again; the
-    clusters' constants c; and the means mu per observation."""
-    c, y_plus, log_mu_plus, mu = _cluster_sums(dataset, params.beta)
-    first, inverse = _distinct(y_plus, log_mu_plus)
-    g, derivatives = _integrand(y_plus[first], log_mu_plus[first], params)
+    clusters' constants c; and the means mu per observation.  ``totals``
+    is :func:`_totals` of the dataset (computed when None), and
+    ``prior_terms`` goes to :func:`_integrand`."""
+    y_plus, by_y = totals or _totals(dataset)
+    c, log_mu_plus, mu = _cluster_sums(dataset, params.beta)
+    first, inverse = _distinct(y_plus, log_mu_plus, by_y)
+    g, derivatives = _integrand(y_plus[first], log_mu_plus[first], params, prior_terms)
     return adaptive_nodes(g, derivatives, rule, init[first]), inverse, c, mu
 
 
@@ -194,9 +207,9 @@ class PglgFitOptions:
     ``fix_lambda`` pins the shape (0.0 gives the Poisson-normal model);
     ``tie_sigma_lambda`` constrains sigma = lam > 0, the closed-form
     multivariate negative binomial reparameterization; the two exclude
-    each other.  ``order`` is at most ``MAX_ORDER // 2``, so that the
-    convergence check can compare the fit with the rule of twice its
-    order.
+    each other.  ``order`` is an integer in [1, ``MAX_ORDER // 2``], so
+    that the convergence check can compare the fit with the rule of twice
+    its order.
     """
 
     order: int = DEFAULT_ORDER
@@ -204,11 +217,19 @@ class PglgFitOptions:
     tie_sigma_lambda: bool = False
 
     def __post_init__(self):
-        if self.order > MAX_ORDER // 2:
+        limit = MAX_ORDER // 2
+        try:
+            order = operator.index(self.order)
+        except TypeError:
             raise DomainError(
-                f"order must be at most {MAX_ORDER // 2} (the order check uses twice "
-                f"the order, and rules stop at {MAX_ORDER}), got {self.order}"
+                f"order must be an integer in [1, {limit}], got {self.order!r}") from None
+        if not 1 <= order <= limit:
+            bound = f"at most {limit}" if order > limit else "at least 1"
+            raise DomainError(
+                f"order must be {bound}, in [1, {limit}] (the order check uses twice "
+                f"the order, and rules stop at {MAX_ORDER}), got {order}"
             )
+        object.__setattr__(self, "order", order)
         if self.fix_lambda is not None and self.tie_sigma_lambda:
             raise DomainError("fix_lambda and tie_sigma_lambda are mutually exclusive")
 
@@ -222,28 +243,32 @@ _ORDER_TOL_PER_CLUSTER = 1e-6  # log-likelihood change allowed at twice the orde
 
 def _posterior_mean(weights, live, values):
     """Posterior means of ``values`` on the nodes; ``live`` is the mask
-    ``weights > 0``.  Nodes of weight 0 may sit where ``values``
-    overflows; they add nothing (the caller ignores the invalid products
-    there)."""
-    return np.where(live, weights * values, 0.0).sum(axis=1)
+    ``weights > 0``, or None when every weight is positive.  Nodes of
+    weight 0 may sit where ``values`` overflows; they add nothing (the
+    caller ignores the invalid products there)."""
+    terms = weights * values
+    return (terms if live is None else np.where(live, terms, 0.0)).sum(axis=1)
 
 
 def _centred(live, values, means):
     """``values`` minus their posterior means, 0 at nodes of weight 0
-    (where ``live`` is False)."""
-    return np.where(live, values - means[:, None], 0.0)
+    (where ``live``, if not None, is False)."""
+    centred = values - means[:, None]
+    return centred if live is None else np.where(live, centred, 0.0)
 
 
 class _Objective:
     """Log-likelihood, exact score and observed information over the
     unconstrained vector (beta, log sigma[, lam]), with warm-started
-    quadrature modes."""
+    quadrature modes.  y+ and its sort are computed once, for every
+    call."""
 
     def __init__(self, dataset, options):
         self.dataset = dataset
         self.options = options
         self.rule = gauss_hermite(options.order)
         self.modes = np.zeros(dataset.n_clusters)
+        self.totals = _totals(dataset)
 
     def to_params(self, theta):
         p = self.dataset.p
@@ -257,13 +282,13 @@ class _Objective:
             lam = theta[p + 1]
         return PglgParams(beta=beta, sigma=sigma, lam=lam)
 
-    def _scale_derivatives(self, points, prior):
+    def _scale_derivatives(self, grad, hess, sigma):
         """First and second derivatives of log f at the nodes in the scale
-        coordinates of theta: a list d and a nested list h."""
-        d_s, d_lam = glg_dist.log_pdf_grad(points, prior)
-        h_ss, h_s_lam, h_lam_lam = glg_dist.log_pdf_hess(points, prior)
+        coordinates of theta, a list d and a nested list h, from its
+        gradient and Hessian in (log sigma, lam)."""
+        d_s, d_lam = grad
+        h_ss, h_s_lam, h_lam_lam = hess
         if self.options.tie_sigma_lambda:  # lam = sigma = e^(log sigma)
-            sigma = prior.sigma
             d = d_s + sigma * d_lam
             h = h_ss + 2.0 * sigma * h_s_lam + sigma * sigma * h_lam_lam + sigma * d_lam
             return [d], [[h]]
@@ -278,17 +303,19 @@ class _Objective:
         The score is Fisher's identity and the Hessian Louis' identity,
         sum_i (E_i[d^2 l_c] + Cov_i[d l_c]), both under each cluster's
         posterior on the nodes; l_c is the complete-data log-likelihood.
+        The derivatives of log f at the nodes come from the same pass as
+        the integrand's log f.
         """
         try:
             params = self.to_params(theta)
         except (DomainError, OverflowError):
             return None
         ds = self.dataset
-        prior = GlgParams(mu=0.0, sigma=params.sigma, lam=params.lam)
+        prior_terms = []  # the gradient and Hessian of log f at the nodes
         # one row per distinct integrand; [inverse] gives every cluster its
         # own row again before anything is summed over clusters
         for init in (self.modes, np.zeros(ds.n_clusters)):  # warm, then cold
-            nodes, inverse, c, mu = _nodes(ds, params, self.rule, init)
+            nodes, inverse, c, mu = _nodes(ds, params, self.rule, init, self.totals, prior_terms)
             values, points, weights, failed, modes = nodes
             if not failed.any() and np.all(np.isfinite(values)):
                 break
@@ -296,9 +323,11 @@ class _Objective:
             return None
         with np.errstate(over="ignore", invalid="ignore"):
             live = weights > 0  # the nodes that count, one mask for every moment
+            if live.all():
+                live = None
             exp_b = np.exp(points)
             e_b = _posterior_mean(weights, live, exp_b)
-            d, h = self._scale_derivatives(points, prior)
+            d, h = self._scale_derivatives(*prior_terms, params.sigma)
             d_means = [_posterior_mean(weights, live, dk) for dk in d]
             e_b_obs = ds.per_obs(e_b[inverse]) * mu
             u_beta = ds.X.T @ (ds.y - e_b_obs)
@@ -309,20 +338,22 @@ class _Objective:
             # cross moments of the centred complete-data scores
             c_b = _centred(live, exp_b, e_b)
             c_d = [_centred(live, dk, mean) for dk, mean in zip(d, d_means)]
+            w_c_b = weights * c_b
+            w_c_d = [weights * ck for ck in c_d]
             m = ds.cluster_sums(mu[:, None] * ds.X)  # X_i' mu_i, one row per cluster
             p, k = ds.p, len(d)
             hess = np.empty((p + k, p + k))
-            beta_beta = (m.T * (weights * c_b * c_b).sum(axis=1)[inverse]) @ m - (
+            beta_beta = (m.T * (w_c_b * c_b).sum(axis=1)[inverse]) @ m - (
                 ds.X.T * e_b_obs
             ) @ ds.X
             hess[:p, :p] = 0.5 * (beta_beta + beta_beta.T)  # exactly symmetric
             for a in range(k):
-                cross = -m.T @ (weights * c_b * c_d[a]).sum(axis=1)[inverse]
+                cross = -m.T @ (w_c_b * c_d[a]).sum(axis=1)[inverse]
                 hess[:p, p + a] = hess[p + a, :p] = cross
                 for b in range(a + 1):
                     hess[p + a, p + b] = hess[p + b, p + a] = (
                         _posterior_mean(weights, live, h[a][b])
-                        + (weights * c_d[a] * c_d[b]).sum(axis=1)
+                        + (w_c_d[a] * c_d[b]).sum(axis=1)
                     )[inverse].sum()
             if not np.all(np.isfinite(hess)):
                 return None

@@ -140,6 +140,14 @@ class TestFit:
         assert "order must be at most 100" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
+    def test_order_zero_is_input_error(self, mnb_csv, tmp_path, capsys):
+        code = run(["fit", "--model", "pglg", "--order", "0", "--data", mnb_csv,
+                    "--spec", mnb_csv + ".spec.json", "--out", str(tmp_path / "fit.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "order must be at least 1, in [1, 100]" in err and "[1, 200]" not in err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_mnb_report(self, mnb_csv, tmp_path):
         out = str(tmp_path / "fit.json")
         code = run(["fit", "--model", "mnb", "--data", mnb_csv,
@@ -643,6 +651,8 @@ print("clean")
                     "glgmix.simulate", "numpy")),
         ("compare", ("glgmix.simulate", "numpy.random")),
         ("diagnose --envelope 19 --residual pearson", ENVELOPE_SKIPS),
+        ("simulate pglg", ("glgmix.pglg_model", "glgmix.quadrature", "glgmix.diagnostics",
+                           "numpy.polynomial", "numpy.ma", "scipy")),
     ])
     def test_each_command_loads_only_its_modules(self, mnb_csv, tmp_path, command, skips):
         # each command starts in a fresh interpreter, as the CLI does
@@ -659,6 +669,10 @@ print("clean")
             if verb == "fit":
                 argv = ["fit", "--model", model, "--spec", mnb_csv + ".spec.json",
                         "--out", str(tmp_path / "out.json"), "--data", mnb_csv]
+            elif verb == "simulate":
+                argv = ["simulate", "--model", model, "--out", str(tmp_path / "sim.csv"),
+                        "--params", '{"beta": [0.5], "sigma": 0.6, "lambda": -0.5}',
+                        "--design", '{"n_clusters": 20, "cluster_sizes": 3, "seed": 1}']
             elif verb == "compare":
                 argv = ["compare", "--fits", report, report, "--out", str(tmp_path / "c.json")]
             else:

@@ -190,6 +190,19 @@ class TestSimulatedEnvelope:
                 simulated_envelope(ds, pars, residual="deviance", n_replicates=19)
         assert "pearson" in str(info.value)
 
+    def test_undefined_pearson_residuals_name_their_kind(self):
+        # every fitted mean underflows to 0, so (y - mu)/sqrt(mu + mu^2/phi) is 0/0
+        ds = simulate_mnb(SimDesign(n_clusters=10, cluster_sizes=2, seed=1),
+                          MnbParams(beta=np.array([0.5]), phi=2.0))
+        pars = MnbParams(beta=np.array([-800.0]), phi=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning escapes
+            with pytest.raises(EnvelopeError) as info:
+                simulated_envelope(ds, pars, residual="pearson", n_replicates=19)
+        message = str(info.value)
+        assert "Pearson" in message and "zero" in message
+        assert "deviance" not in message and "use residual" not in message
+
     def test_pearson_envelope_gives_no_deviance_warning(self):
         ds, pars = self.negative_components()
         with warnings.catch_warnings(record=True) as caught:

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import digamma, polygamma
 
+from glgmix import glg_dist
 from glgmix.errors import DomainError, MomentExistenceError
 from glgmix.glg_dist import (
+    LAMBDA_EPS,
     GlgParams,
     exp_moment,
     log_pdf,
@@ -226,6 +230,125 @@ class TestLogPdfHess:
         with np.errstate(all="raise"):
             h_ss, _, _ = log_pdf_hess(np.array([2000.0]), GlgParams(0.0, 1.0, 1.0))
         assert h_ss[0] == -np.inf
+
+
+# The per-function formulas that glg_dist._terms evaluates in one pass,
+# written as three separate passes with each Taylor series on every point:
+# the kernel must reproduce them bit for bit.
+def _horner_everywhere(u, coefs):
+    out = np.full_like(u, coefs[0])
+    for c in coefs[1:]:
+        out = out * u + c
+    return out
+
+
+def reference_log_pdf(y, p):
+    z = (y - p.mu) / p.sigma
+    if p.is_normal:
+        return -glg_dist._LOG_SQRT_2PI - np.log(p.sigma) - 0.5 * z * z
+    lam = p.lam
+    with np.errstate(over="ignore"):
+        return glg_dist._log_c(lam) - np.log(p.sigma) + z / lam - lam ** -2.0 * np.exp(lam * z)
+
+
+def reference_grad(y, p):
+    z = (y - p.mu) / p.sigma
+    if p.is_normal:
+        return -1.0 + z * z, -(z * z * z) / 6.0
+    lam = p.lam
+    if abs(lam) < 0.1:
+        a = -lam / 6.0 + lam ** 5 / 60.0 - lam ** 9 / 126.0
+    else:
+        a = 1.0 / lam - 2.0 * lam ** -3.0 * (math.log(lam ** -2.0) - glg_dist.digamma(lam ** -2.0))
+    u = lam * z
+    with np.errstate(over="ignore", invalid="ignore"):
+        em1 = np.expm1(u)
+        d_log_sigma = -1.0 + (z / lam) * em1
+        direct = (2.0 * em1 - u * (em1 + 2.0)) / lam ** 3
+    series = -(z * z * z) * (1 / 6 + u * (1 / 12 + u * (1 / 40 + u * (1 / 180 + u / 1008))))
+    return d_log_sigma, a + np.where(np.abs(u) < 0.01, series, direct)
+
+
+def reference_hess(y, p):
+    z = (y - p.mu) / p.sigma
+    z2 = z * z
+    if p.is_normal:
+        return -2.0 * z2, 0.5 * z2 * z, -1.0 / 6.0 - z2 * z2 / 12.0
+    lam = p.lam
+    if abs(lam) < 0.1:
+        a_prime = -1.0 / 6.0 + lam ** 4 / 12.0 - lam ** 8 / 14.0
+    else:
+        q = lam ** -2.0
+        a_prime = (-q + 6.0 * q * q * (math.log(q) - glg_dist.digamma(q))
+                   + 4.0 * q * q * q * (lam * lam - glg_dist.trigamma(q)))
+    u = lam * z
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_u = np.exp(u)
+        em1 = np.expm1(u)
+        h_ss = -(z / lam) * em1 - z2 * e_u
+        s_lam = (z / (lam * lam)) * (u * e_u - em1)
+        lam_lam = (u * (em1 - u * e_u) - 3.0 * (2.0 * em1 - u * em1 - 2.0 * u)) / lam ** 4
+    small = np.abs(u) < 0.2
+    h_s_lam = np.where(small, z2 * z * _horner_everywhere(u, glg_dist._SERIES_S_LAM), s_lam)
+    h_lam_lam = np.where(small, z2 * z2 * _horner_everywhere(u, glg_dist._SERIES_LAM_LAM),
+                         lam_lam)
+    return h_ss, h_s_lam, a_prime + h_lam_lam
+
+
+# shapes at the branch edges: the normal branch, either side of LAMBDA_EPS
+# and of the |lam| = 0.1 switch of a and a', and a strongly skewed law
+EDGE_LAMS = [0.0, 1e-7, -1e-7, 0.0999, 0.1001, -0.0999, -0.1001, 2.5, -2.5] + [
+    sign * LAMBDA_EPS * (1.0 + step) for sign in (1.0, -1.0) for step in (1e-3, -1e-3)]
+# values of u = lam z: either side of the series switches at 0.01 and 0.2,
+# and far enough out that e^u overflows
+EDGE_US = [sign * edge * (1.0 + step) for sign in (1.0, -1.0) for edge in (0.01, 0.2)
+           for step in (-1e-9, 0.0, 1e-9)] + [0.0, 709.0, 710.0, 800.0, -800.0]
+
+
+@st.composite
+def kernel_cases(draw):
+    """(y, params): points y whose u = lam z cross both series switches
+    and reach the overflow tail, at a shape from EDGE_LAMS or drawn."""
+    lam = draw(st.one_of(st.sampled_from(EDGE_LAMS),
+                         st.floats(-3.0, 3.0).filter(lambda v: v == 0.0 or abs(v) > 1e-9)))
+    params = GlgParams(mu=draw(st.floats(-2.0, 2.0)), sigma=draw(st.floats(0.05, 5.0)), lam=lam)
+    us = draw(st.lists(st.one_of(st.sampled_from(EDGE_US), st.floats(-0.3, 0.3),
+                                 st.floats(-800.0, 800.0)), min_size=1, max_size=40))
+    zs = draw(st.lists(st.floats(-40.0, 40.0), max_size=10))
+    z = np.array(us + zs) / (lam if lam != 0.0 else 1.0)
+    return params.mu + params.sigma * z, params
+
+
+def assert_bits_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+class TestOnePassKernel:
+    """glg_dist._terms against the three separate formulas it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_matches_the_separate_formulas_bit_for_bit(self, case):
+        y, p = case
+        log_f, grad, hess = glg_dist._terms(y, p)
+        assert np.array_equal(log_f, reference_log_pdf(y, p), equal_nan=True)
+        assert_bits_equal(grad, reference_grad(y, p))
+        assert_bits_equal(hess, reference_hess(y, p))
+        assert np.array_equal(glg_dist._terms(y, p, derivatives=False), log_f, equal_nan=True)
+        assert_bits_equal(log_pdf_grad(y, p), grad)
+        assert_bits_equal(log_pdf_hess(y, p), hess)
+        finite = np.isfinite(y)
+        assert np.array_equal(log_pdf(y[finite], p), log_f[finite], equal_nan=True)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.2, 0.05, 0.6])
+    def test_scalar_points(self, lam):
+        p = GlgParams(mu=0.2, sigma=0.7, lam=lam)
+        for y in (0.2, 0.21, 0.5, -3.0):
+            assert_bits_equal(log_pdf_grad(y, p), reference_grad(np.asarray(y), p))
+            assert_bits_equal(log_pdf_hess(y, p), reference_hess(np.asarray(y), p))
+            assert log_pdf(y, p) == reference_log_pdf(np.asarray(y), p)
 
 
 class TestMoments:

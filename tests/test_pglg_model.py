@@ -63,6 +63,15 @@ class TestOrderLimit:
         with pytest.raises(DomainError, match="at most 100"):
             PglgFitOptions(order=101)
 
+    @pytest.mark.parametrize("order", [0, -3, 40.5, "40", None])
+    def test_order_must_be_an_integer_from_one(self, order):
+        with pytest.raises(DomainError, match=r"\[1, 100\]"):
+            PglgFitOptions(order=order)
+
+    def test_integer_like_order_is_kept_as_int(self):
+        options = PglgFitOptions(order=np.int64(30))
+        assert options.order == 30 and type(options.order) is int
+
     @pytest.mark.parametrize("order", [1, 40, 73, 100])
     def test_check_uses_exactly_twice_the_order(self, order, monkeypatch):
         asked = []
@@ -616,6 +625,58 @@ def repeated_clusters(draw):
     return wrap(clusters, ("a", "b")), theta
 
 
+class TestIntegrand:
+    """The integrand's mode-search derivatives and log values against the
+    glg_dist functions they inline."""
+
+    @staticmethod
+    def composed_derivatives(b, y_plus, log_mu_plus, prior):
+        d1, d2 = glg_dist.log_pdf_y_derivatives(b, prior)
+        with np.errstate(over="ignore"):
+            mu_e = np.exp(b + log_mu_plus)
+        return y_plus - mu_e + d1, d2 - mu_e
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.sampled_from([0.0, 1e-7, -1e-7, 1.001e-6, -1.001e-6, 0.999e-6, -2.5,
+                                      2.5]), st.floats(-3.0, 3.0)),
+           st.floats(0.05, 5.0),
+           st.lists(st.tuples(st.integers(0, 200),
+                              st.one_of(st.floats(-30.0, 30.0), st.just(-np.inf)),
+                              st.one_of(st.floats(-50.0, 50.0), st.sampled_from([-800.0, 800.0]))),
+                    min_size=1, max_size=20))
+    def test_mode_search_derivatives_match_the_composition(self, lam, sigma, rows):
+        y_plus = np.array([r[0] for r in rows], dtype=float)
+        log_mu_plus = np.array([r[1] for r in rows])
+        b = np.array([r[2] for r in rows])
+        params = PglgParams(beta=np.zeros(1), sigma=sigma, lam=lam)
+        prior = GlgParams(mu=0.0, sigma=sigma, lam=lam)
+        _, derivatives = pglg_model._integrand(y_plus, log_mu_plus, params)
+        with np.errstate(divide="ignore", invalid="ignore"):  # as the mode search runs it
+            got = derivatives(b)
+            want = self.composed_derivatives(b, y_plus, log_mu_plus, prior)
+        for a, w in zip(got, want):
+            assert np.array_equal(a, w, equal_nan=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([0.0, 1e-7, -0.05, 0.6, -1.2, 2.5]), st.floats(0.05, 5.0),
+           st.integers(0, 2 ** 32 - 1))
+    def test_one_pass_integrand_matches_log_pdf(self, lam, sigma, seed):
+        rng = np.random.default_rng(seed)
+        y_plus = rng.integers(0, 50, 4).astype(float)
+        log_mu_plus = rng.normal(size=4)
+        b = rng.normal(scale=3.0, size=(4, 7))
+        params = PglgParams(beta=np.zeros(1), sigma=sigma, lam=lam)
+        terms = []
+        g_plain, _ = pglg_model._integrand(y_plus, log_mu_plus, params)
+        g_terms, _ = pglg_model._integrand(y_plus, log_mu_plus, params, terms)
+        assert np.array_equal(g_terms(b), g_plain(b))
+        prior = GlgParams(mu=0.0, sigma=sigma, lam=lam)
+        separate = glg_dist.log_pdf_grad(b, prior), glg_dist.log_pdf_hess(b, prior)
+        for got, want in zip(terms, separate):
+            for a, w in zip(got, want):
+                assert np.array_equal(a, w)
+
+
 class TestDistinctClusters:
     """The quadrature runs once per distinct cluster total (y+, log mu+) and
     every cluster gets the result of its pair."""
@@ -627,7 +688,8 @@ class TestDistinctClusters:
     def test_distinct_round_trips(self, pairs):
         y_plus = np.array([y for y, _ in pairs], dtype=float)
         log_mu_plus = np.array([v for _, v in pairs])
-        first, inverse = pglg_model._distinct(y_plus, log_mu_plus)
+        by_y = np.argsort(y_plus, kind="stable")
+        first, inverse = pglg_model._distinct(y_plus, log_mu_plus, by_y)
         np.testing.assert_array_equal(y_plus[first][inverse], y_plus)
         np.testing.assert_array_equal(log_mu_plus[first][inverse], log_mu_plus)  # NaN == NaN here
         np.testing.assert_array_equal(np.sort(first), np.unique(first))
@@ -635,6 +697,56 @@ class TestDistinctClusters:
         keys = {(y, v) for y, v in zip(y_plus[first], log_mu_plus[first]) if not np.isnan(v)}
         n_nan = int(np.isnan(log_mu_plus).sum())
         assert first.size == len(keys) + n_nan  # every NaN is a pair of its own
+
+    @staticmethod
+    def lexsort_distinct(y_plus, log_mu_plus):
+        """The grouping with one lexsort on (y+, log mu+) on every call."""
+        order = np.lexsort((log_mu_plus, y_plus))
+        y_sorted, l_sorted = y_plus[order], log_mu_plus[order]
+        new = np.empty(order.size, dtype=bool)
+        new[0] = True
+        np.not_equal(y_sorted[1:], y_sorted[:-1], out=new[1:])
+        new[1:] |= l_sorted[1:] != l_sorted[:-1]
+        inverse = np.empty_like(order)
+        inverse[order] = new.cumsum()
+        inverse -= 1
+        return order[new], inverse
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=30),
+           st.lists(st.sampled_from([0.0, -0.0, -1.5, 2.0, -np.inf, np.nan]), min_size=5,
+                    max_size=5),
+           st.lists(st.sampled_from([0.0, -0.0, -1.5, 2.0, -np.inf, np.nan]), min_size=30,
+                    max_size=30),
+           st.booleans())
+    def test_grouping_by_sorted_totals_matches_the_lexsort(self, ys, per_total, per_cluster,
+                                                           shared):
+        # shared: log mu+ is a function of y+ (no run of equal y+ is split),
+        # as on a design whose clusters all share mu+; else drawn per cluster
+        y_plus = np.array(ys, dtype=float)
+        log_mu_plus = np.array([per_total[y] if shared else per_cluster[i]
+                                for i, y in enumerate(ys)])
+        want = self.lexsort_distinct(y_plus, log_mu_plus)
+        got = pglg_model._distinct(y_plus, log_mu_plus, np.argsort(y_plus, kind="stable"))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_shared_mu_plus_runs_no_lexsort(self, monkeypatch):
+        X = np.column_stack([np.ones(3), [-1.0, 0.0, 1.0]])
+        truth = PglgParams(beta=np.array([1.0, -0.3]), sigma=0.5, lam=-1.2)
+        ds = simulate_pglg(SimDesign(n_clusters=50, cluster_sizes=3, x_builder=X, seed=4), truth)
+        objective = pglg_model._Objective(ds, PglgFitOptions())
+        calls = []
+        real = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or real(keys))
+        assert objective(np.array([1.0, -0.3, math.log(0.5), -1.2])) is not None
+        assert calls == []
+        # a continuous covariate splits the runs of equal y+: the lexsort runs
+        ds = simulate_pglg(SimDesign(n_clusters=50, cluster_sizes=3, seed=4,
+                                     x_builder=lambda rng, m: np.column_stack(
+                                         [np.ones(m), rng.normal(size=m)])), truth)
+        assert pglg_model._Objective(ds, PglgFitOptions())(
+            np.array([1.0, -0.3, math.log(0.5), -1.2])) is not None
+        assert calls == [1]
 
     @settings(max_examples=40, deadline=None)
     @given(repeated_clusters())
