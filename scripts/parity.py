@@ -25,6 +25,12 @@ design, and a free fit on 300 clusters with a continuous covariate, where
 no two clusters share mu+.  Each keeps the hashes of its ``FitResult``
 (estimates, standard errors, log-likelihood, trace),
 ``predict_random_effects`` and ``log_likelihood`` at the estimates.
+Stacked cases under ``stacked-climb/<case>`` pin the MNB Newton climbed
+as one stack, whose traces no CLI output shows: on the ``envelope/*``
+dataset and its ``nb`` fit, 19 and 99 replicate count vectors are drawn
+as an envelope draws them and refitted from the fit by
+``mnb_model._climb``; each keeps the hashes of the traces, theta and
+log-likelihoods of every row, and its started and converged flags.
 
     python3 scripts/parity.py --root . --seeds 1-3 --out new.json
     python3 scripts/parity.py --root ../parent --seeds 1-3 --out old.json
@@ -66,6 +72,9 @@ PGLG_LIB_CASES = {
     "fix_lambda": ({"fix_lambda": 0.5}, ([0.8, -0.4], 0.5, 0.5), "balanced"),
     "continuous": ({}, ([1.0, -0.3], 0.5, -1.2), "continuous"),
 }
+
+# ``stacked-climb`` cases: replicates in each stack
+STACKED_CLIMBS = {"r19": 19, "r99": 99}
 
 
 def seed_range(text):
@@ -196,6 +205,39 @@ def record_pglg_lib(glgmix):
     return hashes
 
 
+def record_stacked_climbs(glgmix):
+    """Hashes of each ``stacked-climb`` case: the replicate refits of an
+    envelope on the ``envelope/*`` dataset, climbed as one stack."""
+    import numpy as np
+
+    cli, data_io, mnb_model, simulate = (
+        glgmix.cli, glgmix.data_io, glgmix.mnb_model, glgmix.simulate)
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                cli.main(simulate_argv("mnb", "balanced"))
+            with open("sim.csv.spec.json", encoding="utf-8") as fh:
+                spec = data_io.ModelSpec.from_mapping(json.load(fh))
+            dataset = data_io.ungroup(data_io.read_csv("sim.csv", spec))
+        finally:
+            os.chdir(home)
+    fit = mnb_model.fit(dataset)
+    params = mnb_model.MnbParams(beta=fit.estimates[:-1], phi=fit.estimates[-1])
+    start = np.append(params.beta, np.log(params.phi))
+    hashes = {}
+    for name, n_replicates in STACKED_CLIMBS.items():
+        seeds = np.random.SeedSequence(n_replicates).spawn(n_replicates)
+        y = simulate._mnb_counts(dataset, params, [np.random.default_rng(s) for s in seeds])
+        climb = mnb_model._climb(dataset, np.tile(start, (n_replicates, 1)), y)
+        hashes[f"stacked-climb/{name}"] = {
+            "traces": digest(repr(climb.traces)), "theta": digest(climb.theta.tobytes()),
+            "loglik": digest(climb.loglik.tobytes()), "started": climb.started.tolist(),
+            "converged": climb.converged.tolist()}
+    return hashes
+
+
 def record(root, seeds, names):
     run, glgmix = load_harness(root)
     workloads = run.workloads
@@ -230,6 +272,7 @@ def record(root, seeds, names):
                   f"correct {not incorrect}", file=sys.stderr)
     hashes.update(record_fixed(importlib.import_module("glgmix.cli")))
     hashes.update(record_pglg_lib(glgmix))
+    hashes.update(record_stacked_climbs(glgmix))
     return {"root": os.path.abspath(root), "seeds": seeds, "workloads": names,
             "outputs": hashes, "verdicts": verdicts}
 

@@ -12,11 +12,15 @@ keeps its own halvings, stop, iteration count and trace, so a row's
 iterates are those it would have alone; each halving round evaluates only
 the rows whose step is still pending.  The loop keeps the arrays an
 objective returns and writes into them, so each call returns new arrays.
+Each iteration's accepted values are kept as arrays (the rows that moved,
+their log-likelihoods and score sizes); the per-row traces are built
+from them only when read, so a stack whose traces nobody reads makes no
+per-row objects.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 
@@ -27,12 +31,29 @@ _MAX_HALVINGS = 40
 _UNCHECKED_SCORE = 1e-3
 
 
-# a namedtuple: a dataclass would cost about 1 ms at every import
-Climb = namedtuple("Climb", "theta loglik hess traces started converged")
-Climb.__doc__ = """Where each row of a stack stopped: its last accepted iterate, the
-objective's log-likelihood and Hessian there, its trace, whether the
-objective was available at its start (``started``; if not, the row holds
-the start and NaN values) and whether it ``converged``."""
+# a plain class: a dataclass would cost about 1 ms at every import
+class Climb:
+    """Where each row of a stack stopped: its last accepted iterate, the
+    objective's log-likelihood and Hessian there, whether the objective
+    was available at its start (``started``; if not, the row holds the
+    start and NaN values) and whether it ``converged``; and its trace."""
+
+    def __init__(self, theta, loglik, hess, started, converged, history):
+        self.theta, self.loglik, self.hess = theta, loglik, hess
+        self.started, self.converged = started, converged
+        self._history = history
+
+    @cached_property
+    def traces(self):
+        """One list of :class:`~glgmix.results.TraceRecord` per row, one
+        record per accepted iterate, the start first; empty for a row that
+        did not start."""
+        traces = tuple([] for _ in range(len(self.theta)))
+        for rows, loglik, sizes in self._history:
+            for r, ll, s in zip(rows.tolist(), loglik.tolist(), sizes.tolist()):
+                trace = traces[r]
+                trace.append(TraceRecord(iteration=len(trace), loglik=ll, max_grad=s))
+        return traces
 
 
 def _max_abs(theta, score):
@@ -95,10 +116,9 @@ def maximise(objective, theta, gtol, max_iter, size=_max_abs):
     started = available(loglik, score, hess)
     with np.errstate(all="ignore"):  # unavailable rows may overflow or be NaN
         sizes = np.where(started, size(theta, score), np.nan)
-    traces = tuple(
-        [TraceRecord(iteration=0, loglik=float(ll), max_grad=float(s))] if ok else []
-        for ll, s, ok in zip(loglik.tolist(), sizes.tolist(), started.tolist())
-    )
+    # (rows, loglik, size) of the accepted iterates: the start's, then each
+    # iteration's; copies, as the loop writes into its state arrays
+    history = [(np.flatnonzero(started), loglik[started], sizes[started])]
     final = [theta, loglik, score, hess, sizes]
     # The rows still climbing keep their state in compact arrays (``final``
     # itself while every row climbs), so the usual step, taken by every row
@@ -115,9 +135,7 @@ def maximise(objective, theta, gtol, max_iter, size=_max_abs):
         new, moved = _try_step(objective, size, state, step, rows)
         if not moved.all():
             _halve(objective, size, state, step, rows, new, moved)
-        for r, ok, ll, s in zip(rows.tolist(), moved.tolist(), new[1].tolist(), new[4].tolist()):
-            if ok:
-                traces[r].append(TraceRecord(iteration=len(traces[r]), loglik=ll, max_grad=s))
+        history.append((rows[moved], new[1][moved], new[4][moved]))
         stop = ~moved | (new[4] < gtol) | (iteration >= max_iter)
         if rows.size == len(theta) and stop.all():  # the whole stack stops at once
             final, rows = new, rows[:0]
@@ -127,5 +145,5 @@ def maximise(objective, theta, gtol, max_iter, size=_max_abs):
             rows, new = rows[~stop], [n[~stop] for n in new]
         state = new
     theta, loglik, _, hess, sizes = final
-    return Climb(theta=theta, loglik=loglik, hess=hess, traces=traces,
-                 started=started, converged=started & (sizes < gtol))
+    return Climb(theta=theta, loglik=loglik, hess=hess, started=started,
+                 converged=started & (sizes < gtol), history=history)

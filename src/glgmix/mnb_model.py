@@ -280,10 +280,10 @@ def _k_phi(mu_plus, phi):
     # it runs once per distinct mu+ (clusters with the same design rows
     # share it); ``rows`` maps each running cluster to its distinct row,
     # and is the identity when no mu+ repeats.  A series stops after its
-    # first term whose tail probability is below _KPHI_TAIL.  All series
-    # step through the terms together, _KPHI_BLOCK at a time: log P(Y+ = j)
-    # and the tail run as cumulative sums along the block, and finished
-    # rows leave the working arrays.  Each block's terms are gathered back
+    # first term whose tail probability is below _KPHI_TAIL or has stopped
+    # falling (see below).  All series step through the terms together,
+    # _KPHI_BLOCK at a time: log P(Y+ = j) and the tail run as cumulative
+    # sums along the block, and finished rows leave the working arrays.  Each block's terms are gathered back
     # to one row per running cluster before the sum, so the sum adds the
     # same numbers in the same order as one series per cluster would.
     # Logs, because P(Y+ = 0) = (phi/(phi + mu+))^phi underflows when
@@ -306,16 +306,22 @@ def _k_phi(mu_plus, phi):
         steps[:, 0] = tail
         steps[:, 1:] = -probs[:, 1:]
         tails = np.maximum(np.cumsum(steps, axis=1), 0.0)  # P(Y+ >= j0 + c + 1)
-        below = tails[:, :-1] < _KPHI_TAIL
-        # the tails never rise along a row, so once below stays below:
-        # a term is taken up to the first one below
-        taken = np.empty_like(below)
+        # A series ends at a term whose tail is below _KPHI_TAIL, or at one
+        # below 1 that the next term's tail equals: the tail falls at every
+        # term before the mode, and past it the terms only shrink, so the
+        # tail has reached the rounding floor of its subtractions (above
+        # _KPHI_TAIL when P(Y+ = 0) underflows) and stays there.
+        last = (tails[:, :-1] < _KPHI_TAIL) | (
+            (tails[:, 1:] == tails[:, :-1]) & (tails[:, :-1] < 1.0))
+        # so once a row's series ends it stays ended: a term is taken up to
+        # the first one that ends it
+        taken = np.empty_like(last)
         taken[:, 0] = True
-        taken[:, 1:] = ~below[:, :-1]
+        taken[:, 1:] = ~last[:, :-1]
         # summed as a temporary: holding the term array into the next block
         # made all-distinct stacks of 900 clusters about 15% slower
         total += float(np.sum((np.where(taken, tails[:, :-1], 0.0) / (j + phi) ** 2)[rows]))
-        going = ~below.any(axis=1)
+        going = ~last.any(axis=1)
         if not going.any():
             break
         if not isinstance(rows, slice):
@@ -502,6 +508,12 @@ def _maximise(dataset, init=None):
     (beta, log phi), from ``init`` or the independence Poisson fit with a
     moment estimate of phi."""
     _check_design_rank(dataset)
+    if not dataset.y.any():
+        # each cluster adds phi log(phi/(phi + mu+)), which rises toward 0
+        # as phi -> 0 whatever beta is: the supremum is never attained
+        raise DomainError(
+            "every count is 0: the MNB log-likelihood rises toward 0 as phi -> 0 "
+            "and has no maximum")
     if init is None:
         beta = _poisson_irls(dataset)
         init = MnbParams(beta=beta, phi=_moment_start_phi(dataset, beta))
@@ -526,6 +538,9 @@ def fit(dataset, init=None):
     ------
     CollinearDesignError
         When the stacked design is rank deficient (names the columns).
+    DomainError
+        When every count is 0, so that no maximum exists, or when the
+        log-likelihood is not finite at the start.
     """
     params, loglik, converged, trace = _maximise(dataset, init)
     return FitResult(

@@ -178,6 +178,17 @@ class TestFit:
 
         assert [r["name"] for r in report["params"]] == [INTERCEPT_NAME, "x", "phi"]
 
+    @pytest.mark.parametrize("model", ["mnb", "nb"])
+    def test_all_zero_counts_is_input_error(self, tmp_path, capsys, model):
+        data = tmp_path / "zeros.csv"
+        rows = ["cluster,x,y"] + [f"c{i},{x},0" for i in range(1, 11) for x in (-1, 0, 1)]
+        data.write_text("\n".join(rows) + "\n")
+        code = run(["fit", "--model", model, "--data", str(data), "--response", "y",
+                    "--cluster", "cluster", "--covariates", "x", "--out", str(tmp_path / "fit.json")])
+        assert code == 1
+        assert "every count is 0" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_nb_ungroups(self, mnb_csv, tmp_path):
         out = str(tmp_path / "nb.json")
         code = run(["fit", "--model", "nb", "--data", mnb_csv,

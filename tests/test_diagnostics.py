@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from glgmix import diagnostics, mnb_model
+from glgmix import _newton, diagnostics, mnb_model
 from glgmix.diagnostics import compare_aic, qq_points, simulated_envelope
 from glgmix.errors import (
     CollinearDesignError,
@@ -225,6 +225,16 @@ class TestSimulatedEnvelope:
         assert calls == []
         simulated_envelope(ds, pars, residual="deviance", n_replicates=19, seed=1)
         assert calls[0] == 1 and len(calls) == 2  # the observed row, then one block of replicates
+
+    def test_refits_build_no_trace_records(self, monkeypatch):
+        ds, pars = fitted_mnb(seed=3)
+
+        def refused(**fields):
+            raise AssertionError("an envelope refit built a trace record")
+
+        monkeypatch.setattr(_newton, "TraceRecord", refused)
+        env = simulated_envelope(ds, pars, residual="pearson", n_replicates=19, seed=1)
+        assert env.n_replicates + env.n_dropped == 19
 
     def test_replicate_drop_warning_and_failure_cap(self, monkeypatch):
         ds, pars = fitted_mnb(seed=8)

@@ -57,11 +57,13 @@ def ref_score(dataset, params):
 
 def ref_k_phi(mu_plus, phi):
     """The dispersion information with one series per cluster, as computed
-    before the series ran once per distinct mu+ (kept verbatim)."""
+    before the series ran once per distinct mu+ (kept verbatim but for the
+    stop at the tail's rounding floor)."""
     # sum over clusters of sum_{j>=0} (j + phi)^-2 P(Y+ >= j + 1)
     # - mu+/(phi (mu+ + phi)), with Y+ negative binomial of mean mu+ and
     # dispersion phi.  A cluster's series stops after its first term whose
-    # tail probability is below _KPHI_TAIL.  All clusters step through the
+    # tail probability is below _KPHI_TAIL, or below 1 and equal to the
+    # next term's (the tail's rounding floor).  All clusters step through the
     # terms together, _KPHI_BLOCK at a time: log P(Y+ = j) and the tail run
     # as cumulative sums along the block, and finished clusters leave the
     # working arrays.  Logs, because P(Y+ = 0) = (phi/(phi + mu+))^phi
@@ -81,7 +83,7 @@ def ref_k_phi(mu_plus, phi):
         steps[:, 0] = tail
         steps[:, 1:] = -probs[:, 1:]
         tails = np.maximum(np.cumsum(steps, axis=1), 0.0)  # P(Y+ >= j0 + c + 1)
-        below = tails[:, :-1] < _KPHI_TAIL
+        below = (tails[:, :-1] < _KPHI_TAIL) | ((tails[:, 1:] == tails[:, :-1]) & (tails[:, :-1] < 1.0))
         taken = np.cumsum(below, axis=1) - below == 0  # up to the first term below
         total += float(np.sum(np.where(taken, tails[:, :-1], 0.0) / (j + phi) ** 2))
         going = ~below.any(axis=1)
@@ -289,6 +291,40 @@ class TestAgainstClusterLoops:
         )
         assert expect == pytest.approx(2.221974568e-7, rel=1e-9)
         assert mnb_model.score(ds, params).k_phi == pytest.approx(expect, rel=1e-8)
+
+    # (mu+, phi, the value of the series that ran on past the tail's rounding
+    # floor, up to _KPHI_MAX_TERMS terms)
+    @pytest.mark.parametrize("mu_plus, phi, floor_value", [
+        (3000.0, 700.0, 6.709081180073656e-7),
+        (2050.0, 1050.0, 1.9830181329871886e-7),
+        (2200.0, 1100.0, 1.8363612796438566e-7),
+    ])
+    def test_k_phi_stops_at_the_tails_rounding_floor(self, monkeypatch, mu_plus, phi, floor_value):
+        # P(Y+ = 0) underflows and the tail, 1 minus the probabilities so
+        # far, stops falling just above _KPHI_TAIL: the series ends there,
+        # within 200 blocks, and no further from the exact sum than the
+        # series that ran on
+        want = k_phi_series_mpmath(mu_plus, phi)
+        got = mnb_model._k_phi(np.array([mu_plus]), phi)
+        assert abs(got - want) <= abs(floor_value - want)
+        assert got == pytest.approx(float(want), rel=1e-9)
+        monkeypatch.setattr(mnb_model, "_KPHI_MAX_TERMS", 200 * _KPHI_BLOCK)
+        assert mnb_model._k_phi(np.array([mu_plus]), phi) == got
+
+
+def k_phi_series_mpmath(mu_plus, phi):
+    """One cluster's dispersion information, its series summed at 40
+    digits until the tail is below 1e-30 past the mean."""
+    with mpmath.workdps(40):
+        mu, phi = mpmath.mpf(mu_plus), mpmath.mpf(phi)
+        prob = (phi / (phi + mu)) ** phi  # P(Y+ = 0)
+        tail, total, j = 1 - prob, mpmath.mpf(0), 0
+        while j <= mu or tail >= mpmath.mpf(10) ** -30:
+            total += tail / (phi + j) ** 2
+            prob *= (phi + j) / (j + 1) * mu / (phi + mu)
+            tail -= prob
+            j += 1
+        return total - mu / (phi * (mu + phi))
 
 
 class TestResidualBatching:

@@ -371,6 +371,19 @@ class TestFit:
         assert res.model == "mnb"
         assert math.isnan(res.z_values()[-1])
 
+    @pytest.mark.parametrize("ungrouped", [False, True])
+    def test_all_zero_counts_raise(self, ungrouped):
+        # each cluster adds phi log(phi/(phi + mu+)), which rises toward 0 as
+        # phi -> 0: no maximum exists, whatever the start
+        X = np.column_stack([np.ones(3), [-1.0, 0.0, 1.0]])
+        ds = make_dataset([[0, 0, 0]] * 10, [X] * 10)
+        if ungrouped:
+            ds = ungroup(ds)
+        with pytest.raises(DomainError, match="every count is 0"):
+            mnb_model.fit(ds)
+        with pytest.raises(DomainError, match="every count is 0"):
+            mnb_model.fit(ds, init=MnbParams(beta=np.zeros(2), phi=1.0))
+
     def test_collinear_design_named(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=4)
