@@ -16,19 +16,31 @@ Each iteration's accepted values are kept as arrays (the rows that moved,
 their log-likelihoods and score sizes); the per-row traces are built
 from them only when read, so a stack whose traces nobody reads makes no
 per-row objects.
+
+The module also holds what both families do before they climb: the
+design rank check, :func:`_check_design_rank`, and the independence
+Poisson start, :func:`_poisson_irls`.  A fit of either family thus
+imports only its own model module and this one.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
 
+from .errors import CollinearDesignError
 from .results import TraceRecord
 
 _MAX_STEP = 1.0  # largest move of any coordinate in one Newton step
 _MAX_HALVINGS = 40
 _UNCHECKED_SCORE = 1e-3
+
+# The independence Poisson start converges once its relative step is below
+# _IRLS_TOL, and falls back to zeros after _IRLS_MAX_ITER steps.
+_IRLS_TOL = 1e-10
+_IRLS_MAX_ITER = 100
 
 
 # a plain class: a dataclass would cost about 1 ms at every import
@@ -147,3 +159,55 @@ def maximise(objective, theta, gtol, max_iter, size=_max_abs):
     theta, loglik, _, hess, sizes = final
     return Climb(theta=theta, loglik=loglik, hess=hess, started=started,
                  converged=started & (sizes < gtol), history=history)
+
+
+def _check_design_rank(dataset):
+    """Raise CollinearDesignError naming the dependent columns, if any.
+
+    The rank counts singular values above max(n, p) * eps times the
+    largest.  Named is every column whose row of the null-space basis (the
+    right singular vectors past the rank) has a norm above sqrt(eps); that
+    norm is basis-free, the root of a diagonal of the null-space projector.
+    """
+    X = dataset.X
+    # all p right singular vectors; U stays n x min(n, p)
+    _, s, vt = np.linalg.svd(X, full_matrices=X.shape[0] < X.shape[1])
+    eps = np.finfo(float).eps
+    rank = int(np.sum(s > max(X.shape) * eps * s[0]))
+    if rank < X.shape[1]:
+        involved = np.linalg.norm(vt[rank:], axis=0) > math.sqrt(eps)
+        bad = sorted(name for name, hit in zip(dataset.column_names, involved) if hit)
+        raise CollinearDesignError(
+            f"design is rank deficient (rank {rank} < {X.shape[1]}); "
+            f"columns involved: {bad}",
+            columns=bad,
+        )
+
+
+def _poisson_irls(dataset):
+    """Independence Poisson fit (the phi -> infinity limit); returns beta.
+
+    Standard iteratively reweighted least squares on the stacked data.
+    Used only to produce starting values, so failures fall back to zeros.
+    """
+    X, offset = dataset.X, dataset.offset
+    y = dataset.y.astype(float)
+    zeros = np.zeros(X.shape[1])
+    beta = zeros
+    eta = X @ beta + offset
+    for _ in range(_IRLS_MAX_ITER):
+        mu = np.exp(np.clip(eta, -30.0, 30.0))
+        z = (eta - offset) + (y - mu) / mu
+        xtw = X.T * mu
+        try:
+            beta_new = np.linalg.solve(xtw @ X, xtw @ z)
+        except np.linalg.LinAlgError:
+            return zeros
+        if not np.all(np.isfinite(beta_new)):
+            return zeros
+        change = np.max(np.abs(beta_new - beta)) / max(1.0, np.max(np.abs(beta_new)))
+        beta = beta_new
+        eta = X @ beta + offset
+        if change < _IRLS_TOL:
+            return beta
+    return zeros

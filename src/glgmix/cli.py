@@ -18,32 +18,21 @@ import warnings
 
 import numpy as np
 
-from . import mnb_model
 from .data_io import ModelSpec, _column_texts, read_csv, ungroup, write_csv
 from .errors import DataFormatError, DomainError, GlgmixError
-from .mnb_model import MnbParams
 
-# A command imports the modules that only it runs (PGLG fitting, simulation,
-# envelopes, the GLG density) inside its own function, so that a start-up
-# pays only for the modules of the one command it serves.
+# A command imports the modules that only it runs (either model family,
+# simulation, envelopes, the GLG density) inside its own function, and the
+# parser adds the arguments of the invoked subcommand only, so that a
+# start-up pays only for the modules of the one command it serves:
+# ``import glgmix.cli`` loads no model module.
 
 _EXIT_OK = 0
 _EXIT_INPUT = 1
 _EXIT_NOT_CONVERGED = 2
 
 
-@functools.cache
-def _build_parser():
-    """The argument parser, built on the first call and shared by every
-    later :func:`main` call in the process (parsing does not change it)."""
-    parser = argparse.ArgumentParser(
-        prog="glgmix",
-        description="Random-intercept Poisson models with generalized "
-        "log-gamma effects and the multivariate negative binomial.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fit = sub.add_parser("fit", help="fit a model and write a JSON report")
+def _fit_arguments(p_fit):
     p_fit.add_argument("--model", required=True,
                        choices=["pglg", "pglg-normal", "mnb", "nb"])
     p_fit.add_argument("--data", required=True, help="input CSV path")
@@ -60,7 +49,8 @@ def _build_parser():
                        help="quadrature order (pglg models)")
     p_fit.add_argument("--out", required=True, help="report JSON path")
 
-    p_sim = sub.add_parser("simulate", help="write a simulated dataset CSV")
+
+def _simulate_arguments(p_sim):
     p_sim.add_argument("--model", required=True, choices=["pglg", "mnb"])
     p_sim.add_argument("--params", required=True,
                        help="parameter JSON file or inline JSON")
@@ -70,12 +60,13 @@ def _build_parser():
                        help="overrides the design seed")
     p_sim.add_argument("--out", required=True, help="output CSV path")
 
-    p_diag = sub.add_parser("diagnose",
-                            help="residual report and simulated envelope")
+
+def _diagnose_arguments(p_diag):
+    from .mnb_model import RESIDUAL_KINDS
+
     p_diag.add_argument("--fit", required=True, help="fit report JSON path")
     p_diag.add_argument("--data", required=True, help="input CSV path")
-    p_diag.add_argument("--residual", default="deviance",
-                        choices=mnb_model.RESIDUAL_KINDS)
+    p_diag.add_argument("--residual", default="deviance", choices=RESIDUAL_KINDS)
     p_diag.add_argument("--envelope", type=int, default=0, metavar="R",
                         help="number of envelope replicates (0 skips)")
     p_diag.add_argument("--level", type=float, default=0.95)
@@ -83,13 +74,14 @@ def _build_parser():
     p_diag.add_argument("--svg", help="optional envelope SVG path")
     p_diag.add_argument("--out", required=True, help="residual CSV path")
 
-    p_cmp = sub.add_parser("compare", help="rank fit reports by AIC")
+
+def _compare_arguments(p_cmp):
     p_cmp.add_argument("--fits", nargs="+", required=True,
                        help="two or more fit report JSON paths")
     p_cmp.add_argument("--out", help="ranking JSON path (default stdout)")
 
-    p_curve = sub.add_parser("glg-curve",
-                             help="density grids for one or more shapes")
+
+def _glg_curve_arguments(p_curve):
     p_curve.add_argument("--mu", type=float, default=0.0)
     p_curve.add_argument("--sigma", type=float, default=1.0)
     p_curve.add_argument("--lambda", dest="lam", required=True,
@@ -97,6 +89,25 @@ def _build_parser():
                          "with a minus sign is written --lambda=-1.2,0,0.5")
     p_curve.add_argument("--points", type=int, default=512)
     p_curve.add_argument("--out", required=True, help="output CSV path")
+
+
+@functools.cache
+def _build_parser(command=None):
+    """The argument parser for ``command``, built on the first call and
+    shared by every later :func:`main` call in the process for that
+    command (parsing does not change it).  Every subcommand is registered
+    with its help line, but only ``command``'s arguments are added; all
+    are when ``command`` is None."""
+    parser = argparse.ArgumentParser(
+        prog="glgmix",
+        description="Random-intercept Poisson models with generalized "
+        "log-gamma effects and the multivariate negative binomial.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_line, add_arguments) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            add_arguments(subparser)
     return parser
 
 
@@ -132,10 +143,10 @@ def _spec_from_args(args):
 def _cmd_fit(args):
     spec = _spec_from_args(args)
     dataset = read_csv(args.data, spec)
-    if args.model == "nb":
-        result = mnb_model.fit(ungroup(dataset))
-    elif args.model == "mnb":
-        result = mnb_model.fit(dataset)
+    if args.model in ("mnb", "nb"):
+        from . import mnb_model
+
+        result = mnb_model.fit(ungroup(dataset) if args.model == "nb" else dataset)
     else:
         from . import pglg_model
 
@@ -206,6 +217,8 @@ def _cmd_simulate(args):
     params_obj = _load_json_arg(args.params)
     design = _design_from_mapping(_load_json_arg(args.design), args.seed)
     if args.model == "mnb":
+        from .mnb_model import MnbParams
+
         params = MnbParams(
             beta=np.asarray(params_obj["beta"], dtype=float),
             phi=float(params_obj["phi"]),
@@ -239,6 +252,8 @@ def _params_from_report(report):
             beta.append(row["estimate"])
     if phi is None:
         raise DataFormatError("fit report lacks a phi parameter")
+    from .mnb_model import MnbParams
+
     return MnbParams(beta=np.asarray(beta, dtype=float), phi=float(phi))
 
 
@@ -262,6 +277,8 @@ def _write_table(path, header, columns):
 
 
 def _cmd_diagnose(args):
+    from . import mnb_model
+
     with open(args.fit, encoding="utf-8") as fh:
         report = json.load(fh)
     params = _params_from_report(report)
@@ -403,20 +420,23 @@ def _cmd_glg_curve(args):
     return _EXIT_OK
 
 
+# each subcommand's handler, help line and the function adding its arguments
 _COMMANDS = {
-    "fit": _cmd_fit,
-    "simulate": _cmd_simulate,
-    "diagnose": _cmd_diagnose,
-    "compare": _cmd_compare,
-    "glg-curve": _cmd_glg_curve,
+    "fit": (_cmd_fit, "fit a model and write a JSON report", _fit_arguments),
+    "simulate": (_cmd_simulate, "write a simulated dataset CSV", _simulate_arguments),
+    "diagnose": (_cmd_diagnose, "residual report and simulated envelope", _diagnose_arguments),
+    "compare": (_cmd_compare, "rank fit reports by AIC", _compare_arguments),
+    "glg-curve": (_cmd_glg_curve, "density grids for one or more shapes", _glg_curve_arguments),
 }
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a missing or unknown command, or a leading -h, gets the whole parser
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (GlgmixError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT

@@ -370,6 +370,16 @@ def _convert(fields, convert):
         return values, len(values)
 
 
+def _read_rows(reader, n):
+    """The next ``n`` rows of the CSV ``reader`` (fewer at the end of the
+    file); a line the reader rejects, such as one with a field longer than
+    ``csv.field_size_limit()``, raises a DataFormatError naming it."""
+    try:
+        return list(itertools.islice(reader, n))
+    except csv.Error as exc:
+        raise DataFormatError(f"unreadable CSV: {exc}", row=reader.line_num) from None
+
+
 def read_csv(path, spec):
     """Read a long-format CSV into a :class:`Dataset` under ``spec``.
 
@@ -385,10 +395,12 @@ def read_csv(path, spec):
         The first bad field in file order is reported, the response before
         the other columns of its row; fields in rows above a ragged row are
         checked first.
+    DataFormatError
+        Also for a line the CSV reader rejects, named by its line number.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        header = (_read_rows(reader, 1) or [None])[0]
         if header is None or header == []:
             raise EmptyFileError("file is empty: no header row")
         header = [h.strip() for h in header]
@@ -411,7 +423,7 @@ def read_csv(path, spec):
             pick = operator.itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
         kept, lines, ragged = [], [], None
         line = 1
-        for rows in iter(lambda: list(itertools.islice(reader, _BLOCK_ROWS)), []):
+        for rows in iter(lambda: _read_rows(reader, _BLOCK_ROWS), []):
             block_lines = range(line + 1, line + 1 + len(rows))
             line += len(rows)
             if not all(rows):  # blank lines are skipped but keep their line numbers

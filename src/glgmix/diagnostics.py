@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._newton import _check_design_rank
 from .errors import DomainError, EnvelopeError, EnvelopeReplicateWarning, LeverageError
-from .mnb_model import _SUM_TERMS_MAX, RESIDUAL_KINDS, _check_design_rank, _climb
+from .mnb_model import _SUM_TERMS_MAX, RESIDUAL_KINDS, _climb
 from .mnb_model import _replicate_residuals, deviance_components
 
 _MIN_REPLICATES = 19  # fewer cannot bracket a 95% band
@@ -36,6 +37,7 @@ _MAX_DROP_FRACTION = 0.2
 _BLOCK_ELEMENTS = 1_000_000  # working elements of the replicates refitted at once
 
 # why a replicate is dropped
+ALL_ZERO = "every count 0: no maximum"
 NOT_CONVERGED = "not converged"
 NOT_STARTED = "objective not finite at the start"
 NON_FINITE = "non-finite residuals"
@@ -71,8 +73,10 @@ class EnvelopeResult:
 
     ``n_replicates`` counts the replicates retained; ``n_dropped`` the
     discarded ones, and ``dropped`` names each as (replicate index,
-    reason): not converged, objective not finite at the start, non-finite
-    residuals, or singular pooled information.
+    reason): every count 0 (the log-likelihood has no maximum, as
+    :func:`~glgmix.mnb_model.fit` reports), not converged, objective not
+    finite at the start, non-finite residuals, or singular pooled
+    information.
     """
 
     theoretical: np.ndarray
@@ -123,8 +127,9 @@ def _block_residuals(dataset, params, which, y):
         resid, singular = _replicate_residuals(
             dataset, climb.theta[:, :-1], np.exp(climb.theta[:, -1]), y, which)
     reasons = np.select(
-        [~climb.started, ~climb.converged, singular, ~np.isfinite(resid).all(axis=1)],
-        [NOT_STARTED, NOT_CONVERGED, SINGULAR, NON_FINITE],
+        [~y.any(axis=1), ~climb.started, ~climb.converged, singular,
+         ~np.isfinite(resid).all(axis=1)],
+        [ALL_ZERO, NOT_STARTED, NOT_CONVERGED, SINGULAR, NON_FINITE],
         None,
     )
     return np.sort(resid, axis=1), reasons.tolist()

@@ -37,10 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._newton import maximise
+from ._newton import _check_design_rank, _poisson_irls, maximise
 from ._special import digamma, trigamma
 from .errors import (
-    CollinearDesignError,
     DomainError,
     LeverageError,
     NegativeDevianceWarning,
@@ -62,11 +61,6 @@ _KPHI_BLOCK = 64  # terms per vectorised step; divides _KPHI_MAX_TERMS
 # the natural units of phi, or after _MAX_ITER Newton steps.
 _SCORE_TOL = 1e-6
 _MAX_ITER = 100
-
-# The independence Poisson start converges once its relative step is below
-# _IRLS_TOL, and falls back to zeros after _IRLS_MAX_ITER steps.
-_IRLS_TOL = 1e-10
-_IRLS_MAX_ITER = 100
 
 # The residual kinds a simulated envelope can band; ``residuals`` reports both.
 RESIDUAL_KINDS = ("deviance", "pearson")
@@ -380,58 +374,6 @@ def intraclass_corr(mu_j, mu_k, phi):
     if min(mu_j, mu_k, phi) <= 0:
         raise DomainError("intraclass_corr needs positive means and dispersion")
     return float(math.sqrt(mu_j * mu_k / ((phi + mu_j) * (phi + mu_k))))
-
-
-def _check_design_rank(dataset):
-    """Raise CollinearDesignError naming the dependent columns, if any.
-
-    The rank counts singular values above max(n, p) * eps times the
-    largest.  Named is every column whose row of the null-space basis (the
-    right singular vectors past the rank) has a norm above sqrt(eps); that
-    norm is basis-free, the root of a diagonal of the null-space projector.
-    """
-    X = dataset.X
-    # all p right singular vectors; U stays n x min(n, p)
-    _, s, vt = np.linalg.svd(X, full_matrices=X.shape[0] < X.shape[1])
-    eps = np.finfo(float).eps
-    rank = int(np.sum(s > max(X.shape) * eps * s[0]))
-    if rank < X.shape[1]:
-        involved = np.linalg.norm(vt[rank:], axis=0) > math.sqrt(eps)
-        bad = sorted(name for name, hit in zip(dataset.column_names, involved) if hit)
-        raise CollinearDesignError(
-            f"design is rank deficient (rank {rank} < {X.shape[1]}); "
-            f"columns involved: {bad}",
-            columns=bad,
-        )
-
-
-def _poisson_irls(dataset):
-    """Independence Poisson fit (the phi -> infinity limit); returns beta.
-
-    Standard iteratively reweighted least squares on the stacked data.
-    Used only to produce starting values, so failures fall back to zeros.
-    """
-    X, offset = dataset.X, dataset.offset
-    y = dataset.y.astype(float)
-    zeros = np.zeros(X.shape[1])
-    beta = zeros
-    eta = X @ beta + offset
-    for _ in range(_IRLS_MAX_ITER):
-        mu = np.exp(np.clip(eta, -30.0, 30.0))
-        z = (eta - offset) + (y - mu) / mu
-        xtw = X.T * mu
-        try:
-            beta_new = np.linalg.solve(xtw @ X, xtw @ z)
-        except np.linalg.LinAlgError:
-            return zeros
-        if not np.all(np.isfinite(beta_new)):
-            return zeros
-        change = np.max(np.abs(beta_new - beta)) / max(1.0, np.max(np.abs(beta_new)))
-        beta = beta_new
-        eta = X @ beta + offset
-        if change < _IRLS_TOL:
-            return beta
-    return zeros
 
 
 def _moment_start_phi(dataset, beta):

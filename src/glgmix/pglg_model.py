@@ -27,11 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import glg_dist
-from ._newton import maximise
+from ._newton import _check_design_rank, _poisson_irls, maximise
 from .data_io import Dataset
 from .errors import DomainError, ModeSearchError
 from .glg_dist import GlgParams, PglgParams  # PglgParams is re-exported
-from .mnb_model import _check_design_rank, _poisson_irls
 from .quadrature import DEFAULT_ORDER, MAX_ORDER, adaptive_nodes, gauss_hermite
 from .results import FitResult
 

@@ -16,8 +16,13 @@ independent, so a caller passes each distinct integrand once:
 :mod:`~glgmix.pglg_model` integrates once per distinct cluster total
 (y+, mu+) and maps the results back to the clusters that share it.
 
-Rules come from NumPy's ``hermgauss`` and are built once per order and
-process; the log-sum-exp of the nodes is the row-maximum shift below.
+A rule's nodes are the eigenvalues of the symmetric tridiagonal Jacobi
+matrix of the Hermite polynomials (Golub & Welsch 1969), polished by one
+Newton step, and its weights come from the normalised Hermite polynomial
+of one degree less: :func:`_hermgauss` is NumPy's ``hermgauss`` step for
+step, and gives the same rule bit for bit without loading
+``numpy.polynomial``.  Rules are built once per order and process; the
+log-sum-exp of the nodes is the row-maximum shift below.
 """
 
 import functools
@@ -59,10 +64,39 @@ def gauss_hermite(order):
     order; rules are read-only, so callers share them."""
     if not 1 <= order <= MAX_ORDER:
         raise DomainError(f"order must be in [1, {MAX_ORDER}], got {order}")
-    from numpy.polynomial.hermite import hermgauss  # loads all of numpy.polynomial
-
-    nodes, weights = hermgauss(order)
+    nodes, weights = _hermgauss(order)
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
+
+
+def _normed_hermite(x, n):
+    """The normalised Hermite polynomial of degree ``n`` at ``x``, by the
+    three-term recurrence (the physicists' polynomials overflow past
+    degree 206)."""
+    if n == 0:
+        return np.full(x.shape, 1 / np.sqrt(np.sqrt(np.pi)))
+    c0 = 0.0
+    c1 = 1.0 / np.sqrt(np.sqrt(np.pi))
+    nd = float(n)
+    for _ in range(n - 1):
+        c0, c1 = -c1 * np.sqrt((nd - 1.0) / nd), c0 + c1 * x * np.sqrt(2.0 / nd)
+        nd -= 1.0
+    return c0 + c1 * x * np.sqrt(2)
+
+
+def _hermgauss(n):
+    """Nodes and weights of the order-``n`` Gauss-Hermite rule, computed
+    as NumPy's ``hermgauss`` computes them."""
+    # the symmetric companion matrix of H_n; eigvalsh reads its lower triangle
+    x = np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1, n)), -1))
+    x -= _normed_hermite(x, n) / (_normed_hermite(x, n - 1) * np.sqrt(2 * n))
+    # w_k is proportional to 1 / p_{n-1}(x_k)^2, scaled against overflow
+    fm = _normed_hermite(x, n - 1)
+    fm /= np.abs(fm).max()
+    w = 1 / (fm * fm)
+    w = (w + w[::-1]) / 2  # the rule is symmetric about 0
+    x = (x - x[::-1]) / 2
+    w *= np.sqrt(np.pi) / w.sum()
+    return x, w
 
 
 def _logsumexp(terms):

@@ -189,6 +189,16 @@ class TestFit:
         assert "every count is 0" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
+    def test_field_past_the_csv_limit_is_input_error(self, tmp_path, capsys):
+        data = tmp_path / "long.csv"
+        data.write_text("cluster,y\nc1,1\nc2," + "1" * (csv.field_size_limit() + 1) + "\n")
+        code = run(["fit", "--model", "mnb", "--data", str(data), "--response", "y",
+                    "--cluster", "cluster", "--out", str(tmp_path / "fit.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "(row 3)" in err
+        assert "Traceback" not in err
+
     def test_nb_ungroups(self, mnb_csv, tmp_path):
         out = str(tmp_path / "nb.json")
         code = run(["fit", "--model", "nb", "--data", mnb_csv,
@@ -274,7 +284,7 @@ class TestFit:
             n_iterations=100, converged=False, trace=(),
             z_defined=(True, False),
         )
-        monkeypatch.setattr(cli.mnb_model, "fit", lambda *a, **k: stub)
+        monkeypatch.setattr(mnb_model, "fit", lambda *a, **k: stub)
         out = str(tmp_path / "r.json")
         code = run(["fit", "--model", "mnb", "--data", mnb_csv,
                     "--spec", mnb_csv + ".spec.json", "--out", out])
@@ -646,7 +656,8 @@ print("clean")
     MNB_FIT_SKIPS = ("glgmix.pglg_model", "glgmix.quadrature", "glgmix.glg_dist",
                      "glgmix.simulate", "glgmix.diagnostics", "statistics",
                      "numpy.polynomial", "numpy.ma", "numpy.random")
-    PGLG_FIT_SKIPS = ("glgmix.diagnostics", "glgmix.simulate", "statistics")
+    PGLG_FIT_SKIPS = ("glgmix.diagnostics", "glgmix.simulate", "statistics",
+                      "glgmix.mnb_model", "numpy.polynomial")
     DIAGNOSE_SKIPS = ("glgmix.diagnostics", "glgmix.simulate", "numpy.ma", "numpy.random")
     ENVELOPE_SKIPS = ("glgmix.pglg_model", "glgmix.quadrature", "glgmix.glg_dist",
                       "numpy.polynomial", "numpy.ma")
@@ -664,14 +675,18 @@ print("clean")
         ("diagnose --envelope 19 --residual pearson", ENVELOPE_SKIPS),
         ("simulate pglg", ("glgmix.pglg_model", "glgmix.quadrature", "glgmix.diagnostics",
                            "numpy.polynomial", "numpy.ma", "scipy")),
+        ("import glgmix.cli", ("glgmix._newton", "glgmix.diagnostics", "glgmix.glg_dist",
+                               "glgmix.mnb_model", "glgmix.pglg_model", "glgmix.quadrature",
+                               "glgmix.simulate")),
     ])
     def test_each_command_loads_only_its_modules(self, mnb_csv, tmp_path, command, skips):
         # each command starts in a fresh interpreter, as the CLI does
         report = str(tmp_path / "mnb.json")
         assert run(["fit", "--model", "mnb", "--data", mnb_csv, "--spec", mnb_csv + ".spec.json",
                     "--out", report]) == 0
-        if command == "import":
-            code = "import json, sys, glgmix; print(json.dumps([0, sorted(sys.modules)]))"
+        if command.startswith("import"):
+            module = command.partition(" ")[2] or "glgmix"
+            code = f"import json, sys, {module}; print(json.dumps([0, sorted(sys.modules)]))"
             argv = []
         else:
             code = ("import json, sys\nfrom glgmix.cli import main\n"
@@ -749,9 +764,44 @@ print("ok")
         capsys.readouterr()
 
 
+class TestParser:
+    """Each command's parser adds only that command's arguments, and
+    parses and prints as the parser of every command does."""
+
+    NAMES = ("fit", "simulate", "diagnose", "compare", "glg-curve")
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["-h"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        for name in self.NAMES:
+            assert f"\n    {name} " in out, name
+        assert "fit a model and write a JSON report" in out
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_subcommand_help_equals_the_full_parsers(self, capsys, name):
+        texts = []
+        for parser in (cli._build_parser(name), cli._build_parser(None)):
+            with pytest.raises(SystemExit):
+                parser.parse_args([name, "-h"])
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert "--out" in texts[0]
+
+    def test_unknown_residual_kind_names_the_choices(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["diagnose", "--fit", "f.json", "--data", "d.csv", "--out", "r.csv",
+                 "--residual", "bogus"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err and "'deviance', 'pearson'" in err
+
+
 class TestReentrant:
-    """Many ``main`` calls in one process share one parser; each call's
-    outputs equal those of the same call alone in a fresh interpreter."""
+    """Many ``main`` calls in one process share one parser per command;
+    each call's outputs equal those of the same call alone in a fresh
+    interpreter."""
 
     CALLS = [
         ["fit", "--model", "pglg", "--data", "data.csv", "--spec", "data.csv.spec.json",

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import math
 import os
@@ -106,6 +107,12 @@ class TestModelSpec:
 
 
 class TestReadCsv:
+    def test_field_past_the_csv_limit_names_its_row(self, tmp_path):
+        text = "g,y\na,1\nb," + "1" * (csv.field_size_limit() + 1) + "\nc,2\n"
+        with pytest.raises(DataFormatError, match="field larger than field limit") as info:
+            read_csv(write(tmp_path, text), ModelSpec(response="y", cluster="g"))
+        assert info.value.row == 3
+
     def test_grouping_and_design(self, tmp_path):
         spec = ModelSpec(
             response="count",

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from glgmix import _newton, diagnostics, mnb_model
+from glgmix import _newton, diagnostics, mnb_model, simulate
 from glgmix.diagnostics import compare_aic, qq_points, simulated_envelope
 from glgmix.errors import (
     CollinearDesignError,
@@ -53,6 +53,8 @@ def reference_replicate(dataset, params, which, seed_seq):
     """Sorted residuals of one replicate redrawn and refitted on its own,
     or the reason it is dropped."""
     sim = resample_mnb(dataset, params, np.random.default_rng(seed_seq))
+    if not sim.y.any():
+        return diagnostics.ALL_ZERO
     try:
         pars, _, converged, _ = mnb_model._maximise(sim, init=params)
     except DomainError:
@@ -235,6 +237,29 @@ class TestSimulatedEnvelope:
         monkeypatch.setattr(_newton, "TraceRecord", refused)
         env = simulated_envelope(ds, pars, residual="pearson", n_replicates=19, seed=1)
         assert env.n_replicates + env.n_dropped == 19
+
+    def test_all_zero_replicate_is_dropped(self, monkeypatch):
+        ds, pars = fitted_mnb(seed=3)
+        seeds = np.random.SeedSequence(1).spawn(19)
+        [(_, y)] = diagnostics._count_blocks(ds, pars, "pearson", seeds)
+        _, reasons = diagnostics._block_residuals(ds, pars, "pearson", y)
+        assert diagnostics.ALL_ZERO not in reasons
+        zeroed = y.copy()
+        zeroed[4] = 0
+        _, zeroed_reasons = diagnostics._block_residuals(ds, pars, "pearson", zeroed)
+        assert zeroed_reasons == reasons[:4] + [diagnostics.ALL_ZERO] + reasons[5:]
+
+        real = simulate._mnb_counts
+
+        def with_zero_row(dataset, params, rngs):
+            counts = real(dataset, params, rngs)
+            counts[4] = 0
+            return counts
+
+        monkeypatch.setattr(simulate, "_mnb_counts", with_zero_row)
+        with pytest.warns(EnvelopeReplicateWarning, match="every count 0: no maximum: 1"):
+            env = simulated_envelope(ds, pars, residual="pearson", n_replicates=19, seed=1)
+        assert (4, diagnostics.ALL_ZERO) in env.dropped
 
     def test_replicate_drop_warning_and_failure_cap(self, monkeypatch):
         ds, pars = fitted_mnb(seed=8)

@@ -122,6 +122,17 @@ class TestRuleConstruction:
             log_w = np.log(weights)
             assert np.all(np.abs(np.log(rule.weights) - log_w) <= 1e-13 * np.maximum(1.0, np.abs(log_w)))
 
+    def test_equals_numpy_hermgauss_bit_for_bit(self):
+        # NumPy's rule is the reference; the module itself never loads
+        # numpy.polynomial
+        from numpy.polynomial.hermite import hermgauss
+
+        for order in range(1, MAX_ORDER + 1):
+            rule = gauss_hermite(order)
+            nodes, weights = hermgauss(order)
+            assert np.array_equal(rule.nodes.view(np.int64), nodes.view(np.int64)), order
+            assert np.array_equal(rule.weights.view(np.int64), weights.view(np.int64)), order
+
     @pytest.mark.parametrize("order, i", [(58, 0), (147, 3), (150, 0), (200, 0), (200, 5)])
     def test_outer_log_weights_against_mpmath(self, order, i):
         # w = 2^(n-1) n! sqrt(pi) / (n H_(n-1)(x))^2 at the root x of H_n
