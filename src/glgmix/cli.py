@@ -183,6 +183,32 @@ def _load_json_arg(text):
         return json.load(fh)
 
 
+def _json_object(doc, obj, keys):
+    """``obj``, the JSON document named ``doc`` in errors, checked to be
+    an object that holds each of ``keys``."""
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{doc} must be a JSON object")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise DataFormatError(f"{doc} lacks key {missing[0]!r}")
+    return obj
+
+
+def _json_numbers(doc, obj, keys, vectors=()):
+    """The values of ``keys`` in the JSON object ``obj`` (``doc`` in
+    errors): each a number, or for a key in ``vectors`` a number or a
+    list of numbers."""
+    values = []
+    for key in keys:
+        value = _json_object(doc, obj, (key,))[key]
+        items = value if key in vectors and isinstance(value, list) else [value]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
+            kind = "a number or a list of numbers" if key in vectors else "a number"
+            raise DataFormatError(f"{doc} key {key!r} must be {kind}, got {value!r}")
+        values.append(value)
+    return values
+
+
 def _whole(value):
     """A whole JSON number written as 3.0 becomes 3; SimDesign rejects 2.7."""
     return int(value) if isinstance(value, float) and value.is_integer() else value
@@ -193,21 +219,19 @@ def _design_from_mapping(obj, seed_override):
 
     known = {"n_clusters", "cluster_sizes", "x", "offsets", "seed",
              "column_names"}
+    _json_object("--design", obj, ("n_clusters",))
     extra = set(obj) - known
     if extra:
         raise DataFormatError(f"unknown design keys: {sorted(extra)}")
-    if "n_clusters" not in obj:
-        raise DataFormatError("design requires n_clusters")
     sizes = obj.get("cluster_sizes", 1)
     x = obj.get("x")
-    names = obj.get("column_names")
     return SimDesign(
         n_clusters=_whole(obj["n_clusters"]),
         cluster_sizes=[_whole(m) for m in sizes] if isinstance(sizes, list) else _whole(sizes),
         x_builder=np.asarray(x, dtype=float) if x is not None else None,
         offsets=obj.get("offsets"),
-        seed=seed_override if seed_override is not None else obj.get("seed", 0),
-        column_names=tuple(names) if names is not None else None,
+        seed=seed_override if seed_override is not None else _whole(obj.get("seed", 0)),
+        column_names=obj.get("column_names"),
     )
 
 
@@ -219,39 +243,40 @@ def _cmd_simulate(args):
     if args.model == "mnb":
         from .mnb_model import MnbParams
 
-        params = MnbParams(
-            beta=np.asarray(params_obj["beta"], dtype=float),
-            phi=float(params_obj["phi"]),
-        )
+        beta, phi = _json_numbers("--params", params_obj, ("beta", "phi"), vectors=("beta",))
+        params = MnbParams(beta=np.asarray(beta, dtype=float), phi=float(phi))
         dataset = simulate.simulate_mnb(design, params)
     else:
         from .glg_dist import PglgParams  # not pglg_model: simulating fits nothing
 
-        params = PglgParams(
-            beta=np.asarray(params_obj["beta"], dtype=float),
-            sigma=float(params_obj["sigma"]),
-            lam=float(params_obj["lambda"]),
-        )
+        beta, sigma, lam = _json_numbers("--params", params_obj, ("beta", "sigma", "lambda"),
+                                         vectors=("beta",))
+        params = PglgParams(beta=np.asarray(beta, dtype=float), sigma=float(sigma),
+                            lam=float(lam))
         dataset = simulate.simulate_pglg(design, params)
     spec = write_csv(dataset, args.out)
     _write_json(args.out + ".spec.json", spec.to_mapping())
     return _EXIT_OK
 
 
-def _params_from_report(report):
-    if report.get("model") not in ("mnb", "nb"):
+def _params_from_report(report, doc="fit report"):
+    if _json_object(doc, report, ("model", "params", "spec"))["model"] not in ("mnb", "nb"):
         raise DomainError(
             "diagnose requires an mnb or nb fit report; residual and "
             "envelope methods are defined for the negative binomial family"
         )
+    if not isinstance(report["params"], list):
+        raise DataFormatError(f"{doc} key 'params' must be a list")
     beta, phi = [], None
     for row in report["params"]:
-        if row["name"] == "phi":
-            phi = row["estimate"]
+        name = _json_object(f"{doc} param", row, ("name",))["name"]
+        (estimate,) = _json_numbers(f"{doc} param {name!r}", row, ("estimate",))
+        if name == "phi":
+            phi = estimate
         else:
-            beta.append(row["estimate"])
+            beta.append(estimate)
     if phi is None:
-        raise DataFormatError("fit report lacks a phi parameter")
+        raise DataFormatError(f"{doc} lacks a phi parameter")
     from .mnb_model import MnbParams
 
     return MnbParams(beta=np.asarray(beta, dtype=float), phi=float(phi))
@@ -281,7 +306,7 @@ def _cmd_diagnose(args):
 
     with open(args.fit, encoding="utf-8") as fh:
         report = json.load(fh)
-    params = _params_from_report(report)
+    params = _params_from_report(report, f"fit report {args.fit}")
     spec = ModelSpec.from_mapping(report["spec"])
     dataset = read_csv(args.data, spec)
     if report["model"] == "nb":
@@ -380,10 +405,9 @@ def _envelope_svg(env, width=640, height=480, margin=50):
 
 
 class _ReportRow:
-    def __init__(self, report):
-        self.model = report["model"]
-        self.loglik = report["loglik"]
-        self.aic = report["aic"]
+    def __init__(self, report, doc):
+        self.model = _json_object(doc, report, ("model",))["model"]
+        self.loglik, self.aic = _json_numbers(doc, report, ("loglik", "aic"))
 
 
 def _cmd_compare(args):
@@ -392,7 +416,7 @@ def _cmd_compare(args):
     rows = []
     for path in args.fits:
         with open(path, encoding="utf-8") as fh:
-            rows.append(_ReportRow(json.load(fh)))
+            rows.append(_ReportRow(json.load(fh), f"fit report {path}"))
     table = diagnostics.compare_aic(rows)
     if args.out:
         _write_json(args.out, table)

@@ -354,22 +354,6 @@ def _parse_number(text, row, column):
     return value
 
 
-def _convert(fields, convert):
-    """``convert`` mapped over ``fields``: the values before the first field
-    it rejects with ValueError, and that field's index (``len(fields)``
-    when it rejects none)."""
-    try:
-        return list(map(convert, fields)), len(fields)
-    except ValueError:
-        values = []
-        for text in fields:
-            try:
-                values.append(convert(text))
-            except ValueError:
-                break
-        return values, len(values)
-
-
 def _read_rows(reader, n):
     """The next ``n`` rows of the CSV ``reader`` (fewer at the end of the
     file); a line the reader rejects, such as one with a field longer than
@@ -391,10 +375,12 @@ def read_csv(path, spec):
     ------
     EmptyFileError, MissingColumnError, RaggedRowError,
     ResponseValueError, FieldParseError
-        Each names the offending row (1-based, header = row 1) and column.
-        The first bad field in file order is reported, the response before
-        the other columns of its row; fields in rows above a ragged row are
-        checked first.
+        Each names the offending row and column.  ``row`` is the file line
+        where the offending record starts (1-based, header = line 1), so
+        line breaks inside quoted fields above it are counted.  The first
+        bad field in file order is reported, the response before the other
+        columns of its row; fields in rows above a ragged row are checked
+        first.
     DataFormatError
         Also for a line the CSV reader rejects, named by its line number.
     """
@@ -421,11 +407,15 @@ def read_csv(path, spec):
         if len(required) < n_fields:
             names, cols = required, [index[c] for c in required]
             pick = operator.itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
-        kept, lines, ragged = [], [], None
-        line = 1
+        kept, lines, ragged = [], [], None  # lines: the file line each record starts on
+        line = reader.line_num
         for rows in iter(lambda: _read_rows(reader, _BLOCK_ROWS), []):
             block_lines = range(line + 1, line + 1 + len(rows))
-            line += len(rows)
+            if reader.line_num - line != len(rows):  # a quoted field holds a line break
+                spans = [1 + text.count("\n") + text.count("\r") - text.count("\r\n")
+                         for text in map(",".join, rows[:-1])]
+                block_lines = list(itertools.accumulate(spans, initial=line + 1))
+            line = reader.line_num
             if not all(rows):  # blank lines are skipped but keep their line numbers
                 block_lines = [n for n, row in zip(block_lines, rows) if row]
                 rows = list(filter(None, rows))
@@ -441,24 +431,18 @@ def read_csv(path, spec):
     n_good = len(kept)
     columns = dict(zip(names, zip(*kept))) if kept else dict.fromkeys(names, ())
     numeric_cols = [c for c in required if c not in (spec.response, spec.cluster)]
-    ys, first_bad = _convert(columns[spec.response], int)
-    if first_bad and min(ys) < 0:  # a negative count above the first unparsable one
-        first_bad = next(k for k, value in enumerate(ys) if value < 0)
-    bad = [first_bad]  # each column's first bad field, in the order a row is checked
-    values = {}
-    for c in numeric_cols:
-        numbers, first_bad = _convert(columns[c], float)
-        values[c] = np.array(numbers, dtype=float)
-        finite = np.isfinite(values[c])
-        bad.append(first_bad if finite.all() else int(np.argmin(finite)))
-    k = min(bad)
-    if k < n_good:  # re-parse the first bad field for its error
-        j = bad.index(k)
-        if j == 0:
-            _parse_count(columns[spec.response][k], lines[k], spec.response)
-        else:
-            c = numeric_cols[j - 1]
-            _parse_number(columns[c][k], lines[k], c)
+    try:
+        ys = list(map(int, columns[spec.response]))
+        values = {c: np.array(list(map(float, columns[c])), dtype=float) for c in numeric_cols}
+        bad = min(ys, default=0) < 0 or not all(np.isfinite(v).all() for v in values.values())
+    except ValueError:
+        bad = True
+    if bad:  # the first bad field in file order, the response first in its row
+        for row_line, row in zip(lines, kept):
+            fields = dict(zip(names, row))
+            _parse_count(fields[spec.response], row_line, spec.response)
+            for c in numeric_cols:
+                _parse_number(fields[c], row_line, c)
     if ragged:
         raise RaggedRowError(f"expected {n_fields} fields, got {ragged[1]}", row=ragged[0])
     if not kept:
@@ -514,12 +498,20 @@ def write_csv(dataset, path):
     the returned :class:`ModelSpec` re-reads the file into a structurally
     identical dataset: same ids, counts, design, and offsets.  Floats are
     written by ``repr``, which keeps their full precision for exact
-    round-trips.
+    round-trips.  A design column named ``y``, ``cluster`` or ``offset``,
+    or an id or column name with leading or trailing blanks (which
+    :func:`read_csv` strips), raises DataFormatError before the file is
+    opened.
     """
     reserved = {_WRITE_RESPONSE, _WRITE_CLUSTER, _WRITE_OFFSET}
     clash = sorted(reserved & set(dataset.column_names))
     if clash:
         raise DataFormatError(f"design column names collide with reserved names: {clash}")
+    padded = [name for name in map(str, (*dataset.ids, *dataset.column_names))
+              if name != name.strip()]
+    if padded:
+        raise DataFormatError(f"ids and column names must not start or end with blanks: "
+                              f"{padded[0]!r}")
 
     columns = [dataset.obs_ids().tolist(), dataset.y.tolist(),
                *map(_column_texts, dataset.X.T), _column_texts(dataset.offset)]

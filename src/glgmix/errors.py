@@ -40,7 +40,8 @@ class ModeSearchError(GlgmixError, RuntimeError):
 class DataFormatError(GlgmixError, ValueError):
     """Base class for CSV/model-spec ingestion problems.
 
-    ``row`` is the 1-based line number in the file (header = line 1) and
+    ``row`` is the 1-based file line where the offending record starts
+    (header = line 1; a quoted field may span several lines) and
     ``column`` the offending column name; either may be None when it does
     not apply.
     """

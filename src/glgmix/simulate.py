@@ -40,7 +40,9 @@ class SimDesign:
     gives an intercept-only design, a fixed (m, p) array is reused for
     every cluster (requires balanced sizes), and a callable
     ``f(rng, m) -> (m, p)`` is invoked per cluster.  ``offsets`` follows
-    the same None / scalar / per-observation-array convention.
+    the same None / scalar / per-observation-array convention.  ``seed``
+    is a nonnegative integer, and ``column_names`` None (default names)
+    or a sequence of strings.
     """
 
     n_clusters: int
@@ -55,7 +57,7 @@ class SimDesign:
         if n_clusters < 1:
             raise DomainError(f"n_clusters must be >= 1, got {n_clusters}")
         object.__setattr__(self, "n_clusters", n_clusters)
-        if np.isscalar(self.cluster_sizes):
+        if np.isscalar(self.cluster_sizes) or self.cluster_sizes is None:
             sizes = (_integer("cluster_sizes", self.cluster_sizes),) * n_clusters
         else:
             sizes = tuple(_integer("each cluster size", m) for m in self.cluster_sizes)
@@ -85,6 +87,15 @@ class SimDesign:
                     "matching size"
                 )
             object.__setattr__(self, "offsets", o)
+        seed = _integer("seed", self.seed)
+        if seed < 0:
+            raise DomainError(f"seed must be >= 0, got {seed}")
+        object.__setattr__(self, "seed", seed)
+        names = self.column_names
+        if names is not None:
+            if not (isinstance(names, (list, tuple)) and all(isinstance(n, str) for n in names)):
+                raise DomainError(f"column_names must be a sequence of strings, got {names!r}")
+            object.__setattr__(self, "column_names", tuple(names))
 
     def _materialize(self, rng):
         """The design as a dataset of zero counts, with ids ``c00001``...

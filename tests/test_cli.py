@@ -764,6 +764,87 @@ print("ok")
         capsys.readouterr()
 
 
+class TestMalformedJson:
+    """A JSON document of the wrong shape is an input error that names the
+    document and the key: exit 1 and one ``error:`` line, no traceback."""
+
+    MNB = {"beta": [0.1], "phi": 1.0}
+    REPORT = {"model": "mnb", "params": [{"name": "intercept", "estimate": 0.1},
+                                         {"name": "phi", "estimate": 1.0}],
+              "spec": {"response": "y", "cluster": "cluster"}}
+
+    @staticmethod
+    def fails(argv, capsys, *messages):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert all(message in err for message in messages), err
+
+    @pytest.mark.parametrize("model, params, message", [
+        ("mnb", {"beta": [1], "phi": None}, "--params key 'phi' must be a number, got None"),
+        ("mnb", [1, 2], "--params must be a JSON object"),
+        ("mnb", {"beta": [1]}, "--params lacks key 'phi'"),
+        ("mnb", {"beta": ["a"], "phi": 1}, "key 'beta' must be a number or a list of numbers"),
+        ("mnb", {"beta": [1], "phi": True}, "key 'phi' must be a number, got True"),
+        ("pglg", {"beta": [1], "sigma": 0.5}, "--params lacks key 'lambda'"),
+        ("pglg", {"beta": [1], "sigma": "0.5", "lambda": 0}, "key 'sigma' must be a number"),
+    ])
+    def test_params(self, tmp_path, capsys, model, params, message):
+        self.fails(["simulate", "--model", model, "--params", json.dumps(params),
+                    "--design", '{"n_clusters": 2}', "--out", str(tmp_path / "x.csv")],
+                   capsys, message)
+
+    @pytest.mark.parametrize("design, message", [
+        ([1], "--design must be a JSON object"),
+        ({"cluster_sizes": 2}, "--design lacks key 'n_clusters'"),
+        ({"n_clusters": 3, "seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"n_clusters": 3, "seed": "7"}, "seed must be an integer, got '7'"),
+        ({"n_clusters": 3, "column_names": 5}, "column_names must be a sequence of strings"),
+        ({"n_clusters": 3, "cluster_sizes": None}, "cluster_sizes must be an integer, got None"),
+    ])
+    def test_design(self, tmp_path, capsys, design, message):
+        self.fails(["simulate", "--model", "mnb", "--params", json.dumps(self.MNB),
+                    "--design", json.dumps(design), "--out", str(tmp_path / "x.csv")],
+                   capsys, message)
+
+    def test_whole_seed_accepted(self, tmp_path):
+        base = ["simulate", "--model", "mnb", "--params", json.dumps(self.MNB)]
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        assert run(base + ["--design", '{"n_clusters": 3, "seed": 7.0}', "--out", a]) == 0
+        assert run(base + ["--design", '{"n_clusters": 3, "seed": 7}', "--out", b]) == 0
+        assert open(a).read() == open(b).read()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: [r], "must be a JSON object"),
+        (lambda r: {k: v for k, v in r.items() if k != "params"}, "lacks key 'params'"),
+        (lambda r: {**r, "params": 3}, "key 'params' must be a list"),
+        (lambda r: {**r, "params": [{"estimate": 1.0}]}, "param lacks key 'name'"),
+        (lambda r: {**r, "params": [{"name": "phi", "estimate": None}]},
+         "param 'phi' key 'estimate' must be a number, got None"),
+        (lambda r: {**r, "params": [{"name": "phi"}]}, "param 'phi' lacks key 'estimate'"),
+        (lambda r: {**r, "params": r["params"][:1]}, "lacks a phi parameter"),
+    ])
+    def test_diagnose_report(self, tmp_path, capsys, edit, message):
+        report = tmp_path / "fit.json"
+        report.write_text(json.dumps(edit(self.REPORT)))
+        self.fails(["diagnose", "--fit", str(report), "--data", str(tmp_path / "none.csv"),
+                    "--out", str(tmp_path / "r.csv")], capsys, f"fit report {report}", message)
+
+    @pytest.mark.parametrize("second, message", [
+        ([1, 2], "must be a JSON object"),
+        ({"model": "nb", "aic": 3.0}, "lacks key 'loglik'"),
+        ({"loglik": -1.0, "aic": 3.0}, "lacks key 'model'"),
+        ({"model": "nb", "loglik": -1.0, "aic": "3"}, "key 'aic' must be a number, got '3'"),
+    ])
+    def test_compare_reports(self, tmp_path, capsys, second, message):
+        fits = [tmp_path / "a.json", tmp_path / "b.json"]
+        fits[0].write_text(json.dumps({"model": "mnb", "loglik": -1.0, "aic": 4.0}))
+        fits[1].write_text(json.dumps(second))
+        self.fails(["compare", "--fits", *map(str, fits)], capsys, f"fit report {fits[1]}",
+                   message)
+
+
 class TestParser:
     """Each command's parser adds only that command's arguments, and
     parses and prints as the parser of every command does."""

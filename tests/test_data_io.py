@@ -6,6 +6,7 @@ import os
 import pickle
 import struct
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -299,6 +300,119 @@ class TestReadCsvErrorOrder:
         assert (info.value.row, info.value.column) == (4, "z")
 
 
+
+def reference_error(path, spec):
+    """The error the documented rule gives, found one record at a time: a
+    record starts on line ``reader.line_num + 1`` before it is read.
+    (class, row, column) of the first bad record, or the number of data
+    records when there is none."""
+    numeric = [c for c in spec.required_columns() if c not in (spec.response, spec.cluster)]
+    n_records = 0
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        while True:
+            line = reader.line_num + 1
+            row = next(reader, None)
+            if row is None:
+                return n_records
+            if not row:
+                continue
+            if len(row) != len(header):
+                return RaggedRowError, line, None
+            fields = dict(zip(header, row))
+            try:
+                count = int(fields[spec.response])
+            except ValueError:
+                count = -1
+            if count < 0:
+                return ResponseValueError, line, spec.response
+            for c in numeric:
+                try:
+                    value = float(fields[c])
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    return FieldParseError, line, c
+            n_records += 1
+
+
+_BREAKS = ("\n", "\r", "\r\n")
+_CORRUPT = {"y": ("oops", "-1", "1.5"), "x": ("oops", "inf", "nan"), "z": ("-inf", "1e999", "")}
+
+
+@st.composite
+def csv_files(draw):
+    """The text of a small CSV file with header g,y,u,x,z (u unread): one
+    line ending throughout, line breaks of every kind in quoted fields of
+    the cluster column and of u, blank lines, and at most one ragged row
+    or one corrupted field."""
+    end = draw(st.sampled_from(_BREAKS))
+    quoted = st.lists(st.sampled_from(["a", "b", *_BREAKS]), max_size=4).map(
+        lambda parts: '"' + "".join(parts) + '"')
+    rows = []
+    for k in range(draw(st.integers(0, 6))):
+        row = {"g": draw(quoted), "y": str(draw(st.integers(0, 9))), "u": draw(quoted),
+               "x": draw(st.sampled_from(["0.5", "-1", "2e3"])), "z": str(k)}
+        rows.append(",".join(row.values()))
+        rows.extend([""] * draw(st.integers(0, 2)))
+    header = "g,y," + draw(quoted).replace('"', '"u', 1) + ",x,z"
+    fault = draw(st.sampled_from(["none", "ragged", "y", "x", "z"]))
+    starts = [k for k, row in enumerate(rows) if row]
+    if fault != "none" and starts:
+        k = draw(st.sampled_from(starts))
+        fields = rows[k].split(",")  # quoted fields hold no comma
+        if fault == "ragged":
+            fields = fields[:draw(st.integers(1, 4))] if draw(st.booleans()) else [*fields, "9"]
+        else:
+            fields["gyuxz".index(fault)] = draw(st.sampled_from(_CORRUPT[fault]))
+        rows[k] = ",".join(fields)
+    return end.join([header, *rows]) + end * draw(st.booleans())
+
+
+class TestReadCsvLines:
+    """A bad field or ragged row is named by the file line its record
+    starts on, whatever line breaks the quoted fields above it hold."""
+
+    SPEC = ModelSpec(response="y", cluster="g", covariates=("z", "x"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_files(), block=st.sampled_from([1, 2, 4096]))
+    def test_matches_the_reference_reader(self, text, block):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+            expected = reference_error(path, self.SPEC)
+            with mock.patch.object(data_io, "_BLOCK_ROWS", block):
+                if expected == 0:
+                    with pytest.raises(EmptyFileError):
+                        read_csv(path, self.SPEC)
+                elif isinstance(expected, int):
+                    assert read_csv(path, self.SPEC).n_obs == expected
+                else:
+                    with pytest.raises(DataFormatError) as info:
+                        read_csv(path, self.SPEC)
+                    assert (type(info.value), info.value.row, info.value.column) == expected
+
+    @pytest.mark.parametrize("block", [1, 2, 4096])
+    @pytest.mark.parametrize("text, spec, expected", [
+        ('g,y,x\n"a\nb",1,0.5\nc,oops,1\n', ModelSpec(response="y", cluster="g"),
+         (ResponseValueError, 4, "y")),
+        ('g,y,u,x\r\na,1,"p\r\nq\r\nr",0.5\r\nb,2,u,1\r\nc,oops,u,1\r\n',
+         ModelSpec(response="y", cluster="g", covariates=("x",)),
+         (ResponseValueError, 6, "y")),
+    ], ids=["lf-cluster-column", "crlf-unread-column"])
+    def test_quoted_line_breaks_above_the_error(self, tmp_path, monkeypatch, block, text, spec,
+                                                expected):
+        monkeypatch.setattr(data_io, "_BLOCK_ROWS", block)
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(DataFormatError) as info:
+            read_csv(str(path), spec)
+        assert (type(info.value), info.value.row, info.value.column) == expected
+
+
 class TestClusterValidation:
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
@@ -391,6 +505,30 @@ class TestWriteCsv:
         ds = Dataset(clusters=(c,), column_names=("cluster",))
         with pytest.raises(DataFormatError):
             write_csv(ds, str(tmp_path / "bad.csv"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(ids=st.lists(st.text(alphabet="ab \t", min_size=1, max_size=3), min_size=1,
+                        max_size=4, unique=True),
+           names=st.lists(st.text(alphabet="uv ", min_size=1, max_size=3), min_size=1,
+                          max_size=2, unique=True))
+    def test_padded_names_raise_before_writing(self, ids, names):
+        # read_csv strips ids and header names: a padded one cannot come back
+        ds = Dataset(clusters=tuple(
+            ClusterData(id=cid, y=np.array([k]), X=np.full((1, len(names)), 0.5),
+                        offset=np.zeros(1)) for k, cid in enumerate(ids)),
+            column_names=tuple(names))
+        padded = any(s != s.strip() for s in (*ids, *names))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "out.csv")
+            if padded:
+                with pytest.raises(DataFormatError, match="blanks"):
+                    write_csv(ds, path)
+                assert not os.path.exists(path)
+                return
+            back = read_csv(path, write_csv(ds, path))
+        assert back.ids == ds.ids
+        assert back.column_names == ds.column_names
+        assert back.sizes.tolist() == ds.sizes.tolist() and back.y.tolist() == ds.y.tolist()
 
 
 def _bits_text(x):

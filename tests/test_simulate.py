@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,23 @@ class TestSimDesign:
         with pytest.raises(DomainError, match="must be an integer, got") as info:
             SimDesign(n_clusters=2, cluster_sizes=sizes)
         assert str(info.value).endswith(repr(bad))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", "7", "seed must be an integer, got '7'"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("column_names", 5, "column_names must be a sequence of strings, got 5"),
+        ("column_names", "ab", "column_names must be a sequence of strings, got 'ab'"),
+        ("column_names", ["a", 1], "column_names must be a sequence of strings"),
+        ("cluster_sizes", None, "cluster_sizes must be an integer, got None"),
+    ])
+    def test_malformed_fields_name_themselves(self, field, value, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            SimDesign(n_clusters=2, **{field: value})
+
+    def test_seed_and_names_normalised(self):
+        d = SimDesign(n_clusters=2, seed=np.int64(7), column_names=["a"])
+        assert type(d.seed) is int and d.seed == 7 and d.column_names == ("a",)
 
     def test_integer_like_cluster_sizes_become_int(self):
         for sizes in (np.int64(3), [np.int64(3), 3]):
