@@ -18,11 +18,15 @@ unbalanced intercept-only design with a scalar offset), ``glgmix glg-curve
 time, then all three in one table), and ``glgmix diagnose --envelope 19``
 under ``envelope/<kind>`` for both residual kinds, on an ``nb`` fit to the
 MNB draw on the balanced design (its clusters are ungrouped into
-singletons, whose deviance residuals are defined).  Library cases under
-``pglg-lib/<case>`` cover the PGLG branches the workloads never run: a
-``tie_sigma_lambda`` fit and a ``fix_lambda=0.5`` fit on a balanced
-design, and a free fit on 300 clusters with a continuous covariate, where
-no two clusters share mu+.  Each keeps the hashes of its ``FitResult``
+singletons, whose deviance residuals are defined).  ``diagnose/quoted-ids``
+writes a CSV whose cluster ids CSV must quote (a comma, a quote, line
+breaks), on clusters of unequal sizes whose rows interleave, fits ``mnb``
+to it and runs ``glgmix diagnose --residual pearson --envelope 19``, so
+the residual table's id and observation columns are pinned.  Library
+cases under ``pglg-lib/<case>`` cover the PGLG branches the workloads
+never run: a ``tie_sigma_lambda`` fit and a ``fix_lambda=0.5`` fit on a
+balanced design, and a free fit on 300 clusters with a continuous
+covariate, where no two clusters share mu+.  Each keeps the hashes of its ``FitResult``
 (estimates, standard errors, log-likelihood, trace),
 ``predict_random_effects`` and ``log_likelihood`` at the estimates.
 Stacked cases under ``stacked-climb/<case>`` pin the MNB Newton climbed
@@ -76,6 +80,10 @@ PGLG_LIB_CASES = {
 # ``stacked-climb`` cases: replicates in each stack
 STACKED_CLIMBS = {"r19": 19, "r99": 99}
 
+# ``diagnose/quoted-ids``: id forms (k is the cluster number) and cluster sizes
+QUOTED_IDS = ("c{k},x", 'say "{k}"', "line{k}\nbreak", "cr{k}\rlf\r\nend", "plain{k}")
+QUOTED_SIZES = (1, 4, 2, 6, 3)
+
 
 def seed_range(text):
     """Seeds from "1-3,7": ranges are inclusive."""
@@ -109,23 +117,52 @@ def simulate_argv(law, design_name):
             "--out", "sim.csv"]
 
 
+def quoted_ids_csv(n_clusters=30):
+    """CSV text of ``n_clusters`` clusters whose ids cycle through
+    ``QUOTED_IDS`` and sizes through ``QUOTED_SIZES``, the rows dealt out
+    one per cluster in turn, with gamma-Poisson counts at x = -1, 0, 1."""
+    import csv
+
+    import numpy as np
+
+    rng = np.random.default_rng(31)
+    ids = [QUOTED_IDS[k % len(QUOTED_IDS)].format(k=k) for k in range(n_clusters)]
+    sizes = [QUOTED_SIZES[k % len(QUOTED_SIZES)] for k in range(n_clusters)]
+    frailty = rng.gamma(1.5, 1 / 1.5, size=n_clusters)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["cluster", "y", "x"])
+    for j in range(max(sizes)):
+        for k in range(n_clusters):
+            if j < sizes[k]:
+                x = j % 3 - 1
+                writer.writerow([ids[k], rng.poisson(frailty[k] * np.exp(0.8 - 0.4 * x)), x])
+    return out.getvalue()
+
+
 def fixed_cases():
-    """(key, steps) of each fixed case, where a step is (label, argv); the
+    """(key, files, steps) of each fixed case, where files maps a name to
+    the text written before the steps and a step is (label, argv); the
     steps run in order in the case's own directory, so files are named
     relative to it."""
     for law in SIMULATE_LAWS:
         for design_name in SIMULATE_DESIGNS:
-            yield f"simulate/{law}-{design_name}", [("run", simulate_argv(law, design_name))]
+            yield f"simulate/{law}-{design_name}", {}, [("run", simulate_argv(law, design_name))]
     for name, lams in GLG_CURVES.items():
-        yield f"glg-curve/{name}", [("run", ["glg-curve", f"--lambda={lams}", "--points", "512",
-                                             "--out", "curve.csv"])]
+        yield f"glg-curve/{name}", {}, [("run", ["glg-curve", f"--lambda={lams}", "--points",
+                                                 "512", "--out", "curve.csv"])]
     for kind in ("deviance", "pearson"):
-        yield f"envelope/{kind}", [
+        yield f"envelope/{kind}", {}, [
             ("simulate", simulate_argv("mnb", "balanced")),
             ("fit", ["fit", "--model", "nb", "--data", "sim.csv", "--spec", "sim.csv.spec.json",
                      "--out", "fit.json"]),
             ("run", ["diagnose", "--fit", "fit.json", "--data", "sim.csv", "--envelope", "19",
                      "--residual", kind, "--out", "resid.csv"])]
+    yield "diagnose/quoted-ids", {"data.csv": quoted_ids_csv()}, [
+        ("fit", ["fit", "--model", "mnb", "--data", "data.csv", "--response", "y", "--cluster",
+                 "cluster", "--covariates", "x", "--out", "fit.json"]),
+        ("run", ["diagnose", "--fit", "fit.json", "--data", "data.csv", "--residual", "pearson",
+                 "--envelope", "19", "--out", "resid.csv"])]
 
 
 def record_fixed(cli):
@@ -133,9 +170,12 @@ def record_fixed(cli):
     hashes = {}
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
-        for key, steps in fixed_cases():
+        for key, files, steps in fixed_cases():
             case_dir = os.path.join(work, key.replace("/", "-"))
             os.mkdir(case_dir)
+            for fname, text in files.items():
+                with open(os.path.join(case_dir, fname), "w", newline="", encoding="utf-8") as fh:
+                    fh.write(text)
             os.chdir(case_dir)
             try:
                 for label, argv in steps:

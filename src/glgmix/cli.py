@@ -194,19 +194,33 @@ def _json_object(doc, obj, keys):
     return obj
 
 
+# what _json_array accepts at each depth
+_ARRAY_KINDS = ("a number", "a number or a list of numbers",
+                "a number, or a list or list of equal-length lists of numbers")
+
+
+def _json_array(doc, key, value, depth):
+    """``value``, the value of ``key`` in the JSON document ``doc``,
+    checked to be a number or, up to ``depth`` levels deep, a list whose
+    items are all numbers or all lists of one length."""
+
+    def numbers(v, depth):
+        if not isinstance(v, list):
+            return isinstance(v, (int, float)) and not isinstance(v, bool)
+        shapes = {len(item) if isinstance(item, list) else None for item in v}
+        return depth > 0 and len(shapes) <= 1 and all(numbers(item, depth - 1) for item in v)
+
+    if not numbers(value, depth):
+        raise DataFormatError(f"{doc} key {key!r} must be {_ARRAY_KINDS[depth]}, got {value!r}")
+    return value
+
+
 def _json_numbers(doc, obj, keys, vectors=()):
     """The values of ``keys`` in the JSON object ``obj`` (``doc`` in
     errors): each a number, or for a key in ``vectors`` a number or a
     list of numbers."""
-    values = []
-    for key in keys:
-        value = _json_object(doc, obj, (key,))[key]
-        items = value if key in vectors and isinstance(value, list) else [value]
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
-            kind = "a number or a list of numbers" if key in vectors else "a number"
-            raise DataFormatError(f"{doc} key {key!r} must be {kind}, got {value!r}")
-        values.append(value)
-    return values
+    return [_json_array(doc, key, _json_object(doc, obj, (key,))[key], int(key in vectors))
+            for key in keys]
 
 
 def _whole(value):
@@ -224,12 +238,13 @@ def _design_from_mapping(obj, seed_override):
     if extra:
         raise DataFormatError(f"unknown design keys: {sorted(extra)}")
     sizes = obj.get("cluster_sizes", 1)
-    x = obj.get("x")
+    x, offsets = obj.get("x"), obj.get("offsets")
     return SimDesign(
         n_clusters=_whole(obj["n_clusters"]),
         cluster_sizes=[_whole(m) for m in sizes] if isinstance(sizes, list) else _whole(sizes),
-        x_builder=np.asarray(x, dtype=float) if x is not None else None,
-        offsets=obj.get("offsets"),
+        x_builder=None if x is None else np.asarray(_json_array("--design", "x", x, 2),
+                                                    dtype=float),
+        offsets=None if offsets is None else _json_array("--design", "offsets", offsets, 2),
         seed=seed_override if seed_override is not None else _whole(obj.get("seed", 0)),
         column_names=obj.get("column_names"),
     )
@@ -326,9 +341,12 @@ def _cmd_diagnose(args):
         res = mnb_model.residuals(dataset, params)
     relay(caught)
 
+    # ids formatted once per cluster, observation numbers once per position
+    ids = np.fromiter(map(_csv_field, dataset.ids), dtype=object, count=dataset.n_clusters)
+    positions = np.fromiter(map(str, range(1, dataset.sizes.max() + 1)), dtype=object)
     columns = [
-        map(_csv_field, res.cluster_ids),
-        map(str, res.obs_index.tolist()),
+        dataset.per_obs(ids).tolist(),
+        positions[res.obs_index - 1].tolist(),
         *map(_column_texts, (res.fitted, res.leverage, res.dev_comp)),
         _column_texts(res.dev_resid, _format_cell),
         _column_texts(res.pearson),

@@ -13,6 +13,7 @@ transform applied is the optional intercept column of ones.
 
 from __future__ import annotations
 
+import collections
 import csv
 import itertools
 import json
@@ -34,6 +35,7 @@ from .errors import (
 
 INTERCEPT_NAME = "intercept"
 _BLOCK_ROWS = 4096  # rows read_csv splits into columns at a time
+_COUNT_MAX = np.iinfo(np.int64).max  # the largest count read_csv accepts
 
 
 def _interaction_name(a, b):
@@ -339,6 +341,10 @@ def _parse_count(text, row, column):
         raise ResponseValueError(
             f"response must be nonnegative, got {value}", row=row, column=column
         )
+    if value > _COUNT_MAX:
+        raise ResponseValueError(
+            f"response must be at most {_COUNT_MAX}, got {value}", row=row, column=column
+        )
     return value
 
 
@@ -369,18 +375,23 @@ def read_csv(path, spec):
 
     Rows are grouped by the cluster column, keeping file order within each
     cluster and first-appearance order across clusters.  The result is a
-    pure function of the file bytes and the spec.
+    pure function of the file bytes and the spec.  Counts are parsed as
+    Python's ``int()`` parses them and the other numeric columns as
+    ``float()`` does, so signs, underscores between digits, surrounding
+    blanks and non-ASCII decimal digits are accepted.
 
     Raises
     ------
     EmptyFileError, MissingColumnError, RaggedRowError,
     ResponseValueError, FieldParseError
-        Each names the offending row and column.  ``row`` is the file line
-        where the offending record starts (1-based, header = line 1), so
-        line breaks inside quoted fields above it are counted.  The first
-        bad field in file order is reported, the response before the other
-        columns of its row; fields in rows above a ragged row are checked
-        first.
+        Each names the offending row and column.  A count that is not a
+        whole number from 0 to 2**63 - 1 is a ResponseValueError; a
+        numeric field that does not parse or is not finite is a
+        FieldParseError.  ``row`` is the file line where the offending
+        record starts (1-based, header = line 1), so line breaks inside
+        quoted fields above it are counted.  The first bad field in file
+        order is reported, the response before the other columns of its
+        row; fields in rows above a ragged row are checked first.
     DataFormatError
         Also for a line the CSV reader rejects, named by its line number.
     """
@@ -431,11 +442,11 @@ def read_csv(path, spec):
     n_good = len(kept)
     columns = dict(zip(names, zip(*kept))) if kept else dict.fromkeys(names, ())
     numeric_cols = [c for c in required if c not in (spec.response, spec.cluster)]
-    try:
-        ys = list(map(int, columns[spec.response]))
-        values = {c: np.array(list(map(float, columns[c])), dtype=float) for c in numeric_cols}
-        bad = min(ys, default=0) < 0 or not all(np.isfinite(v).all() for v in values.values())
-    except ValueError:
+    try:  # NumPy parses str items with Python's int() and float()
+        y = np.array(columns[spec.response], dtype=np.int64)
+        values = {c: np.array(columns[c], dtype=float) for c in numeric_cols}
+        bad = (y < 0).any() or not all(np.isfinite(v).all() for v in values.values())
+    except (ValueError, OverflowError):
         bad = True
     if bad:  # the first bad field in file order, the response first in its row
         for row_line, row in zip(lines, kept):
@@ -448,9 +459,9 @@ def read_csv(path, spec):
     if not kept:
         raise EmptyFileError("file has a header but no data rows")
 
-    cids = list(map(str.strip, columns[spec.cluster]))
-    codes = {cid: code for code, cid in enumerate(dict.fromkeys(cids))}
-    row_codes = np.array(list(map(codes.__getitem__, cids)))
+    codes = collections.defaultdict(itertools.count().__next__)  # first-appearance codes
+    row_codes = np.fromiter(map(codes.__getitem__, map(str.strip, columns[spec.cluster])),
+                            dtype=np.intp, count=n_good)
     xcols = [np.ones(n_good)] if spec.add_intercept else []
     xcols.extend(values[c] for c in spec.covariates)
     xcols.extend(values[a] * values[b] for a, b in spec.interactions)
@@ -460,7 +471,7 @@ def read_csv(path, spec):
     return Dataset._from_flat(
         ids=codes,
         sizes=np.bincount(row_codes),
-        y=np.array(ys, dtype=np.int64)[order],
+        y=y[order],
         X=X[order],
         offset=offset[order],
         column_names=spec.design_names(),

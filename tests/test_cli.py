@@ -199,6 +199,17 @@ class TestFit:
         assert err.startswith("error: ") and "(row 3)" in err
         assert "Traceback" not in err
 
+    def test_count_past_int64_is_input_error(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("g,y\na,1\nb,99999999999999999999\n")
+        code = run(["fit", "--model", "mnb", "--data", str(data), "--response", "y",
+                    "--cluster", "g", "--out", str(tmp_path / "fit.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "(row 3, column 'y')" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_nb_ungroups(self, mnb_csv, tmp_path):
         out = str(tmp_path / "nb.json")
         code = run(["fit", "--model", "nb", "--data", mnb_csv,
@@ -477,6 +488,41 @@ class TestDiagnose:
         assert lines[1].startswith('"a,b')
         assert lines[4].startswith('"say ""hi""')
         assert lines[7].startswith("plain")
+
+    def test_quoted_ids_on_interleaved_clusters_of_unequal_size(self, tmp_path):
+        # the table is written per cluster; it must equal a row-by-row format
+        ids = ["a,b", 'say "hi"', "two\nlines", "plain", " padded "]
+        sizes = [4, 1, 3, 2, 5]
+        queue = [cid for k in range(max(sizes)) for cid, m in zip(ids, sizes) if k < m]
+        data = tmp_path / "mixed.csv"
+        with open(data, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["cluster", "y", "x"])
+            writer.writerows([cid, (3 * k) % 7, 0.25 * (k % 5) - 0.5]
+                             for k, cid in enumerate(queue))
+        rpath = tmp_path / "fit.json"
+        rpath.write_text(json.dumps({
+            "model": "mnb",
+            "params": [{"name": "(intercept)", "estimate": 0.7},
+                       {"name": "x", "estimate": -0.3}, {"name": "phi", "estimate": 1.5}],
+            "spec": {"response": "y", "cluster": "cluster", "covariates": ["x"]},
+        }))
+        out = tmp_path / "resid.csv"
+        assert run(["diagnose", "--fit", str(rpath), "--data", str(data), "--residual",
+                    "pearson", "--out", str(out)]) == 0
+        dataset, params = self.library_residuals(rpath, str(data))
+        assert dataset.sizes.tolist() == sizes
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = mnb_model.residuals(dataset, params)
+        rows = ["cluster,obs,fitted,leverage,dev_comp,dev_resid,pearson"]
+        for i, cid in enumerate(res.cluster_ids):
+            cells = [cli._csv_field(cid), str(res.obs_index[i])]
+            cells += [repr(getattr(res, col)[i].item())
+                      for col in ("fitted", "leverage", "dev_comp")]
+            cells += [cli._format_cell(res.dev_resid[i].item()), repr(res.pearson[i].item())]
+            rows.append(",".join(cells))
+        assert out.read_bytes() == ("\n".join(rows) + "\n").encode("utf-8")
 
     def test_pglg_report_rejected(self, mnb_csv, tmp_path, capsys):
         out = str(tmp_path / "pg.json")
@@ -802,6 +848,15 @@ class TestMalformedJson:
         ({"n_clusters": 3, "seed": "7"}, "seed must be an integer, got '7'"),
         ({"n_clusters": 3, "column_names": 5}, "column_names must be a sequence of strings"),
         ({"n_clusters": 3, "cluster_sizes": None}, "cluster_sizes must be an integer, got None"),
+        ({"n_clusters": 2, "offsets": {"a": 1}}, "--design key 'offsets' must be a number, "
+         "or a list or list of equal-length lists of numbers, got {'a': 1}"),
+        ({"n_clusters": 2, "offsets": [1, None]}, "--design key 'offsets' must be"),
+        ({"n_clusters": 2, "offsets": "0.5"}, "--design key 'offsets' must be"),
+        ({"n_clusters": 2, "x": {"a": 1}}, "--design key 'x' must be"),
+        ({"n_clusters": 2, "x": [[1, 2], 3]}, "--design key 'x' must be"),
+        ({"n_clusters": 2, "x": [[1, 2], [3]]}, "--design key 'x' must be"),
+        ({"n_clusters": 2, "x": [[[1]]]}, "--design key 'x' must be"),
+        ({"n_clusters": 2, "x": [[True]]}, "--design key 'x' must be"),
     ])
     def test_design(self, tmp_path, capsys, design, message):
         self.fails(["simulate", "--model", "mnb", "--params", json.dumps(self.MNB),

@@ -174,6 +174,13 @@ class TestReadCsv:
         with pytest.raises(ResponseValueError):
             read_csv(write(tmp_path, text), spec)
 
+    @pytest.mark.parametrize("count", ["99999999999999999999", str(2**63)])
+    def test_count_past_int64_names_its_row(self, tmp_path, count):
+        spec = ModelSpec(response="y", cluster="g")
+        with pytest.raises(ResponseValueError, match="at most 9223372036854775807") as info:
+            read_csv(write(tmp_path, f"g,y\na,1\nb,{count}\n"), spec)
+        assert (info.value.row, info.value.column) == (3, "y")
+
     def test_ragged_row(self, tmp_path):
         text = "g,y,x\nc1,2,0.5\nc1,3\n"
         spec = ModelSpec(response="y", cluster="g", covariates=("x",))
@@ -301,13 +308,14 @@ class TestReadCsvErrorOrder:
 
 
 
-def reference_error(path, spec):
-    """The error the documented rule gives, found one record at a time: a
-    record starts on line ``reader.line_num + 1`` before it is read.
-    (class, row, column) of the first bad record, or the number of data
-    records when there is none."""
+def reference_read(path, spec):
+    """What the documented rules give, found one record at a time with
+    Python's ``int()`` and ``float()``: a record starts on line
+    ``reader.line_num + 1`` before it is read.  (class, row, column) of
+    the first bad record, or the (stripped id, count, numeric values)
+    of every data record when there is none."""
     numeric = [c for c in spec.required_columns() if c not in (spec.response, spec.cluster)]
-    n_records = 0
+    records = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader)]
@@ -315,7 +323,7 @@ def reference_error(path, spec):
             line = reader.line_num + 1
             row = next(reader, None)
             if row is None:
-                return n_records
+                return records
             if not row:
                 continue
             if len(row) != len(header):
@@ -325,35 +333,43 @@ def reference_error(path, spec):
                 count = int(fields[spec.response])
             except ValueError:
                 count = -1
-            if count < 0:
+            if not 0 <= count <= 2**63 - 1:
                 return ResponseValueError, line, spec.response
+            values = []
             for c in numeric:
                 try:
-                    value = float(fields[c])
+                    values.append(float(fields[c]))
                 except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
+                    values.append(math.nan)
+                if not math.isfinite(values[-1]):
                     return FieldParseError, line, c
-            n_records += 1
+            records.append((fields[spec.cluster].strip(), count, values))
 
 
 _BREAKS = ("\n", "\r", "\r\n")
-_CORRUPT = {"y": ("oops", "-1", "1.5"), "x": ("oops", "inf", "nan"), "z": ("-inf", "1e999", "")}
+# spellings int() and float() accept: signs, blanks, underscores, non-ASCII digits
+_COUNTS = ("0", "7", "+4", " 3 ", "1_0", "\u0663", "-0", "\u0661\u0662", str(2**63 - 1))
+_NUMBERS = ("0.5", "-1", "2e3", "1e3", "+4", " 3 ", "1_0", "\u0663", "-0", "-0.0", ".5",
+            "1_000.25", "\t2.5e-3 ", "\u0663.\u0665")
+_CORRUPT = {"y": ("oops", "-1", "1.5", "1e3", "1__0", str(2**63), "99999999999999999999"),
+            "x": ("oops", "inf", "nan"), "z": ("-inf", "1e999", "")}
 
 
 @st.composite
 def csv_files(draw):
     """The text of a small CSV file with header g,y,u,x,z (u unread): one
     line ending throughout, line breaks of every kind in quoted fields of
-    the cluster column and of u, blank lines, and at most one ragged row
-    or one corrupted field."""
+    the cluster column and of u, blank lines, numbers in spellings that
+    ``int()`` or ``float()`` accept, and at most one ragged row or one
+    corrupted field."""
     end = draw(st.sampled_from(_BREAKS))
     quoted = st.lists(st.sampled_from(["a", "b", *_BREAKS]), max_size=4).map(
         lambda parts: '"' + "".join(parts) + '"')
     rows = []
     for k in range(draw(st.integers(0, 6))):
-        row = {"g": draw(quoted), "y": str(draw(st.integers(0, 9))), "u": draw(quoted),
-               "x": draw(st.sampled_from(["0.5", "-1", "2e3"])), "z": str(k)}
+        row = {"g": draw(quoted), "y": draw(st.sampled_from(_COUNTS)), "u": draw(quoted),
+               "x": draw(st.sampled_from(_NUMBERS)),
+               "z": draw(st.sampled_from([str(k), *_NUMBERS]))}
         rows.append(",".join(row.values()))
         rows.extend([""] * draw(st.integers(0, 2)))
     header = "g,y," + draw(quoted).replace('"', '"u', 1) + ",x,z"
@@ -372,7 +388,8 @@ def csv_files(draw):
 
 class TestReadCsvLines:
     """A bad field or ragged row is named by the file line its record
-    starts on, whatever line breaks the quoted fields above it hold."""
+    starts on, whatever line breaks the quoted fields above it hold; a
+    good file gives the values of the per-field parse."""
 
     SPEC = ModelSpec(response="y", cluster="g", covariates=("z", "x"))
 
@@ -383,13 +400,19 @@ class TestReadCsvLines:
             path = os.path.join(tmp, "data.csv")
             with open(path, "wb") as fh:
                 fh.write(text.encode("utf-8"))
-            expected = reference_error(path, self.SPEC)
+            expected = reference_read(path, self.SPEC)
             with mock.patch.object(data_io, "_BLOCK_ROWS", block):
-                if expected == 0:
+                if expected == []:
                     with pytest.raises(EmptyFileError):
                         read_csv(path, self.SPEC)
-                elif isinstance(expected, int):
-                    assert read_csv(path, self.SPEC).n_obs == expected
+                elif isinstance(expected, list):
+                    ds = read_csv(path, self.SPEC)
+                    ids = tuple(dict.fromkeys(cid for cid, _, _ in expected))
+                    grouped = sorted(expected, key=lambda record: ids.index(record[0]))
+                    assert ds.ids == ids
+                    assert ds.y.tolist() == [count for _, count, _ in grouped]
+                    X = np.array([[1.0, *values] for _, _, values in grouped])
+                    assert ds.X.tobytes() == X.tobytes()  # bit for bit: -0.0 stays -0.0
                 else:
                     with pytest.raises(DataFormatError) as info:
                         read_csv(path, self.SPEC)
