@@ -43,7 +43,8 @@ _IRLS_TOL = 1e-10
 _IRLS_MAX_ITER = 100
 
 
-# a plain class: a dataclass would cost about 1 ms at every import
+# a plain class, not a record (glgmix._record): its rows are working
+# arrays that no caller compares, hashes or prints
 class Climb:
     """Where each row of a stack stopped: its last accepted iterate, the
     objective's log-likelihood and Hessian there, whether the objective

@@ -19,10 +19,12 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+import re
+import sys
 
 import numpy as np
 
+from ._record import record
 from .errors import (
     DataFormatError,
     DomainError,
@@ -36,13 +38,15 @@ from .errors import (
 INTERCEPT_NAME = "intercept"
 _BLOCK_ROWS = 4096  # rows read_csv splits into columns at a time
 _COUNT_MAX = np.iinfo(np.int64).max  # the largest count read_csv accepts
+_INTEGER = r"[+-]?\d+(?:_\d+)*"  # the integers int() parses, after strip()
+_QUOTE_MAX = 40  # characters of a bad field an error message quotes
 
 
 def _interaction_name(a, b):
     return f"{a}:{b}"
 
 
-@dataclass(frozen=True)
+@record
 class ModelSpec:
     """Mapping from CSV columns to a regression design.
 
@@ -147,7 +151,7 @@ class ModelSpec:
         return cls.from_mapping(obj)
 
 
-@dataclass(frozen=True)
+@record
 class ClusterData:
     """One cluster's counts, design rows, and log-exposure offsets."""
 
@@ -329,21 +333,42 @@ class Dataset:
         return self.per_obs(np.fromiter(self.ids, dtype=object, count=len(self.ids)))
 
 
+def _excerpt(text, show=str):
+    """``show(text)`` for an error message; a field longer than
+    ``_QUOTE_MAX`` characters shows its first ones, an ellipsis and its
+    length instead."""
+    if len(text) <= _QUOTE_MAX:
+        return show(text)
+    return f"{show(text[:_QUOTE_MAX])}... ({len(text)} characters)"
+
+
 def _parse_count(text, row, column):
     s = text.strip()
     try:
         value = int(s)
     except ValueError:
+        if not re.fullmatch(_INTEGER, s):
+            raise ResponseValueError(
+                f"response must be a nonnegative integer, got {_excerpt(text, repr)}",
+                row=row, column=column,
+            ) from None
+        # an integer of more digits than int() converts: past 2**63 - 1
+        # unless leading zeros make up the excess
+        if len(s.lstrip("+-").replace("_", "").lstrip("0")) > len(str(_COUNT_MAX)):
+            bound = "nonnegative" if s.startswith("-") else f"at most {_COUNT_MAX}"
+        else:
+            bound = f"written in at most {sys.get_int_max_str_digits()} digits"
         raise ResponseValueError(
-            f"response must be a nonnegative integer, got {text!r}", row=row, column=column
+            f"response must be {bound}, got {_excerpt(s)}", row=row, column=column
         ) from None
     if value < 0:
         raise ResponseValueError(
-            f"response must be nonnegative, got {value}", row=row, column=column
+            f"response must be nonnegative, got {_excerpt(str(value))}", row=row, column=column
         )
     if value > _COUNT_MAX:
         raise ResponseValueError(
-            f"response must be at most {_COUNT_MAX}, got {value}", row=row, column=column
+            f"response must be at most {_COUNT_MAX}, got {_excerpt(str(value))}",
+            row=row, column=column,
         )
     return value
 
@@ -353,10 +378,10 @@ def _parse_number(text, row, column):
         value = float(text)
     except ValueError:
         raise FieldParseError(
-            f"could not parse {text!r} as a number", row=row, column=column
+            f"could not parse {_excerpt(text, repr)} as a number", row=row, column=column
         ) from None
     if not np.isfinite(value):
-        raise FieldParseError(f"non-finite value {text!r}", row=row, column=column)
+        raise FieldParseError(f"non-finite value {_excerpt(text, repr)}", row=row, column=column)
     return value
 
 
@@ -385,13 +410,17 @@ def read_csv(path, spec):
     EmptyFileError, MissingColumnError, RaggedRowError,
     ResponseValueError, FieldParseError
         Each names the offending row and column.  A count that is not a
-        whole number from 0 to 2**63 - 1 is a ResponseValueError; a
-        numeric field that does not parse or is not finite is a
-        FieldParseError.  ``row`` is the file line where the offending
-        record starts (1-based, header = line 1), so line breaks inside
-        quoted fields above it are counted.  The first bad field in file
-        order is reported, the response before the other columns of its
-        row; fields in rows above a ragged row are checked first.
+        whole number from 0 to 2**63 - 1 is a ResponseValueError; one of
+        more digits than ``int()`` converts is reported as past that bound,
+        or, when leading zeros make up the excess, as written in too many
+        digits, since ``int()`` cannot read it either.  A numeric field that does not parse or is not finite is a
+        FieldParseError.  Messages quote at most the first 40 characters
+        of a field, and give the length of a longer one.  ``row`` is the
+        file line where the offending record starts (1-based, header =
+        line 1), so line breaks inside quoted fields above it are counted.
+        The first bad field in file order is reported, the response before
+        the other columns of its row; fields in rows above a ragged row are
+        checked first.
     DataFormatError
         Also for a line the CSV reader rejects, named by its line number.
     """

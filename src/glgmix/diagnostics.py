@@ -1,9 +1,9 @@
 """Residual-based model checking: normal QQ positions, simulated
 envelopes, and AIC comparison tables.
 
-Normal quantiles come from :class:`statistics.NormalDist` (Wichura's
-AS241 algorithm), one plotting position at a time; ``statistics`` loads
-only when positions are computed.
+Normal quantiles come from :func:`glgmix._special.ndtri` (Wichura's
+AS241 algorithm, as ``statistics.NormalDist`` computes it), one plotting
+position at a time.
 
 A simulated envelope (Atkinson 1981) refits every replicate together: the
 replicates' counts form one stack on the observed design, the damped
@@ -23,11 +23,12 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._newton import _check_design_rank
+from ._record import record
+from ._special import ndtri
 from .errors import DomainError, EnvelopeError, EnvelopeReplicateWarning, LeverageError
 from .mnb_model import _SUM_TERMS_MAX, RESIDUAL_KINDS, _climb
 from .mnb_model import _replicate_residuals, deviance_components
@@ -46,9 +47,6 @@ SINGULAR = "singular pooled information"
 
 def _normal_positions(n):
     """Standard normal quantiles at the plotting positions (k - 3/8) / (n + 1/4)."""
-    from statistics import NormalDist
-
-    ndtri = NormalDist().inv_cdf
     return np.array([ndtri((k - 0.375) / (n + 0.25)) for k in range(1, n + 1)])
 
 
@@ -67,7 +65,7 @@ def qq_points(values):
     return np.column_stack([_normal_positions(v.size), np.sort(v)])
 
 
-@dataclass(frozen=True)
+@record
 class EnvelopeResult:
     """Simulated envelope for an ordered residual plot.
 

@@ -22,10 +22,10 @@ gamma quantiles), and imports it when called.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from ._special import digamma, trigamma
 from .errors import DomainError, MomentExistenceError
 
@@ -36,7 +36,7 @@ LAMBDA_EPS = 1e-6
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
-@dataclass(frozen=True)
+@record
 class GlgParams:
     """Position, scale and shape of a generalized log-gamma law."""
 
@@ -56,7 +56,7 @@ class GlgParams:
         return abs(self.lam) < LAMBDA_EPS
 
 
-@dataclass(frozen=True)
+@record
 class PglgParams:
     """Coefficients, random-effect scale, and shape of a Poisson-GLG model
     (:mod:`glgmix.pglg_model`); defined here, next to the law of its

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._newton import _check_design_rank, _poisson_irls, maximise
+from ._record import record
 from ._special import digamma, trigamma
 from .errors import (
     DomainError,
@@ -66,7 +66,7 @@ _MAX_ITER = 100
 RESIDUAL_KINDS = ("deviance", "pearson")
 
 
-@dataclass(frozen=True)
+@record
 class MnbParams:
     """Coefficients and dispersion of the multivariate negative binomial."""
 
@@ -84,7 +84,7 @@ class MnbParams:
         object.__setattr__(self, "phi", float(self.phi))
 
 
-@dataclass(frozen=True)
+@record
 class ScoreInfo:
     """Score vector and Fisher information blocks at one parameter point.
 
@@ -98,7 +98,7 @@ class ScoreInfo:
     k_phi: float
 
 
-@dataclass(frozen=True)
+@record
 class ResidualReport:
     """Per-observation diagnostics, flattened in dataset order.
 

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import glg_dist
 from ._newton import _check_design_rank, _poisson_irls, maximise
+from ._record import record
 from .data_io import Dataset
 from .errors import DomainError, ModeSearchError
 from .glg_dist import GlgParams, PglgParams  # PglgParams is re-exported
@@ -199,7 +199,7 @@ def marginal_moments(c, params):
     return means, variances, cov
 
 
-@dataclass(frozen=True)
+@record
 class PglgFitOptions:
     """Controls for the damped Newton maximization.
 
@@ -397,7 +397,8 @@ def fit(dataset, init=None, options=None):
 
     p = dataset.p
     free_lambda = options.fix_lambda is None and not options.tie_sigma_lambda
-    start = init if init is not None else PglgParams(_poisson_irls(dataset), 0.5, 0.1)
+    start = init if init is not None else PglgParams(
+        beta=_poisson_irls(dataset), sigma=0.5, lam=0.1)
     theta = np.append(start.beta, math.log(start.sigma))
     if free_lambda:
         theta = np.append(theta, start.lam)

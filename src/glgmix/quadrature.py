@@ -26,10 +26,10 @@ log-sum-exp of the nodes is the row-maximum shift below.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .errors import DomainError
 
 MAX_ORDER = 200
@@ -41,7 +41,7 @@ _EPS = np.finfo(float).eps
 _SQRT_EPS = np.sqrt(_EPS)
 
 
-@dataclass(frozen=True)
+@record
 class QuadratureRule:
     """Nodes and weights of a physicists' Gauss-Hermite rule.
 

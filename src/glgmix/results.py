@@ -3,14 +3,13 @@ iteration trace."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
+@record
 class TraceRecord:
     """One accepted iteration of a fitting loop."""
 
@@ -19,7 +18,7 @@ class TraceRecord:
     max_grad: float
 
 
-@dataclass(frozen=True)
+@record
 class FitResult:
     """Estimates and metadata common to both model families.
 

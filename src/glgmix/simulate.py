@@ -13,10 +13,10 @@ above 30 and names the first cluster that has one.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import record
 from .data_io import INTERCEPT_NAME, Dataset
 from .errors import DomainError
 
@@ -31,7 +31,7 @@ def _integer(name, value):
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True)
+@record
 class SimDesign:
     """Layout of a simulated dataset.
 
@@ -50,7 +50,7 @@ class SimDesign:
     x_builder: object = None
     offsets: object = None
     seed: int = 0
-    column_names: tuple = field(default=None)
+    column_names: tuple = None
 
     def __post_init__(self):
         n_clusters = _integer("n_clusters", self.n_clusters)

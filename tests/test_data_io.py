@@ -5,6 +5,7 @@ import math
 import os
 import pickle
 import struct
+import sys
 import tempfile
 from unittest import mock
 
@@ -40,6 +41,9 @@ def write(tmp_path, text, name="data.csv"):
     path.write_text(text, encoding="utf-8")
     return str(path)
 
+
+# what a count with more digits than int() converts must be
+INT_DIGITS = f"written in at most {sys.get_int_max_str_digits()} digits"
 
 BASIC = """animal,count,conc,day
 a1,5,0.0,-2
@@ -180,6 +184,37 @@ class TestReadCsv:
         with pytest.raises(ResponseValueError, match="at most 9223372036854775807") as info:
             read_csv(write(tmp_path, f"g,y\na,1\nb,{count}\n"), spec)
         assert (info.value.row, info.value.column) == (3, "y")
+
+    @pytest.mark.parametrize("field, column, message", [
+        pytest.param("x" * 100_000, "x", "could not parse 'xxxx", id="number"),
+        pytest.param("inf" * 30_000, "x", "could not parse 'infinf", id="number-inf"),
+        pytest.param("1" * 100 + "x", "y", "must be a nonnegative integer, got '1111",
+                     id="count"),
+        pytest.param("-" + "7" * 4000, "y", "must be nonnegative, got -7777", id="negative"),
+        pytest.param("9" * 4000, "y", "must be at most 9223372036854775807, got 9999",
+                     id="too-large"),
+        # past int()'s digit limit (sys.get_int_max_str_digits), still an integer
+        pytest.param("9" * 50_000, "y", "must be at most 9223372036854775807, got 9999",
+                     id="past-int-digits"),
+        pytest.param("-" + "9_9" * 20_000, "y", "must be nonnegative, got -9_9",
+                     id="negative-past-int-digits"),
+        # leading zeros past that limit on a count that is in range
+        pytest.param("0" * 5000 + "1", "y", f"must be {INT_DIGITS}, got 0000",
+                     id="zeros-past-int-digits"),
+        pytest.param("-" + "0_0" * 3000, "y", f"must be {INT_DIGITS}, got -0_0",
+                     id="negative-zero-past-int-digits"),
+        pytest.param("0" * 5000 + "9" * 20, "y", "must be at most 9223372036854775807, got 0000",
+                     id="zeros-then-too-large"),
+    ])
+    def test_long_bad_field_is_quoted_short(self, tmp_path, field, column, message):
+        text = "g,y,x\na,1,0.5\nb,{},{}\n".format(*((field, "0.5") if column == "y" else ("1", field)))
+        spec = ModelSpec(response="y", cluster="g", covariates=("x",))
+        with pytest.raises((ResponseValueError, FieldParseError)) as info:
+            read_csv(write(tmp_path, text), spec)
+        assert (info.value.row, info.value.column) == (3, column)
+        assert message in str(info.value)
+        assert len(str(info.value)) < 200
+        assert f"... ({len(field)} characters)" in str(info.value)
 
     def test_ragged_row(self, tmp_path):
         text = "g,y,x\nc1,2,0.5\nc1,3\n"
